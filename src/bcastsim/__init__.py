@@ -5,9 +5,9 @@ from .errors import (CapabilityError, ConstructionError, ParseError,
 from .graph import (Arborescence, Digraph, broadcast_capacity,
                     capacity_bottleneck, cut_capacity, enumerate_reachable_sets,
                     format_graph, in_edges, is_arborescence, is_reachable_set,
-                    mask_from_nodes, max_flow, nodes_from_mask, out_edges,
-                    parse_graph, sequence_from_arborescence, set_plus_edge,
-                    tree_packing, validate_reachable_sequence)
+                    mask_from_nodes, max_flow, out_edges, parse_graph,
+                    sequence_from_arborescence, set_plus_edge, tree_packing,
+                    validate_reachable_sequence)
 from .policies import (MultiClassState, RandomizedTable, assign_class,
                        best_transition, build_randomized_table,
                        count_exactly_at, default_eps, max_weight_decide,

@@ -25,15 +25,6 @@ def mask_from_nodes(nodes: Iterable[int]) -> int:
     return mask
 
 
-def nodes_from_mask(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class Digraph:
     """Simple digraph with unit-capacity edges and a designated source node.
 

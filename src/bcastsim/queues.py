@@ -9,11 +9,7 @@ total_backlog()`` after every update.
 from __future__ import annotations
 
 from .errors import SchedulingError
-from .graph import Digraph, is_reachable_set
-
-# Per-update reachability validation of every touched key; too slow for long
-# runs, enabled by tests.
-DEBUG_VALIDATE_KEYS = False
+from .graph import Digraph
 
 
 class VirtualQueueState:
@@ -54,11 +50,6 @@ class VirtualQueueState:
         else:
             self.counts[fset] = have - 1
         nxt = fset | (1 << b)
-        if DEBUG_VALIDATE_KEYS:
-            if not is_reachable_set(self.graph, fset):
-                raise SchedulingError(f"queue key {fset:#x} is not reachable")
-            if nxt != self._full and not is_reachable_set(self.graph, nxt):
-                raise SchedulingError(f"queue key {nxt:#x} is not reachable")
         if nxt == self._full:
             self.delivered += 1
         else:
@@ -83,9 +74,3 @@ class VirtualQueueState:
             if (fset >> node) & 1:
                 total += q
         return total
-
-    def snapshot_csv(self) -> str:
-        """Debug export: counters then (bitmask, count) rows, ascending."""
-        lines = [f"admitted,{self.admitted}", f"delivered,{self.delivered}"]
-        lines.extend(f"{fset},{q}" for fset, q in sorted(self.counts.items()))
-        return "\n".join(lines) + "\n"

@@ -1,4 +1,9 @@
-"""Mini-slot and slotted simulation engines, metrics, and random graphs.
+"""The simulation engine, metrics, random graphs and sweeps.
+
+``run`` has one loop per time model (mini-slot, slotted wireless). It drives
+every policy the same way: ``_set_up_policy`` returns the policy's state, an
+``admit(count)`` function and a per-policy ``step(eid)`` function that decides
+the move over the active edge and applies it.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
@@ -7,6 +12,7 @@ identical arrival sample paths regardless of the policy under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -54,8 +60,8 @@ class SimConfig:
     def validation_errors(self, g: Digraph | None = None,
                           fam: ActivationFamily | None = None) -> list[str]:
         errs = []
-        if self.lam < 0:
-            errs.append(f"arrival rate must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            errs.append(f"arrival rate must be finite and non-negative, got {self.lam}")
         if self.horizon < 1:
             errs.append(f"horizon must be at least 1 slot, got {self.horizon}")
         if self.sample_every < 1:
@@ -82,11 +88,17 @@ class SimConfig:
         if g is not None:
             if fam is not None and fam.edge_count != g.m:
                 errs.append(f"activation family built for {fam.edge_count} edges, graph has {g.m}")
-            if self.policy in ("max-weight", "randomized") and g.n > MAX_WEIGHT_NODE_LIMIT:
+            if self.time_model == "mini-slot" and g.m == 0:
+                errs.append("mini-slot mode needs a graph with at least one edge")
+            if self._exceeds_node_cap(g):
                 errs.append(
                     f"policy '{self.policy}' tracks node subsets and is capped "
                     f"at n={MAX_WEIGHT_NODE_LIMIT}, got n={g.n}")
         return errs
+
+    def _exceeds_node_cap(self, g: Digraph) -> bool:
+        """Whether a node-subset policy is asked to run on too wide a graph."""
+        return self.policy in ("max-weight", "randomized") and g.n > MAX_WEIGHT_NODE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -131,137 +143,75 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
     return (last.min_received - base.min_received) / (last.slot - base.slot)
 
 
-class _MaxWeightRun:
-    def __init__(self, g: Digraph):
-        self.state = VirtualQueueState(g)
-
-    def admit(self, count: int):
-        self.state.admit(count)
-
-    def on_edge(self, eid: int):
-        fset = max_weight_decide(self.state, eid)
-        if fset is not None:
-            self.state.transmit(fset, eid)
-
-    def edge_weight(self, eid: int) -> int:
-        return edge_weight(self.state, eid)
-
-    def received_all(self) -> list[int]:
-        st = self.state
-        return [st.received_count(v) for v in range(st.graph.n)]
-
-    @property
-    def admitted(self):
-        return self.state.admitted
-
-    @property
-    def delivered(self):
-        return self.state.delivered
-
-    def backlog(self):
-        return self.state.total_backlog()
-
-
-class _RandomizedRun(_MaxWeightRun):
-    def __init__(self, g: Digraph, table: RandomizedTable, rng: np.random.Generator):
-        super().__init__(g)
-        self.table = table
-        self.rng = rng
-
-    def on_edge(self, eid: int):
-        fset = randomized_decide(self.table, self.state, eid, self.rng)
-        if fset is not None:
-            self.state.transmit(fset, eid)
-
-
-class _MultiClassRun:
-    def __init__(self, g: Digraph, k: int, class_rng: np.random.Generator):
-        self.state = MultiClassState(g, k)
-        self.class_rng = class_rng
-
-    def admit(self, count: int):
-        for _ in range(count):
-            self.state.admit_packet(assign_class(self.class_rng, self.state.k))
-
-    def on_edge(self, eid: int):
-        c = multiclass_decide(self.state, eid)
-        if c is not None:
-            multiclass_apply(self.state, c, eid)
-
-    def edge_weight(self, eid: int) -> int:
-        return edge_weight(self.state, eid)
-
-    def received_all(self) -> list[int]:
-        st = self.state
-        return [st.received_count(v) for v in range(st.graph.n)]
-
-    @property
-    def admitted(self):
-        return self.state.mirror.admitted
-
-    @property
-    def delivered(self):
-        return self.state.mirror.delivered
-
-    def backlog(self):
-        return self.state.mirror.total_backlog()
-
-
-class _StaticTreeRun(_MultiClassRun):
-    def __init__(self, g: Digraph, trees, class_rng: np.random.Generator):
-        super().__init__(g, len(trees), class_rng)
-        self.trees = trees
-
-    def on_edge(self, eid: int):
-        c = static_tree_decide(self.state, self.trees, eid)
-        if c is not None:
-            multiclass_apply(self.state, c, eid)
-
-
-def _build_adapter(config: SimConfig, g: Digraph, class_rng, policy_rng):
+def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
+    """The configured policy's state, the VirtualQueueState counting its
+    packets (the state itself, or the multiclass mirror), ``admit(count)``,
+    ``step(eid)`` (decide the move over the active edge, then apply it unless
+    the policy idles) and the randomized table, or None."""
+    policy = config.policy
     table = None
-    if config.policy == "max-weight":
-        adapter = _MaxWeightRun(g)
-    elif config.policy == "multiclass":
-        adapter = _MultiClassRun(g, config.classes, class_rng)
-    elif config.policy == "static-tree":
+    if policy in ("static-tree", "randomized"):
         trees = tree_packing(g)
         if not trees:
-            raise ValueError("static-tree policy needs broadcast capacity >= 1")
-        adapter = _StaticTreeRun(g, trees, class_rng)
-    elif config.policy == "randomized":
-        trees = tree_packing(g)
-        if not trees:
-            raise ValueError("randomized policy needs broadcast capacity >= 1")
+            raise ValueError(f"{policy} policy needs broadcast capacity >= 1")
+    if policy in ("max-weight", "randomized"):
+        state = queues = VirtualQueueState(g)
+        admit = state.admit
+    else:
+        state = MultiClassState(g, len(trees) if policy == "static-tree" else config.classes)
+        queues = state.mirror
+
+        def admit(count: int):
+            for _ in range(count):
+                state.admit_packet(assign_class(cls_rng, state.k))
+
+    if policy == "max-weight":
+        def step(eid: int):
+            fset = max_weight_decide(state, eid)
+            if fset is not None:
+                state.transmit(fset, eid)
+    elif policy == "randomized":
         eps = config.eps
         if eps is None:
             eps = default_eps(len(trees), config.lam, g.n)
         bprime = config.extra_sequences
         if bprime is None:
             bprime = 4 * g.m
-        extra = sample_reachable_sequences(g, bprime, policy_rng)
+        extra = sample_reachable_sequences(g, bprime, pol_rng)
         table = build_randomized_table(g, trees, extra, eps)
-        adapter = _RandomizedRun(g, table, policy_rng)
-    else:  # pragma: no cover - caught by validation
-        raise ValueError(f"unknown policy '{config.policy}'")
-    return adapter, table
+
+        def step(eid: int):
+            fset = randomized_decide(table, state, eid, pol_rng)
+            if fset is not None:
+                state.transmit(fset, eid)
+    elif policy == "multiclass":
+        def step(eid: int):
+            c = multiclass_decide(state, eid)
+            if c is not None:
+                multiclass_apply(state, c, eid)
+    else:
+        def step(eid: int):
+            c = static_tree_decide(state, trees, eid)
+            if c is not None:
+                multiclass_apply(state, c, eid)
+    return state, queues, admit, step, table
 
 
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
     """Simulate one run and return its sampled time series.
 
-    Mini-slot mode: every slot is ``m`` mini-slots, each drawing arrivals and
-    one uniformly active edge, with at most one transmission. Slotted mode:
-    arrivals once per slot, then a max-weight feasible activation forwards at
-    most one packet per activated edge, edges applied in ascending id order.
-    Fully deterministic given the seed.
+    One loop per time model drives the policy through the ``admit`` and
+    ``step`` functions that ``_set_up_policy`` returns. Mini-slot mode: every
+    slot is ``m`` mini-slots, each drawing arrivals and one uniformly active
+    edge, with at most one transmission. Slotted mode: arrivals once per
+    slot, then a max-weight feasible activation forwards at most one packet
+    per activated edge, edges applied in ascending id order. Fully
+    deterministic given the seed.
     """
     errors = config.validation_errors(g, fam)
     if errors:
-        capacity_errs = [e for e in errors if "capped at n=" in e]
-        if capacity_errs:
-            raise CapabilityError("; ".join(errors))
-        raise ValueError("; ".join(errors))
+        exc = CapabilityError if config._exceeds_node_cap(g) else ValueError
+        raise exc("; ".join(errors))
 
     arr_seq, act_seq, cls_seq, pol_seq = np.random.SeedSequence(config.seed).spawn(4)
     arr_rng = np.random.default_rng(arr_seq)
@@ -269,18 +219,19 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     cls_rng = np.random.default_rng(cls_seq)
     pol_rng = np.random.default_rng(pol_seq)
 
-    adapter, table = _build_adapter(config, g, cls_rng, pol_rng)
+    state, queues, admit, step, table = _set_up_policy(config, g, cls_rng, pol_rng)
 
     samples: list[Sample] = []
+    nodes = range(g.n)
 
     def record(slot: int):
-        received = adapter.received_all()
-        backlog = adapter.backlog()
-        if adapter.admitted != adapter.delivered + backlog:
+        received = [state.received_count(v) for v in nodes]
+        backlog = queues.total_backlog()
+        if queues.admitted != queues.delivered + backlog:
             raise SchedulingError(
-                f"conservation violated at slot {slot}: admitted={adapter.admitted} "
-                f"delivered={adapter.delivered} backlog={backlog}")
-        samples.append(Sample(slot, adapter.admitted, adapter.delivered,
+                f"conservation violated at slot {slot}: admitted={queues.admitted} "
+                f"delivered={queues.delivered} backlog={backlog}")
+        samples.append(Sample(slot, queues.admitted, queues.delivered,
                               min(received), tuple(received), backlog))
 
     record(0)
@@ -297,8 +248,8 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
                 for _ in range(m):
                     a = arrivals[idx]
                     if a:
-                        adapter.admit(a)
-                    adapter.on_edge(active[idx])
+                        admit(a)
+                    step(active[idx])
                     idx += 1
                 slot += 1
                 if slot % config.sample_every == 0 or slot == config.horizon:
@@ -309,12 +260,12 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
             arrivals = arr_rng.poisson(config.lam, size=chunk).tolist()
             for a in arrivals:
                 if a:
-                    adapter.admit(a)
-                weights = [adapter.edge_weight(e) for e in range(m)]
+                    admit(a)
+                weights = [edge_weight(state, e) for e in range(m)]
                 smask = choose_activation(weights, fam)
                 while smask:
                     low = smask & -smask
-                    adapter.on_edge(low.bit_length() - 1)
+                    step(low.bit_length() - 1)
                     smask ^= low
                 slot += 1
                 if slot % config.sample_every == 0 or slot == config.horizon:

@@ -109,6 +109,25 @@ class TestSimulate:
         assert (out / "quick_seed7.csv").is_file()
         assert not (out / "quick_seed1.csv").exists()
 
+    @pytest.mark.parametrize("header", ["1 0 0", "2 0 0"])
+    def test_edgeless_graph_exits_2(self, runner, tmp_path, header):
+        path = write(tmp_path, "g.txt", header + "\n")
+        result = runner.invoke(main, ["simulate", "--config",
+                                      "presets/zero-arrivals.ini", "--graph",
+                                      str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "config error: mini-slot mode needs" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_a_config_error(self, runner, tmp_path, lam):
+        cfg = write(tmp_path, "quick.ini",
+                    FIG2_QUICK.replace("lambda = 1.95", f"lambda = {lam}"))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "config error: arrival rate" in result.stderr
+
     def test_zero_arrivals_preset_shape(self, runner, tmp_path):
         cfg = write(tmp_path, "zero.ini", FIG2_QUICK.replace("1.95", "0.0"))
         out = tmp_path / "out"

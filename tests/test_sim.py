@@ -34,10 +34,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run(cfg, d4, wireline_family(d4.m))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lambda_must_be_finite_and_non_negative(self, d4, lam):
+        cfg = SimConfig(lam=lam, horizon=10)
+        errs = cfg.validation_errors(d4)
+        assert len(errs) == 1 and "arrival rate" in errs[0]
+        with pytest.raises(ValueError, match="arrival rate"):
+            run(cfg, d4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_edgeless_graph_rejected_in_mini_slot_mode(self, n):
+        g = Digraph(n, [], 0)
+        cfg = SimConfig(lam=0.0, horizon=10)
+        assert any("at least one edge" in e for e in cfg.validation_errors(g))
+        with pytest.raises(ValueError, match="at least one edge"):
+            run(cfg, g)
+
     def test_subset_policies_capped(self):
         g = Digraph(26, [(0, i) for i in range(1, 26)], 0)
         with pytest.raises(CapabilityError):
             run(SimConfig(lam=1.0, horizon=10), g)
+        # The cap decides the type even when other errors come with it.
+        with pytest.raises(CapabilityError) as info:
+            run(SimConfig(lam=-1.0, horizon=10), g)
+        assert "capped at n=25" in str(info.value)
+        assert "arrival rate" in str(info.value)
+        # Without the cap the same other error is a plain ValueError.
+        with pytest.raises(ValueError, match="arrival rate"):
+            run(SimConfig(lam=-1.0, horizon=10, policy="multiclass"), g)
 
     def test_large_graphs_fine_for_multiclass(self):
         g = Digraph(26, [(0, i) for i in range(1, 26)], 0)
