@@ -6,7 +6,7 @@ class ParseError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """Input exceeds a guarded size limit (subset or matching enumeration)."""
+    """Input exceeds a guarded size limit (node-subset policies, matching enumeration)."""
 
 
 class SchedulingError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Directed graphs, flows, arborescence packing, and replication-set machinery.
+"""Directed graphs, flows, arborescence packing and growth sequences.
 
 Node subsets are plain integer bitmasks (bit ``i`` set means node ``i`` is in
 the set). An edge's id is its position in the edge list, and every
@@ -10,19 +10,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import CapabilityError, ParseError
-
-# Proper-subset enumeration is exponential in n; refuse beyond this width.
-SUBSET_ENUM_NODE_LIMIT = 25
-
-
-def mask_from_nodes(nodes: Iterable[int]) -> int:
-    mask = 0
-    for v in nodes:
-        mask |= 1 << v
-    return mask
+from .errors import ParseError
 
 
 class Digraph:
@@ -33,7 +23,7 @@ class Digraph:
     Instances are never mutated after construction and are safe to share.
     """
 
-    __slots__ = ("n", "edges", "source", "out_adj", "in_adj")
+    __slots__ = ("n", "edges", "source")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], source: int):
         edges = tuple((int(a), int(b)) for a, b in edges)
@@ -53,13 +43,6 @@ class Digraph:
         self.n = n
         self.edges = edges
         self.source = source
-        out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (a, b) in enumerate(edges):
-            out_adj[a].append((eid, b))
-            in_adj[b].append((eid, a))
-        self.out_adj = out_adj
-        self.in_adj = in_adj
 
     @property
     def m(self) -> int:
@@ -126,13 +109,6 @@ def parse_graph(text: str) -> Digraph:
         seen.add((u, v))
         edges.append((u, v))
     return Digraph(n, edges, r)
-
-
-def format_graph(g: Digraph) -> str:
-    """Inverse of parse_graph (modulo comments and blank lines)."""
-    lines = [f"{g.n} {g.m} {g.source}"]
-    lines.extend(f"{a} {b}" for a, b in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def max_flow(g: Digraph, s: int, t: int, allowed: Iterable[int] | None = None,
@@ -208,76 +184,10 @@ def broadcast_capacity(g: Digraph) -> int:
     return capacity_bottleneck(g)[0]
 
 
-def cut_capacity(g: Digraph, cut: int) -> int:
-    """Number of edges leaving the node set ``cut`` (a bitmask containing the
-    source; must be a proper subset of the nodes)."""
-    full = g.full_mask
-    if cut & ~full:
-        raise ValueError("cut contains nodes outside the graph")
-    if not (cut >> g.source) & 1:
-        raise ValueError("cut must contain the source")
-    if cut == full:
-        raise ValueError("cut must be a proper subset of the nodes")
-    count = 0
-    for a, b in g.edges:
-        if (cut >> a) & 1 and not (cut >> b) & 1:
-            count += 1
-    return count
-
-
 def out_edges(g: Digraph, fset: int) -> list[int]:
     """Edge ids crossing out of the node set, ascending."""
     return [eid for eid, (a, b) in enumerate(g.edges)
             if (fset >> a) & 1 and not (fset >> b) & 1]
-
-
-def in_edges(g: Digraph, fset: int) -> list[int]:
-    """Edge ids with both endpoints inside the node set, ascending."""
-    return [eid for eid, (a, b) in enumerate(g.edges)
-            if (fset >> a) & 1 and (fset >> b) & 1]
-
-
-def set_plus_edge(g: Digraph, fset: int, eid: int) -> int:
-    """The node set grown by the head of boundary edge ``eid``."""
-    a, b = g.edges[eid]
-    if not (fset >> a) & 1 or (fset >> b) & 1:
-        raise ValueError(f"edge {eid} is not on the out-boundary of the set")
-    return fset | (1 << b)
-
-
-def is_reachable_set(g: Digraph, fset: int) -> bool:
-    """True when the set contains the source and its induced subgraph reaches
-    every member from the source."""
-    if not (fset >> g.source) & 1:
-        return False
-    if fset & ~g.full_mask:
-        return False
-    seen = g.source_mask
-    stack = [g.source]
-    while stack:
-        u = stack.pop()
-        for _, v in g.out_adj[u]:
-            vbit = 1 << v
-            if fset & vbit and not seen & vbit:
-                seen |= vbit
-                stack.append(v)
-    return seen == fset
-
-
-def enumerate_reachable_sets(g: Digraph) -> Iterator[int]:
-    """All proper reachable subsets, in ascending bitmask order."""
-    if g.n > SUBSET_ENUM_NODE_LIMIT:
-        raise CapabilityError(
-            f"subset enumeration capped at n={SUBSET_ENUM_NODE_LIMIT}, got n={g.n}")
-    r = g.source
-    low = (1 << r) - 1
-    full = g.full_mask
-    for rest in range(1 << (g.n - 1)):
-        mask = ((rest & ~low) << 1) | (rest & low) | (1 << r)
-        if mask == full:
-            continue
-        if is_reachable_set(g, mask):
-            yield mask
 
 
 @dataclass(frozen=True)
@@ -321,56 +231,47 @@ def tree_packing(g: Digraph) -> list[Arborescence]:
     """Pack edge-disjoint source-rooted spanning arborescences, one per unit
     of broadcast capacity.
 
-    Extracts trees one at a time. A tree is grown greedily from the source by
-    lowest edge id, but an edge is only committed if removing it (and the
-    partial tree) still leaves enough residual flow from the source to every
-    node for the trees yet to be extracted; the search backtracks otherwise.
-    The revalidation makes every greedy step safe, so backtracking is a
-    defensive measure rather than the expected path.
+    Extracts trees one at a time. A tree is grown from the source by the
+    lowest-id boundary edge whose removal, together with the partial tree,
+    still leaves enough flow from the source to every node for the trees yet
+    to be extracted. Lovász's constructive proof of Edmonds' branching theorem
+    shows that such an edge always exists, so the growth never backtracks.
     """
-    total = broadcast_capacity(g)
-    if total == 0:
-        return []
     avail = set(range(g.m))
     trees = []
-    for residual in range(total - 1, -1, -1):
+    for residual in range(broadcast_capacity(g) - 1, -1, -1):
         tree = _extract_arborescence(g, avail, residual)
-        if tree is None:
-            raise RuntimeError("arborescence extraction failed on a feasible graph")
         trees.append(Arborescence(tuple(tree)))
         avail.difference_update(tree)
     return trees
 
 
-def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[int] | None:
-    full = g.full_mask
+def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[int]:
     sinks = [t for t in range(g.n) if t != g.source]
+    rest = set(avail)
 
-    def safe(chosen: set[int], eid: int) -> bool:
+    def safe(eid: int) -> bool:
         if residual == 0:
             return True
-        keep = avail - chosen - {eid}
+        keep = rest - {eid}
         for t in sinks:
             if max_flow(g, g.source, t, allowed=keep, at_least=residual) < residual:
                 return False
         return True
 
-    def grow(mask: int, chosen: list[int], chosen_set: set[int]) -> list[int] | None:
-        if mask == full:
-            return chosen
-        for eid in sorted(avail - chosen_set):
+    tree = []
+    mask = g.source_mask
+    while mask != g.full_mask:
+        for eid in sorted(rest):
             a, b = g.edges[eid]
-            if (mask >> a) & 1 and not (mask >> b) & 1 and safe(chosen_set, eid):
-                chosen.append(eid)
-                chosen_set.add(eid)
-                result = grow(mask | (1 << b), chosen, chosen_set)
-                if result is not None:
-                    return result
-                chosen.pop()
-                chosen_set.discard(eid)
-        return None
-
-    return grow(g.source_mask, [], set())
+            if (mask >> a) & 1 and not (mask >> b) & 1 and safe(eid):
+                break
+        else:
+            raise RuntimeError("arborescence extraction failed on a feasible graph")
+        tree.append(eid)
+        rest.discard(eid)
+        mask |= 1 << b
+    return tree
 
 
 ReachableSequence = tuple[tuple[int, int], ...]
@@ -397,20 +298,3 @@ def sequence_from_arborescence(g: Digraph, tree: Arborescence) -> ReachableSeque
         else:
             raise ValueError("edge set is not a source-rooted arborescence")
     return tuple(seq)
-
-
-def validate_reachable_sequence(g: Digraph, seq: ReachableSequence) -> bool:
-    """Check the growth-sequence contract: starts at the source singleton,
-    adds exactly one new node per step along an out-boundary edge, ends
-    covering all nodes."""
-    if len(seq) != g.n - 1:
-        return False
-    expect = g.source_mask
-    for fset, eid in seq:
-        if fset != expect:
-            return False
-        a, b = g.edges[eid]
-        if not (fset >> a) & 1 or (fset >> b) & 1:
-            return False
-        expect = fset | (1 << b)
-    return expect == g.full_mask

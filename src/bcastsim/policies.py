@@ -81,13 +81,6 @@ class MultiClassState:
         self.arrivals = [0] * k
         self.mirror = VirtualQueueState(graph)
 
-    def add_class(self) -> int:
-        """Open a fresh class (used to emulate one class per packet)."""
-        self.highest.append([0] * self.graph.n)
-        self.arrivals.append(0)
-        self.k += 1
-        return self.k - 1
-
     def admit_packet(self, c: int):
         self.arrivals[c] += 1
         self.highest[c][self.graph.source] += 1

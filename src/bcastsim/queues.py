@@ -55,14 +55,6 @@ class VirtualQueueState:
         else:
             self.counts[nxt] = self.counts.get(nxt, 0) + 1
 
-    def weight(self, fset: int, eid: int) -> int:
-        """Backlog differential across ``eid``: the count at ``fset`` minus the
-        count at the grown set, reading absent sets and the full set as 0."""
-        b = self.graph.edges[eid][1]
-        nxt = fset | (1 << b)
-        q_next = 0 if nxt == self._full else self.counts.get(nxt, 0)
-        return self.counts.get(fset, 0) - q_next
-
     def total_backlog(self) -> int:
         return sum(self.counts.values())
 

@@ -33,6 +33,9 @@ TIME_MODELS = ("mini-slot", "slotted-wireless")
 # Virtual-queue policies key their state by node subsets; cap the width.
 MAX_WEIGHT_NODE_LIMIT = 25
 
+# numpy's Poisson sampler refuses rates above about 9.2e18.
+MAX_ARRIVAL_RATE = 1e18
+
 _CHUNK_SLOTS = 1024
 
 
@@ -62,6 +65,8 @@ class SimConfig:
         errs = []
         if not (math.isfinite(self.lam) and self.lam >= 0):
             errs.append(f"arrival rate must be finite and non-negative, got {self.lam}")
+        elif self.lam > MAX_ARRIVAL_RATE:
+            errs.append(f"arrival rate must be at most {MAX_ARRIVAL_RATE:g}, got {self.lam}")
         if self.horizon < 1:
             errs.append(f"horizon must be at least 1 slot, got {self.horizon}")
         if self.sample_every < 1:
@@ -88,8 +93,8 @@ class SimConfig:
         if g is not None:
             if fam is not None and fam.edge_count != g.m:
                 errs.append(f"activation family built for {fam.edge_count} edges, graph has {g.m}")
-            if self.time_model == "mini-slot" and g.m == 0:
-                errs.append("mini-slot mode needs a graph with at least one edge")
+            if g.m == 0:
+                errs.append("the graph needs at least one edge")
             if self._exceeds_node_cap(g):
                 errs.append(
                     f"policy '{self.policy}' tracks node subsets and is capped "
@@ -227,12 +232,23 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     def record(slot: int):
         received = [state.received_count(v) for v in nodes]
         backlog = queues.total_backlog()
-        if queues.admitted != queues.delivered + backlog:
+        admitted, delivered = queues.admitted, queues.delivered
+        min_received = min(received)
+        if admitted != delivered + backlog:
             raise SchedulingError(
-                f"conservation violated at slot {slot}: admitted={queues.admitted} "
-                f"delivered={queues.delivered} backlog={backlog}")
-        samples.append(Sample(slot, queues.admitted, queues.delivered,
-                              min(received), tuple(received), backlog))
+                f"conservation violated at slot {slot}: admitted={admitted} "
+                f"delivered={delivered} backlog={backlog}")
+        if delivered > min_received:
+            raise SchedulingError(
+                f"delivered={delivered} exceeds min_received={min_received} at slot {slot}")
+        if max(received) > admitted:
+            raise SchedulingError(
+                f"a received count exceeds admitted={admitted} at slot {slot}")
+        if samples and any(r < p for r, p in zip(received, samples[-1].received)):
+            raise SchedulingError(
+                f"a received count fell below its previous sample at slot {slot}")
+        samples.append(Sample(slot, admitted, delivered,
+                              min_received, tuple(received), backlog))
 
     record(0)
     m = g.m

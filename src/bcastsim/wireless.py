@@ -51,12 +51,6 @@ def wireline_family(edge_count: int) -> ActivationFamily:
     return ActivationFamily(edge_count, (0, (1 << edge_count) - 1))
 
 
-def singleton_family(edge_count: int) -> ActivationFamily:
-    """Idle or exactly one edge; mirrors one transmission per time unit."""
-    return ActivationFamily(
-        edge_count, (0,) + tuple(1 << e for e in range(edge_count)))
-
-
 def _conflicts(g: Digraph) -> list[int]:
     # Primary interference: edges conflict when they share an endpoint in
     # either role.

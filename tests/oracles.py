@@ -26,6 +26,12 @@ def reachable_fixed_point(g, mask):
     return have == mask
 
 
+def reachable_sets(g):
+    """Every proper reachable node set, ascending, by testing every mask."""
+    return [mask for mask in range(1 << g.n)
+            if mask != g.full_mask and reachable_fixed_point(g, mask)]
+
+
 def brute_cut_value(g, cut):
     return sum(1 for a, b in g.edges
                if (cut >> a) & 1 and not (cut >> b) & 1)
@@ -51,8 +57,8 @@ def all_simple_paths(g, s, t):
         if node == t:
             paths.append(frozenset(used))
             return
-        for eid, nxt in g.out_adj[node]:
-            if nxt not in visited:
+        for eid, (tail, nxt) in enumerate(g.edges):
+            if tail == node and nxt not in visited:
                 walk(nxt, visited | {nxt}, used + [eid])
 
     walk(s, {s}, [])
@@ -114,6 +120,23 @@ def all_growth_sequences(g):
 
     grow(g.source_mask, [])
     return out
+
+
+def validate_reachable_sequence(g, seq):
+    """Check the growth-sequence contract: starts at the source singleton,
+    adds exactly one new node per step along an out-boundary edge, ends
+    covering all nodes."""
+    if len(seq) != g.n - 1:
+        return False
+    expect = g.source_mask
+    for fset, eid in seq:
+        if fset != expect:
+            return False
+        a, b = g.edges[eid]
+        if not (fset >> a) & 1 or (fset >> b) & 1:
+            return False
+        expect = fset | (1 << b)
+    return expect == g.full_mask
 
 
 def brute_matchings(g):

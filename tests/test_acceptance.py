@@ -8,13 +8,16 @@ import time
 
 import numpy as np
 
-from bcastsim import (MultiClassState, SimConfig, VirtualQueueState,
-                      assign_class, broadcast_capacity, choose_activation,
-                      count_exactly_at, edge_weight, is_arborescence,
-                      max_weight_decide, multiclass_apply, multiclass_decide,
-                      out_edges, primary_interference_family, random_digraph,
-                      run, sweep_k, tree_packing, wireline_family)
+from bcastsim import (SimConfig, broadcast_capacity, random_digraph, run,
+                      sweep_k, tree_packing)
 from bcastsim.fixtures import diamond4
+from bcastsim.graph import is_arborescence, out_edges
+from bcastsim.policies import (MultiClassState, assign_class, count_exactly_at,
+                               max_weight_decide, multiclass_apply,
+                               multiclass_decide)
+from bcastsim.queues import VirtualQueueState
+from bcastsim.wireless import (choose_activation, edge_weight,
+                               primary_interference_family, wireline_family)
 
 from oracles import PacketLedger, brute_min_cut, independent_arborescence_check
 

@@ -109,14 +109,16 @@ class TestSimulate:
         assert (out / "quick_seed7.csv").is_file()
         assert not (out / "quick_seed1.csv").exists()
 
+    # zero-arrivals runs in mini-slot mode, d4-wireless in slotted mode.
+    @pytest.mark.parametrize("preset", ["zero-arrivals", "d4-wireless"])
     @pytest.mark.parametrize("header", ["1 0 0", "2 0 0"])
-    def test_edgeless_graph_exits_2(self, runner, tmp_path, header):
+    def test_edgeless_graph_exits_2(self, runner, tmp_path, header, preset):
         path = write(tmp_path, "g.txt", header + "\n")
         result = runner.invoke(main, ["simulate", "--config",
-                                      "presets/zero-arrivals.ini", "--graph",
+                                      f"presets/{preset}.ini", "--graph",
                                       str(path), "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
-        assert "config error: mini-slot mode needs" in result.stderr
+        assert "config error: the graph needs at least one edge" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
@@ -127,6 +129,15 @@ class TestSimulate:
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "config error: arrival rate" in result.stderr
+
+    def test_huge_lambda_is_a_config_error(self, runner, tmp_path):
+        cfg = write(tmp_path, "quick.ini",
+                    FIG2_QUICK.replace("lambda = 1.95", "lambda = 1e300"))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "config error: arrival rate" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_zero_arrivals_preset_shape(self, runner, tmp_path):
         cfg = write(tmp_path, "zero.ini", FIG2_QUICK.replace("1.95", "0.0"))

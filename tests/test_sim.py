@@ -1,10 +1,13 @@
 import pytest
 
-from bcastsim import (CapabilityError, SimConfig, broadcast_capacity,
-                      broadcast_rate, format_graph, parse_graph,
-                      random_digraph, run, sweep_k, wireline_family)
+from bcastsim import (CapabilityError, SchedulingError, SimConfig,
+                      broadcast_capacity, broadcast_rate, parse_graph,
+                      random_digraph, run, sweep_k)
+from bcastsim import sim
 from bcastsim.graph import Digraph
-from bcastsim.sim import received_csv, run_csv, sweep_csv
+from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, received_csv, run_csv,
+                          sweep_csv)
+from bcastsim.wireless import make_family, wireline_family
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
 DAG4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)], 0)
@@ -42,13 +45,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="arrival rate"):
             run(cfg, d4)
 
+    def test_lambda_capped_below_the_poisson_limit(self, d4):
+        assert SimConfig(lam=MAX_ARRIVAL_RATE, horizon=10).validation_errors(d4) == []
+        errs = SimConfig(lam=2 * MAX_ARRIVAL_RATE, horizon=10).validation_errors(d4)
+        assert len(errs) == 1 and "arrival rate must be at most" in errs[0]
+
+    @pytest.mark.parametrize("time_model", TIME_MODELS)
     @pytest.mark.parametrize("n", [1, 2])
-    def test_edgeless_graph_rejected_in_mini_slot_mode(self, n):
+    def test_edgeless_graph_rejected(self, n, time_model):
         g = Digraph(n, [], 0)
-        cfg = SimConfig(lam=0.0, horizon=10)
-        assert any("at least one edge" in e for e in cfg.validation_errors(g))
+        cfg = SimConfig(lam=0.0, horizon=10, time_model=time_model)
+        fam = make_family(0, ()) if time_model == "slotted-wireless" else None
+        assert "the graph needs at least one edge" in cfg.validation_errors(g, fam)
         with pytest.raises(ValueError, match="at least one edge"):
-            run(cfg, g)
+            run(cfg, g, fam)
 
     def test_subset_policies_capped(self):
         g = Digraph(26, [(0, i) for i in range(1, 26)], 0)
@@ -155,7 +165,8 @@ class TestRandomDigraph:
 
     def test_round_trip(self):
         g = random_digraph(12, 30, 5)
-        again = parse_graph(format_graph(g))
+        again = parse_graph(f"{g.n} {g.m} {g.source}\n"
+                            + "".join(f"{a} {b}\n" for a, b in g.edges))
         assert again.edges == g.edges
 
     def test_capacity_positive(self):
@@ -246,7 +257,8 @@ def test_uniform_singleton_slots_match_the_mini_slot_engine(d4):
     rate."""
     import numpy as np
 
-    from bcastsim import VirtualQueueState, max_weight_decide
+    from bcastsim.policies import max_weight_decide
+    from bcastsim.queues import VirtualQueueState
 
     lam, steps = 1.9, 90_000
     rng = np.random.default_rng(17)
@@ -271,3 +283,48 @@ def test_multiclass_per_node_delivery_never_exceeds_admissions(d4):
     for s in res.samples:
         assert all(r <= s.admitted for r in s.received)
         assert s.received[0] == s.admitted  # the source holds everything
+
+
+
+def _undeliver(g, state, queues):
+    # Moving 20 delivered packets back to the source drops every other
+    # node's count by 20; one slot of m=6 moves cannot make that up.
+    if queues.delivered >= 20:
+        queues.counts[g.source_mask] = (
+            queues.counts.get(g.source_mask, 0) + queues.delivered)
+        queues.delivered = 0
+
+
+def _over_deliver(g, state, queues):
+    queues.admitted += 100
+    queues.delivered += 100
+
+
+def _over_receive(g, state, queues):
+    state.highest[0][g.source] += 1
+
+
+@pytest.mark.parametrize("policy, corrupt, message", [
+    ("max-weight", _undeliver, "fell below its previous sample"),
+    ("multiclass", _over_deliver, "exceeds min_received"),
+    ("multiclass", _over_receive, "exceeds admitted"),
+])
+def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, message):
+    """Each sample checks the invariants: apply ``corrupt`` after every step
+    and expect the matching SchedulingError."""
+    set_up = sim._set_up_policy
+
+    def corrupted(*args):
+        state, queues, admit, step, table = set_up(*args)
+
+        def bad_step(eid):
+            step(eid)
+            corrupt(d4, state, queues)
+
+        return state, queues, admit, bad_step, table
+
+    monkeypatch.setattr(sim, "_set_up_policy", corrupted)
+    cfg = SimConfig(lam=1.5, horizon=200, seed=3, sample_every=1, policy=policy,
+                    classes=2)
+    with pytest.raises(SchedulingError, match=message):
+        run(cfg, d4)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from bcastsim import (ActivationFamily, CapabilityError, MultiClassState,
-                      ParseError, VirtualQueueState, choose_activation,
-                      edge_weight, make_family, parse_activation_family,
-                      primary_interference_family, singleton_family,
-                      wireline_family)
-from bcastsim.graph import Digraph
-from bcastsim.policies import assign_class, multiclass_apply, multiclass_decide
-from bcastsim.wireless import MATCHING_ENUM_EDGE_LIMIT
+from bcastsim import CapabilityError, Digraph, ParseError
+from bcastsim.policies import (MultiClassState, assign_class, multiclass_apply,
+                               multiclass_decide)
+from bcastsim.queues import VirtualQueueState
+from bcastsim.wireless import (MATCHING_ENUM_EDGE_LIMIT, ActivationFamily,
+                               choose_activation, edge_weight, make_family,
+                               parse_activation_family,
+                               primary_interference_family, wireline_family)
 
 from conftest import R_, RA, RA_SET, RB
 from oracles import brute_matchings
@@ -34,9 +34,8 @@ class TestFamilyType:
         fam = make_family(2, [0b01])
         assert fam.masks == (0, 0b01)
 
-    def test_wireline_and_singleton(self):
+    def test_wireline(self):
         assert wireline_family(3).masks == (0, 0b111)
-        assert singleton_family(2).masks == (0, 0b01, 0b10)
 
 
 class TestPrimaryInterference:
