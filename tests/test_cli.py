@@ -121,18 +121,10 @@ class TestSimulate:
         assert "config error: the graph needs at least one edge" in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.parametrize("lam", ["nan", "inf", "1e300"])
     def test_non_finite_lambda_is_a_config_error(self, runner, tmp_path, lam):
         cfg = write(tmp_path, "quick.ini",
                     FIG2_QUICK.replace("lambda = 1.95", f"lambda = {lam}"))
-        result = runner.invoke(main, ["simulate", "--config", str(cfg),
-                                      "--out-dir", str(tmp_path / "out")])
-        assert result.exit_code == 2, result.output
-        assert "config error: arrival rate" in result.stderr
-
-    def test_huge_lambda_is_a_config_error(self, runner, tmp_path):
-        cfg = write(tmp_path, "quick.ini",
-                    FIG2_QUICK.replace("lambda = 1.95", "lambda = 1e300"))
         result = runner.invoke(main, ["simulate", "--config", str(cfg),
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output

@@ -311,8 +311,15 @@ def test_one_class_per_packet_matches_max_weight(d4):
             assert fset is None
         else:
             assert fset is not None
-            assert (multiclass_edge_weight(state, eid)
-                    == best_transition(state.mirror, eid)[1])
+            # The head-of-line packet of the chosen class must have the
+            # max-weight differential in the mirror (a full set reads 0).
+            j = d4.edges[eid][1]
+            chosen = state.packet_set(c, state.highest[c][j] + 1)
+            nxt = chosen | 1 << j
+            counts = state.mirror.counts
+            w = counts.get(chosen, 0) - (
+                0 if nxt == d4.full_mask else counts.get(nxt, 0))
+            assert w == best_transition(state.mirror, eid)[1]
             multiclass_apply(state, c, eid)
 
 
