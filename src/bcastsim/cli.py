@@ -68,6 +68,18 @@ def _parse_ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split()]
 
 
+# Every key a config section may hold, with its parser. The [sim] keys other
+# than 'activation' and 'k_values' are SimConfig fields ('lambda' is 'lam'),
+# and a field whose key is absent keeps SimConfig's default.
+_SECTION_KEYS = {
+    "experiment": {"graph": str, "name": str, "seeds": _parse_ints},
+    "sim": {"lambda": float, "horizon": int, "time_model": str, "policy": str,
+            "classes": int, "eps": float, "extra_sequences": int,
+            "sample_every": int, "burn_in": int, "activation": str,
+            "k_values": _parse_ints},
+}
+
+
 def load_experiment(path: Path, graph_override: str | None = None,
                     seed_override: int | None = None) -> Experiment:
     """Parse and validate a config file, collecting every error before
@@ -81,62 +93,45 @@ def load_experiment(path: Path, graph_override: str | None = None,
         raise ConfigError([f"config parse error: {exc}"]) from None
 
     errs: list[str] = []
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    simsec = parser["sim"] if parser.has_section("sim") else {}
+    values: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
+    for section in parser.sections():
+        known = _SECTION_KEYS.get(section, {})
+        for key, raw in parser[section].items():
+            if key not in known:
+                errs.append(f"unknown key '{key}' in [{section}]")
+                continue
+            try:
+                values[section][key] = known[key](raw)
+            except ValueError:
+                errs.append(f"bad value for '{key}': {raw!r}")
+    exp, simsec = values["experiment"], values["sim"]
+
     if not parser.has_section("sim"):
         errs.append("missing [sim] section")
-
-    graph_spec = graph_override or exp.get("graph", "")
+    graph_spec = graph_override or exp.get("graph")
     if not graph_spec:
         errs.append("no graph source (set [experiment] graph or pass --graph)")
-    name = exp.get("name", path.stem)
-
-    def read(section, key, conv, default=None):
-        raw = section.get(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except ValueError:
-            errs.append(f"bad value for '{key}': {raw!r}")
-            return default
-
-    seeds = read(exp, "seeds", _parse_ints, [1])
-    if seed_override is not None:
-        seeds = [seed_override]
+    seeds = [seed_override] if seed_override is not None else exp.get("seeds", [1])
     if not seeds:
         errs.append("empty seed list")
+    for key in ("lambda", "horizon"):
+        if not parser.has_option("sim", key):
+            errs.append(f"missing '{key}' in [sim]")
 
-    lam = read(simsec, "lambda", float)
-    if lam is None and "lambda" not in simsec:
-        errs.append("missing 'lambda' in [sim]")
-        lam = 0.0
-    horizon = read(simsec, "horizon", int)
-    if horizon is None and "horizon" not in simsec:
-        errs.append("missing 'horizon' in [sim]")
-        horizon = 1
-
-    cfg = SimConfig(
-        lam=lam if lam is not None else 0.0,
-        horizon=horizon if horizon is not None else 1,
-        time_model=simsec.get("time_model", "mini-slot"),
-        policy=simsec.get("policy", "max-weight"),
-        classes=read(simsec, "classes", int, 1),
-        eps=read(simsec, "eps", float),
-        extra_sequences=read(simsec, "extra_sequences", int),
-        sample_every=read(simsec, "sample_every", int, 1000),
-        burn_in=read(simsec, "burn_in", int),
-    )
-    activation = simsec.get("activation")
-    k_values = read(simsec, "k_values", _parse_ints)
-
+    activation = simsec.pop("activation", None)
+    k_values = simsec.pop("k_values", None)
+    if "lambda" in simsec:
+        simsec["lam"] = simsec.pop("lambda")
+    # A missing or bad lambda or horizon is already reported; the stand-ins
+    # let every other key still be validated.
+    cfg = SimConfig(**{"lam": 0.0, "horizon": 1, **simsec})
     errs.extend(cfg.validation_errors())
     if cfg.time_model == "slotted-wireless" and activation is None:
         errs.append("slotted-wireless mode needs an 'activation' entry")
     if errs:
         raise ConfigError(errs)
-    return Experiment(name, graph_spec, tuple(seeds), cfg, activation,
-                      tuple(k_values) if k_values else None)
+    return Experiment(exp.get("name", path.stem), graph_spec, tuple(seeds), cfg,
+                      activation, tuple(k_values) if k_values else None)
 
 
 def build_activation(spec: str, g: Digraph):

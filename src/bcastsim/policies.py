@@ -1,7 +1,8 @@
 """Scheduling policies: max-weight, in-order multi-class, static tree, randomized.
 
 All decide functions are pure given their state and return what to send over
-the active edge (or None to idle); the caller applies the move.
+the active edge (or None to idle); the caller applies the move. ``edge_weight``
+turns the same candidate rules into the per-edge weights of the slotted model.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ class MultiClassState:
     """In-order delivery state for k packet classes.
 
     ``highest[c][i]`` is the highest in-order packet index of class ``c``
-    received by node ``i``; the source row always equals ``arrivals[c]``.
+    received by node ``i``; the source entry is the class's arrival count.
     A mirrored VirtualQueueState tracks how many packets (of any class) sit at
-    each exact replication set. The mirror is maintained move-by-move and
-    always equals the per-class counting formula ``count_exactly_at``; keeping
-    it incrementally makes the weight lookups O(1) instead of O(k*n).
+    each exact replication set. The mirror is maintained move-by-move, which
+    makes the weight lookups O(1) instead of O(k*n); ``histogram`` rebuilds
+    it from the indices so a run can check the two agree.
     """
 
-    __slots__ = ("graph", "k", "highest", "arrivals", "mirror")
+    __slots__ = ("graph", "k", "highest", "mirror")
 
     def __init__(self, graph: Digraph, k: int):
         if k < 1:
@@ -78,11 +79,9 @@ class MultiClassState:
         self.graph = graph
         self.k = k
         self.highest = [[0] * graph.n for _ in range(k)]
-        self.arrivals = [0] * k
         self.mirror = VirtualQueueState(graph)
 
     def admit_packet(self, c: int):
-        self.arrivals[c] += 1
         self.highest[c][self.graph.source] += 1
         self.mirror.admit(1)
 
@@ -97,25 +96,23 @@ class MultiClassState:
     def received_count(self, node: int) -> int:
         return sum(row[node] for row in self.highest)
 
-
-def count_exactly_at(state: MultiClassState, gset: int) -> int:
-    """Packets replicated at exactly the node set ``gset``, computed from the
-    in-order indices alone: per class, the positive part of (lowest index
-    inside the set minus highest index outside it).
-
-    For the full node set this counts packets delivered everywhere.
-    """
-    if gset == 0:
-        raise ValueError("empty node set")
-    n = state.graph.n
-    total = 0
-    for row in state.highest:
-        lo = min(row[v] for v in range(n) if (gset >> v) & 1)
-        outside = [row[v] for v in range(n) if not (gset >> v) & 1]
-        hi = max(outside) if outside else 0
-        if lo > hi:
-            total += lo - hi
-    return total
+    def histogram(self) -> tuple[dict[int, int], int]:
+        """The mirror's (counts, delivered), rebuilt from the indices in
+        O(k*n log n): per class, walk the nodes from the highest index down;
+        each index level holds (level - next lower level) packets at the
+        nodes whose index is at least that level, and the lowest level's
+        packets are delivered everywhere."""
+        counts: dict[int, int] = {}
+        delivered = 0
+        for row in self.highest:
+            order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+            fset = 0
+            for v, lower in zip(order, order[1:]):
+                fset |= 1 << v
+                if row[v] > row[lower]:
+                    counts[fset] = counts.get(fset, 0) + row[v] - row[lower]
+            delivered += row[order[-1]]
+        return counts, delivered
 
 
 def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None:
@@ -131,14 +128,14 @@ def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None
     full = g.full_mask
     counts = state.mirror.counts
     highest = state.highest
-    arrivals = state.arrivals
+    src = g.source
     n = g.n
     best = None
     best_w = None
     for c in range(state.k):
         row = highest[c]
         p = row[j] + 1
-        if p > arrivals[c] or row[i] < p:
+        if p > row[src] or row[i] < p:
             continue
         fset = 0
         for v in range(n):
@@ -169,7 +166,7 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
     i, j = g.edges[eid]
     row = state.highest[c]
     p = row[j] + 1
-    if p > state.arrivals[c]:
+    if p > row[g.source]:
         raise SchedulingError(f"class {c} has no packet {p} yet")
     if row[i] < p:
         raise SchedulingError(f"class {c} packet {p} is absent at node {i}")
@@ -178,12 +175,17 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
     state.mirror.transmit(fset, eid)
 
 
-def multiclass_edge_weight(state: MultiClassState, eid: int) -> int:
-    """Best eligible head-of-line differential on the edge, floored at zero."""
-    best = _multiclass_best(state, eid)
-    if best is None:
-        return 0
-    return max(best[1], 0)
+def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:
+    """Largest backlog differential attainable on the edge under the state's
+    candidate rule (nonempty queues for the virtual-queue policy, eligible
+    head-of-line packets for the multi-class one), floored at zero."""
+    if isinstance(state, VirtualQueueState):
+        best = best_transition(state, eid)
+    elif isinstance(state, MultiClassState):
+        best = _multiclass_best(state, eid)
+    else:
+        raise TypeError(f"no edge weight rule for {type(state).__name__}")
+    return max(best[1], 0) if best is not None else 0
 
 
 def static_tree_decide(state: MultiClassState, trees: Sequence[Arborescence],
@@ -196,7 +198,7 @@ def static_tree_decide(state: MultiClassState, trees: Sequence[Arborescence],
         if eid in tree.edge_set:
             row = state.highest[c]
             p = row[j] + 1
-            if p <= state.arrivals[c] and row[i] >= p:
+            if p <= row[state.graph.source] and row[i] >= p:
                 return c
             return None
     return None

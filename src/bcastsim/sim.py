@@ -21,11 +21,12 @@ import numpy as np
 from .errors import CapabilityError, SchedulingError
 from .graph import Digraph, broadcast_capacity, tree_packing
 from .policies import (MultiClassState, RandomizedTable, assign_class,
-                       build_randomized_table, default_eps, max_weight_decide,
-                       multiclass_apply, multiclass_decide, randomized_decide,
-                       sample_reachable_sequences, static_tree_decide)
+                       build_randomized_table, default_eps, edge_weight,
+                       max_weight_decide, multiclass_apply, multiclass_decide,
+                       randomized_decide, sample_reachable_sequences,
+                       static_tree_decide)
 from .queues import VirtualQueueState
-from .wireless import ActivationFamily, choose_activation, edge_weight
+from .wireless import ActivationFamily, choose_activation
 
 POLICIES = ("max-weight", "multiclass", "static-tree", "randomized")
 TIME_MODELS = ("mini-slot", "slotted-wireless")
@@ -247,6 +248,9 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         if samples and any(r < p for r, p in zip(received, samples[-1].received)):
             raise SchedulingError(
                 f"a received count fell below its previous sample at slot {slot}")
+        if state is not queues and state.histogram() != (queues.counts, queues.delivered):
+            raise SchedulingError(
+                f"the multiclass mirror differs from the in-order indices at slot {slot}")
         samples.append(Sample(slot, admitted, delivered,
                               min_received, tuple(received), backlog))
 

@@ -1,4 +1,7 @@
-"""Feasible edge activations and max-weight activation for the slotted model."""
+"""Feasible edge activations and max-weight activation for the slotted model.
+
+The per-edge weights come from ``policies.edge_weight``.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +10,6 @@ from typing import Sequence
 
 from .errors import CapabilityError, ParseError
 from .graph import Digraph
-from .policies import MultiClassState, best_transition, multiclass_edge_weight
-from .queues import VirtualQueueState
 
 # Enumerating all matchings is exponential in the edge count.
 MATCHING_ENUM_EDGE_LIMIT = 20
@@ -48,7 +49,7 @@ def make_family(edge_count: int, masks: Sequence[int]) -> ActivationFamily:
 
 def wireline_family(edge_count: int) -> ActivationFamily:
     """No interference: idle or activate every edge at once."""
-    return ActivationFamily(edge_count, (0, (1 << edge_count) - 1))
+    return make_family(edge_count, ((1 << edge_count) - 1,))
 
 
 def _conflicts(g: Digraph) -> list[int]:
@@ -80,7 +81,7 @@ def primary_interference_family(g: Digraph, maximal_only: bool = False) -> Activ
     if m > MATCHING_ENUM_EDGE_LIMIT:
         raise CapabilityError(
             f"matching enumeration capped at m={MATCHING_ENUM_EDGE_LIMIT}, "
-            f"got m={m}; pass maximal_only=True")
+            f"got m={m}; use activation = primary-maximal")
     masks: list[int] = []
 
     def extend(mask: int, banned: int, start: int):
@@ -159,18 +160,6 @@ def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:
         return make_family(edge_count, masks)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def edge_weight(state, eid: int) -> int:
-    """Largest backlog differential attainable on the edge under the state's
-    candidate rule (nonempty queues for the virtual-queue policy, eligible
-    head-of-line packets for the multi-class one), floored at zero."""
-    if isinstance(state, VirtualQueueState):
-        best = best_transition(state, eid)
-        return max(best[1], 0) if best is not None else 0
-    if isinstance(state, MultiClassState):
-        return multiclass_edge_weight(state, eid)
-    raise TypeError(f"no edge weight rule for {type(state).__name__}")
 
 
 def choose_activation(weights: Sequence[int], fam: ActivationFamily) -> int:

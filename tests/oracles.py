@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: reachability runs as a
 fixed point instead of a search, min cuts and matchings are brute force,
-disjoint paths come from exhaustive combination, and the packet ledger tracks
-every packet's replication set explicitly.
+disjoint paths come from exhaustive combination, multiclass set counts are
+taken one node set at a time, and the packet ledger tracks every packet's
+replication set explicitly.
 """
 
 from collections import Counter
@@ -152,6 +153,23 @@ def brute_matchings(g):
         if ok:
             masks.append(mask)
     return masks
+
+
+def count_exactly_at(state, gset):
+    """Packets of a MultiClassState replicated at exactly the node set
+    ``gset``, computed set by set from the in-order indices: per class, the
+    positive part of (lowest index inside the set minus highest index outside
+    it). For the full node set this counts packets delivered everywhere."""
+    if gset == 0:
+        raise ValueError("empty node set")
+    n = state.graph.n
+    total = 0
+    for row in state.highest:
+        lo = min(row[v] for v in range(n) if (gset >> v) & 1)
+        hi = max((row[v] for v in range(n) if not (gset >> v) & 1), default=0)
+        if lo > hi:
+            total += lo - hi
+    return total
 
 
 class PacketLedger:

@@ -12,14 +12,15 @@ from bcastsim import (SimConfig, broadcast_capacity, random_digraph, run,
                       sweep_k, tree_packing)
 from bcastsim.fixtures import diamond4
 from bcastsim.graph import is_arborescence, out_edges
-from bcastsim.policies import (MultiClassState, assign_class, count_exactly_at,
+from bcastsim.policies import (MultiClassState, assign_class, edge_weight,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide)
 from bcastsim.queues import VirtualQueueState
-from bcastsim.wireless import (choose_activation, edge_weight,
-                               primary_interference_family, wireline_family)
+from bcastsim.wireless import (choose_activation, primary_interference_family,
+                               wireline_family)
 
-from oracles import PacketLedger, brute_min_cut, independent_arborescence_check
+from oracles import (PacketLedger, brute_min_cut, count_exactly_at,
+                     independent_arborescence_check)
 
 D4 = diamond4()
 D4_CAPACITY = 2
@@ -173,7 +174,7 @@ def test_criterion_08_conservation_and_counting_formula():
             for _ in range(int(rng.poisson(0.3))):
                 c = assign_class(rng, 3)
                 state.admit_packet(c)
-                ledger.admit(c, state.arrivals[c])
+                ledger.admit(c, state.highest[c][D4.source])
             eid = int(rng.integers(D4.m))
             c = multiclass_decide(state, eid)
             if c is not None:

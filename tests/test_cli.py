@@ -109,13 +109,22 @@ class TestSimulate:
         assert (out / "quick_seed7.csv").is_file()
         assert not (out / "quick_seed1.csv").exists()
 
-    # zero-arrivals runs in mini-slot mode, d4-wireless in slotted mode.
-    @pytest.mark.parametrize("preset", ["zero-arrivals", "d4-wireless"])
+    # zero-arrivals runs in mini-slot mode, d4-wireless in slotted mode, and
+    # the last case swaps d4-wireless's matchings for the wireline family.
+    @pytest.mark.parametrize("preset, activation", [
+        pytest.param("zero-arrivals", None, id="zero-arrivals"),
+        pytest.param("d4-wireless", None, id="d4-wireless"),
+        pytest.param("d4-wireless", "wireline", id="d4-wireless-wireline"),
+    ])
     @pytest.mark.parametrize("header", ["1 0 0", "2 0 0"])
-    def test_edgeless_graph_exits_2(self, runner, tmp_path, header, preset):
+    def test_edgeless_graph_exits_2(self, runner, tmp_path, header, preset,
+                                    activation):
         path = write(tmp_path, "g.txt", header + "\n")
-        result = runner.invoke(main, ["simulate", "--config",
-                                      f"presets/{preset}.ini", "--graph",
+        text = Path(f"presets/{preset}.ini").read_text()
+        if activation:
+            text = text.replace("activation = primary", f"activation = {activation}")
+        cfg = write(tmp_path, f"{preset}.ini", text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--graph",
                                       str(path), "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "config error: the graph needs at least one edge" in result.stderr
@@ -196,6 +205,20 @@ horizon = 0
         assert result.exit_code == 2
         errors = [l for l in result.output.splitlines() if l.startswith("config error")]
         assert len(errors) >= 3
+
+    @pytest.mark.parametrize("text, message", [
+        (FIG2_QUICK.replace("[sim]\n", "[sim]\nclases = 16\n"),
+         "unknown key 'clases' in [sim]"),
+        (FIG2_QUICK.replace("seeds", "seed"), "unknown key 'seed' in [experiment]"),
+        (FIG2_QUICK + "[simm]\nhorizon = 5\n", "unknown key 'horizon' in [simm]"),
+    ], ids=["sim", "experiment", "unknown-section"])
+    def test_unknown_key_is_a_config_error(self, runner, tmp_path, text, message):
+        cfg = write(tmp_path, "quick.ini", text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_config_exits_2(self, runner):
         result = runner.invoke(main, ["simulate", "--config", "missing.ini"])

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcastsim import (Arborescence, ConstructionError, Digraph,
-                      SchedulingError, broadcast_capacity, tree_packing)
+                      SchedulingError, broadcast_capacity, random_digraph,
+                      tree_packing)
 from bcastsim.policies import (MultiClassState, assign_class, best_transition,
-                               build_randomized_table, count_exactly_at,
-                               default_eps, max_weight_decide,
+                               build_randomized_table, default_eps,
+                               edge_weight, max_weight_decide,
                                multiclass_apply, multiclass_decide,
-                               multiclass_edge_weight, randomized_decide,
-                               sample_reachable_sequences, static_tree_decide)
+                               randomized_decide, sample_reachable_sequences,
+                               static_tree_decide)
 from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET)
-from oracles import validate_reachable_sequence
+from oracles import PacketLedger, count_exactly_at, validate_reachable_sequence
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -81,13 +84,13 @@ class TestAssignClass:
             assign_class(np.random.default_rng(0), 0)
 
 
-def mc_state(g, rows, arrivals):
+def mc_state(g, rows):
+    """State with the given index rows; each row's source entry is its
+    class's arrival count."""
     state = MultiClassState(g, len(rows))
-    for c, row in enumerate(rows):
-        state.highest[c] = list(row)
-        state.arrivals[c] = arrivals[c]
+    state.highest = [list(row) for row in rows]
     # Rebuild the mirror from the rows it must summarize.
-    state.mirror.admitted = sum(arrivals)
+    state.mirror.admitted = sum(row[g.source] for row in rows)
     for gset in range(1, 1 << g.n):
         cnt = count_exactly_at(state, gset)
         if cnt:
@@ -95,65 +98,66 @@ def mc_state(g, rows, arrivals):
                 state.mirror.delivered = cnt
             else:
                 state.mirror.counts[gset] = cnt
+    assert state.histogram() == (state.mirror.counts, state.mirror.delivered)
     return state
 
 
 class TestMultiClassDecide:
     def test_single_class_hand_trace(self, d4):
         # r holds packets 1..2, a holds packet 1, b and c hold nothing.
-        state = mc_state(d4, [[2, 1, 0, 0]], [2])
+        state = mc_state(d4, [[2, 1, 0, 0]])
         assert count_exactly_at(state, RA_SET) == 1
         assert count_exactly_at(state, RAB) == 0
         assert multiclass_decide(state, AB) == 0
 
     def test_caught_up_head_idles(self, d4):
-        state = mc_state(d4, [[2, 2, 2, 2]], [2])
+        state = mc_state(d4, [[2, 2, 2, 2]])
         assert multiclass_decide(state, AB) is None
 
     def test_head_of_line_absent_at_tail(self, d4):
         # Packet 1 of the class sits at {r,b}; edge ab's tail a lacks it.
-        state = mc_state(d4, [[1, 0, 1, 0]], [1])
+        state = mc_state(d4, [[1, 0, 1, 0]])
         assert multiclass_decide(state, AB) is None
 
     def test_positive_weight_required(self, d4):
         # One packet at {r,a}, another at {r,a,b}: moving over ab has weight 0.
-        state = mc_state(d4, [[2, 2, 1, 0]], [2])
+        state = mc_state(d4, [[2, 2, 1, 0]])
         assert state.mirror.counts == {RA_SET: 1, RAB: 1}
         assert multiclass_decide(state, AB) is None
 
     def test_tie_breaks_to_lowest_class(self, d4):
-        state = mc_state(d4, [[1, 1, 0, 0], [1, 1, 0, 0]], [1, 1])
+        state = mc_state(d4, [[1, 1, 0, 0], [1, 1, 0, 0]])
         assert multiclass_decide(state, AB) == 0
 
     def test_final_hop_weight_ignores_delivered(self, d4):
         # Many packets already delivered; the last hop must stay attractive.
-        state = mc_state(d4, [[9, 9, 9, 8]], [9])
+        state = mc_state(d4, [[9, 9, 9, 8]])
         assert state.mirror.delivered == 8
         assert multiclass_decide(state, BC) == 0
 
 
 class TestMultiClassApply:
     def test_increments_head(self, d4):
-        state = mc_state(d4, [[5, 4, 0, 0]], [5])
+        state = mc_state(d4, [[5, 4, 0, 0]])
         multiclass_apply(state, 0, AB)
         assert state.highest[0][2] == 1
 
     def test_node_delivery_total_rises_by_one(self, d4):
-        state = mc_state(d4, [[5, 4, 0, 0]], [5])
+        state = mc_state(d4, [[5, 4, 0, 0]])
         before = state.received_count(2)
         multiclass_apply(state, 0, AB)
         assert state.received_count(2) == before + 1
 
     def test_head_never_passes_source(self, d4):
-        state = mc_state(d4, [[2, 0, 0, 0]], [2])
+        state = mc_state(d4, [[2, 0, 0, 0]])
         multiclass_apply(state, 0, RA)
         multiclass_apply(state, 0, RA)
         with pytest.raises(SchedulingError):
             multiclass_apply(state, 0, RA)
-        assert state.highest[0][1] == state.arrivals[0]
+        assert state.highest[0][1] == state.highest[0][d4.source]
 
     def test_absent_packet_rejected(self, d4):
-        state = mc_state(d4, [[1, 0, 1, 0]], [1])
+        state = mc_state(d4, [[1, 0, 1, 0]])
         with pytest.raises(SchedulingError):
             multiclass_apply(state, 0, AB)
 
@@ -173,16 +177,59 @@ class TestMultiClassApply:
                     assert state.mirror.delivered == expect
                 else:
                     assert state.mirror.counts.get(gset, 0) == expect
+            assert state.histogram() == (state.mirror.counts, state.mirror.delivered)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    return random_digraph(n, m, draw(st.integers(0, 2 ** 16)))
+
+
+# Each op admits a packet (first entry 0) or activates an edge; the second
+# entry picks the class or the edge.
+MOVES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16)), max_size=80)
+
+
+@pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
+@settings(max_examples=200, deadline=2000)
+@given(g=small_graphs(), classes=st.integers(1, 4), moves=MOVES)
+def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
+    """After every move of either in-order policy, the histogram rebuilt from
+    the index matrix equals the incremental mirror and a per-packet ledger."""
+    trees = tree_packing(g)
+    state = MultiClassState(g, classes if policy == "multiclass" else len(trees))
+    ledger = PacketLedger(g)
+    for kind, pick in moves:
+        if kind == 0:
+            c = pick % state.k
+            state.admit_packet(c)
+            ledger.admit(c, state.highest[c][g.source])
+        else:
+            eid = pick % g.m
+            if policy == "multiclass":
+                c = multiclass_decide(state, eid)
+            else:
+                c = static_tree_decide(state, trees, eid)
+            if c is not None:
+                j = g.edges[eid][1]
+                ledger.move(c, state.highest[c][j] + 1, j)
+                multiclass_apply(state, c, eid)
+        counts, delivered = state.histogram()
+        assert (counts, delivered) == (state.mirror.counts, state.mirror.delivered)
+        assert counts == ledger.histogram()
+        assert delivered == ledger.delivered()
 
 
 class TestStaticTree:
     def test_edge_owned_by_blue_tree(self, d4):
-        state = mc_state(d4, [[3, 2, 1, 0], [3, 0, 1, 1]], [3, 3])
+        state = mc_state(d4, [[3, 2, 1, 0], [3, 0, 1, 1]])
         assert static_tree_decide(state, [BLUE, RED], AB) == 0
 
     def test_ineligible_owner_idles_instead_of_borrowing(self, d4):
         # Class 0 owns ab but its head packet is not at a yet.
-        state = mc_state(d4, [[3, 0, 0, 0], [3, 3, 3, 3]], [3, 3])
+        state = mc_state(d4, [[3, 0, 0, 0], [3, 3, 3, 3]])
         assert static_tree_decide(state, [BLUE, RED], AB) is None
 
     def test_edge_on_no_tree(self):
@@ -190,7 +237,7 @@ class TestStaticTree:
         trees = tree_packing(g)
         assert broadcast_capacity(g) == 1
         unused = [e for e in range(g.m) if e not in trees[0].edge_set]
-        state = mc_state(g, [[2, 0, 0]], [2])
+        state = mc_state(g, [[2, 0, 0]])
         for eid in unused:
             assert static_tree_decide(state, trees, eid) is None
 
@@ -301,7 +348,6 @@ def test_one_class_per_packet_matches_max_weight(d4):
         if rng.random() < 0.3:
             # Open a fresh class for the arriving packet.
             state.highest.append([0] * d4.n)
-            state.arrivals.append(0)
             state.k += 1
             state.admit_packet(state.k - 1)
         eid = int(rng.integers(d4.m))
@@ -324,8 +370,8 @@ def test_one_class_per_packet_matches_max_weight(d4):
 
 
 def test_multiclass_edge_weight_floor(d4):
-    state = mc_state(d4, [[2, 2, 1, 0]], [2])
+    state = mc_state(d4, [[2, 2, 1, 0]])
     # Only candidate move over ab has weight 0; floored result is 0.
-    assert multiclass_edge_weight(state, AB) == 0
-    state2 = mc_state(d4, [[3, 0, 0, 0]], [3])
-    assert multiclass_edge_weight(state2, RA) == 3
+    assert edge_weight(state, AB) == 0
+    state2 = mc_state(d4, [[3, 0, 0, 0]])
+    assert edge_weight(state2, RA) == 3

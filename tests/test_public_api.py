@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import bcastsim
+from bcastsim.cli import load_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +30,11 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert abs(float(capsys.readouterr().out) - 1.95) < 0.1
+
+
+def test_readme_config_block_loads(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    load_experiment(path)

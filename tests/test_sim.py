@@ -303,10 +303,20 @@ def _over_receive(g, state, queues):
     state.highest[0][g.source] += 1
 
 
+def _shift_in_mirror(g, state, queues):
+    # Move one delivered packet back to the source's set in the mirror only.
+    # Conservation and every received count (read from the in-order indices)
+    # still hold; only the mirror check can see it.
+    if queues.delivered:
+        queues.delivered -= 1
+        queues.counts[g.source_mask] = queues.counts.get(g.source_mask, 0) + 1
+
+
 @pytest.mark.parametrize("policy, corrupt, message", [
     ("max-weight", _undeliver, "fell below its previous sample"),
     ("multiclass", _over_deliver, "exceeds min_received"),
     ("multiclass", _over_receive, "exceeds admitted"),
+    ("multiclass", _shift_in_mirror, "mirror differs"),
 ])
 def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, message):
     """Each sample checks the invariants: apply ``corrupt`` after every step

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bcastsim import CapabilityError, Digraph, ParseError
-from bcastsim.policies import (MultiClassState, assign_class, multiclass_apply,
-                               multiclass_decide)
+from bcastsim.policies import (MultiClassState, assign_class, edge_weight,
+                               multiclass_apply, multiclass_decide)
 from bcastsim.queues import VirtualQueueState
 from bcastsim.wireless import (MATCHING_ENUM_EDGE_LIMIT, ActivationFamily,
-                               choose_activation, edge_weight, make_family,
+                               choose_activation, make_family,
                                parse_activation_family,
                                primary_interference_family, wireline_family)
 
@@ -36,6 +36,7 @@ class TestFamilyType:
 
     def test_wireline(self):
         assert wireline_family(3).masks == (0, 0b111)
+        assert wireline_family(0).masks == (0,)
 
 
 class TestPrimaryInterference:
@@ -68,7 +69,8 @@ class TestPrimaryInterference:
     def test_guard(self):
         n = 22
         g = Digraph(n, [(0, i) for i in range(1, n)], 0)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError,
+                           match="use activation = primary-maximal"):
             primary_interference_family(g)
         fam = primary_interference_family(g, maximal_only=True)
         # A star admits no two compatible edges: singletons are the maxima.
