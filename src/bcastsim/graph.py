@@ -112,21 +112,25 @@ def parse_graph(text: str) -> Digraph:
 
 
 def max_flow(g: Digraph, s: int, t: int, allowed: Iterable[int] | None = None,
-             at_least: int | None = None) -> int:
+             at_least: int | None = None, used: set[int] | None = None) -> int:
     """Maximum s->t flow with unit edge capacities (shortest augmenting paths).
 
     ``allowed`` restricts the usable edge ids; ``at_least`` stops augmenting
     once that flow value is reached, so the return value is capped at it.
+    When ``used`` is given, the ids of the edges carrying the returned flow
+    are added to it.
     """
     if s == t:
         raise ValueError("source and sink coincide")
     head: list[int] = []
     cap: list[int] = []
+    arc_edge: list[int] = []
     adj: list[list[int]] = [[] for _ in range(g.n)]
     use = None if allowed is None else set(allowed)
     for eid, (a, b) in enumerate(g.edges):
         if use is not None and eid not in use:
             continue
+        arc_edge.append(eid)
         adj[a].append(len(cap))
         head.append(b)
         cap.append(1)
@@ -156,6 +160,8 @@ def max_flow(g: Digraph, s: int, t: int, allowed: Iterable[int] | None = None,
             cap[arc ^ 1] += 1
             v = head[arc ^ 1]
         flow += 1
+    if used is not None:
+        used.update(eid for i, eid in enumerate(arc_edge) if cap[2 * i] == 0)
     return flow
 
 
@@ -249,14 +255,25 @@ def tree_packing(g: Digraph) -> list[Arborescence]:
 def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[int]:
     sinks = [t for t in range(g.n) if t != g.source]
     rest = set(avail)
+    # witness[t]: the edges of one flow of value ``residual`` from the source
+    # to t inside ``rest`` (None until first needed). Dropping an edge off
+    # the witness leaves that flow intact, so only sinks whose witness uses
+    # the candidate edge need a new max-flow.
+    witness: dict[int, set[int] | None] = dict.fromkeys(sinks)
 
     def safe(eid: int) -> bool:
         if residual == 0:
             return True
         keep = rest - {eid}
         for t in sinks:
-            if max_flow(g, g.source, t, allowed=keep, at_least=residual) < residual:
+            if witness[t] is not None and eid not in witness[t]:
+                continue
+            used: set[int] = set()
+            if max_flow(g, g.source, t, allowed=keep, at_least=residual, used=used) < residual:
                 return False
+            # A flow inside rest - {eid} is also one inside rest, so it stays
+            # t's witness whether or not eid is taken.
+            witness[t] = used
         return True
 
     tree = []

@@ -7,7 +7,10 @@ turns the same candidate rules into the per-edge weights of the slotted model.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -210,10 +213,16 @@ class RandomizedTable:
 
     ``entries[eid]`` lists (node-set mask, probability) pairs: given that the
     edge is the active one, the probability of attempting to move a packet of
-    that class across it. Residual probability means idle.
+    that class across it. Residual probability means idle. ``cum[eid]`` holds
+    the running sums of the entry's probabilities, added left to right, so
+    the pair at position i covers the draws in [cum[eid][i-1], cum[eid][i]).
     """
 
     entries: tuple[tuple[tuple[int, float], ...], ...]
+
+    @cached_property
+    def cum(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(accumulate(p for _, p in entry)) for entry in self.entries)
 
     def csv_rows(self) -> Iterator[str]:
         yield "edge,bits,probability"
@@ -233,19 +242,37 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
 def sample_reachable_sequences(g: Digraph, count: int,
                                rng: np.random.Generator) -> list[ReachableSequence]:
     """Sample growth sequences by repeatedly crossing a uniformly chosen
-    out-boundary edge. Requires every node reachable from the source."""
+    out-boundary edge. Requires every node reachable from the source.
+
+    The out-boundary is kept as an ascending list of edge ids: when node b
+    joins the set, the edges into b leave it and b's edges to nodes outside
+    the set enter it.
+    """
     full = g.full_mask
+    into: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (a, b) in enumerate(g.edges):
+        out[a].append((eid, b))
+        into[b].append((eid, a))
+    start = out_edges(g, g.source_mask)
     seqs = []
     for _ in range(count):
         fset = g.source_mask
+        boundary = list(start)
         seq = []
         while fset != full:
-            boundary = out_edges(g, fset)
             if not boundary:
                 raise ValueError("a node is unreachable from the source")
             eid = boundary[int(rng.integers(len(boundary)))]
             seq.append((fset, eid))
-            fset |= 1 << g.edges[eid][1]
+            b = g.edges[eid][1]
+            fset |= 1 << b
+            for e, a in into[b]:
+                if (fset >> a) & 1:
+                    del boundary[bisect_left(boundary, e)]
+            for e, h in out[b]:
+                if not (fset >> h) & 1:
+                    insort(boundary, e)
         seqs.append(tuple(seq))
     return seqs
 
@@ -296,16 +323,19 @@ def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
                       eid: int, rng: np.random.Generator) -> int | None:
     """Sample a node set from the edge's entry; idle on the residual mass or
     when the sampled queue is empty (the policy never substitutes a class, as
-    that would change its stationary behavior)."""
+    that would change its stationary behavior).
+
+    One uniform draw u picks the first pair whose running sum in
+    ``table.cum`` exceeds u, found by bisection; an empty entry idles
+    without a draw.
+    """
     entry = table.entries[eid]
     if not entry:
         return None
-    u = float(rng.random())
-    acc = 0.0
-    for fset, p in entry:
-        acc += p
-        if u < acc:
-            if state.counts.get(fset, 0) > 0:
-                return fset
-            return None
+    i = bisect_right(table.cum[eid], float(rng.random()))
+    if i == len(entry):
+        return None
+    fset = entry[i][0]
+    if state.counts.get(fset, 0) > 0:
+        return fset
     return None

@@ -5,9 +5,17 @@ fixed point instead of a search, min cuts and matchings are brute force,
 disjoint paths come from exhaustive combination, multiclass set counts are
 taken one node set at a time, and the packet ledger tracks every packet's
 replication set explicitly.
+
+The last three are the slow forms of paths the library now runs faster:
+tree packing that re-runs every sink's max-flow per candidate edge,
+sequence sampling that rescans every edge for the out-boundary per step,
+and the randomized decide's linear walk of the cumulative distribution.
+The fast forms must give the same trees, sequences and decisions.
 """
 
 from collections import Counter
+
+from bcastsim.graph import Arborescence, broadcast_capacity, max_flow, out_edges
 
 
 def reachable_fixed_point(g, mask):
@@ -194,3 +202,65 @@ class PacketLedger:
     def delivered(self):
         full = self.g.full_mask
         return sum(1 for m in self.sets.values() if m == full)
+
+
+def rescanning_tree_packing(g):
+    """Greedy arborescence packing where each candidate edge is checked by a
+    fresh max-flow to every sink over the remaining edges without it."""
+    avail = set(range(g.m))
+    sinks = [t for t in range(g.n) if t != g.source]
+    trees = []
+    for residual in range(broadcast_capacity(g) - 1, -1, -1):
+        rest = set(avail)
+        tree = []
+        mask = g.source_mask
+        while mask != g.full_mask:
+            for eid in sorted(rest):
+                a, b = g.edges[eid]
+                if (mask >> a) & 1 and not (mask >> b) & 1 and (
+                        residual == 0 or all(
+                            max_flow(g, g.source, t, allowed=rest - {eid},
+                                     at_least=residual) >= residual
+                            for t in sinks)):
+                    break
+            else:
+                raise RuntimeError("arborescence extraction failed")
+            tree.append(eid)
+            rest.discard(eid)
+            mask |= 1 << b
+        trees.append(Arborescence(tuple(tree)))
+        avail.difference_update(tree)
+    return trees
+
+
+def rescanning_sample_sequences(g, count, rng):
+    """Growth-sequence sampler that recomputes the out-boundary from every
+    edge on each step."""
+    seqs = []
+    for _ in range(count):
+        fset = g.source_mask
+        seq = []
+        while fset != g.full_mask:
+            boundary = out_edges(g, fset)
+            if not boundary:
+                raise ValueError("a node is unreachable from the source")
+            eid = boundary[int(rng.integers(len(boundary)))]
+            seq.append((fset, eid))
+            fset |= 1 << g.edges[eid][1]
+        seqs.append(tuple(seq))
+    return seqs
+
+
+def linear_cdf_decide(table, state, eid, rng):
+    """Randomized decide by walking the edge's entry and summing its
+    probabilities until the sum exceeds one uniform draw."""
+    entry = table.entries[eid]
+    if not entry:
+        return None
+    u = float(rng.random())
+    acc = 0.0
+    for fset, p in entry:
+        acc += p
+        if u < acc:
+            return fset if state.counts.get(fset, 0) > 0 else None
+    return None

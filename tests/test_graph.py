@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcastsim import (Arborescence, Digraph, ParseError, broadcast_capacity,
                       capacity_bottleneck, parse_graph, random_digraph,
@@ -7,11 +9,12 @@ from bcastsim.fixtures import path_graph, star_graph
 from bcastsim.graph import (is_arborescence, max_flow, out_edges,
                             sequence_from_arborescence)
 
-from conftest import AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB, RB_SET, RC, RC_SET
+from conftest import (AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB,
+                      RB_SET, RC, RC_SET, small_graphs)
 from oracles import (all_growth_sequences, brute_cut_value, brute_min_cut,
                      independent_arborescence_check, max_disjoint_paths,
                      reachable_fixed_point, reachable_sets,
-                     validate_reachable_sequence)
+                     rescanning_tree_packing, validate_reachable_sequence)
 
 D4_TEXT = """4 6 0
 0 1
@@ -108,6 +111,30 @@ class TestMaxFlow:
         assert max_flow(d4, 0, 3, allowed={RC}) == 1
         assert max_flow(d4, 0, 3, allowed={RA, AB}) == 0
 
+    @settings(max_examples=100, deadline=2000)
+    @given(g=small_graphs(7), data=st.data())
+    def test_used_edges_form_value_disjoint_paths(self, g, data):
+        """The reported edges carry one unit each and hold exactly ``value``
+        edge-disjoint source->t paths, also under ``allowed`` and
+        ``at_least``."""
+        t = data.draw(st.integers(1, g.n - 1))
+        allowed = data.draw(st.none() | st.sets(st.integers(0, g.m - 1)))
+        at_least = data.draw(st.none() | st.integers(0, 3))
+        used = set()
+        value = max_flow(g, 0, t, allowed=allowed, at_least=at_least, used=used)
+        assert value == max_flow(g, 0, t, allowed=allowed, at_least=at_least)
+        if allowed is not None:
+            assert used <= allowed
+        net = [0] * g.n
+        for eid in used:
+            a, b = g.edges[eid]
+            net[a] -= 1
+            net[b] += 1
+        assert net[0] == -value and net[t] == value
+        assert not any(net[v] for v in range(1, g.n) if v != t)
+        sub = Digraph(g.n, [g.edges[eid] for eid in sorted(used)], 0)
+        assert max_disjoint_paths(sub, 0, t) == value
+
 
 class TestCapacity:
     def test_diamond(self, d4):
@@ -128,6 +155,11 @@ class TestCapacity:
     def test_equals_brute_force_min_cut(self):
         for g in small_random_graphs(40):
             assert broadcast_capacity(g) == brute_min_cut(g)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(g=small_graphs(7))
+    def test_equals_brute_force_min_cut_property(self, g):
+        assert broadcast_capacity(g) == brute_min_cut(g)
 
     def test_capacity_at_most_half_the_nodes(self):
         # Holds because random graphs never orient a pair both ways.
@@ -168,8 +200,10 @@ class TestTreePacking:
         g = Digraph(3, [(0, 1), (2, 1)], 0)
         assert tree_packing(g) == []
 
-    def test_random_graphs_validated(self):
-        g = random_digraph(8, 20, seed=7)
+    @staticmethod
+    def check_packing(g):
+        """One spanning arborescence per unit of capacity, pairwise
+        edge-disjoint, each confirmed by the parent-chain oracle."""
         trees = tree_packing(g)
         assert len(trees) == broadcast_capacity(g)
         used = set()
@@ -178,15 +212,24 @@ class TestTreePacking:
             assert not (used & t.edge_set)
             used |= t.edge_set
 
+    def test_random_graphs_validated(self):
+        self.check_packing(random_digraph(8, 20, seed=7))
+
     def test_many_small_graphs(self):
         for g in small_random_graphs(20, n_range=(4, 9), seed_base=7300):
-            trees = tree_packing(g)
-            assert len(trees) == broadcast_capacity(g)
-            used = set()
-            for t in trees:
-                assert independent_arborescence_check(g, t.edge_ids)
-                assert not (used & t.edge_set)
-                used |= t.edge_set
+            self.check_packing(g)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(g=small_graphs(7))
+    def test_property_packing_is_valid(self, g):
+        self.check_packing(g)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(g=small_graphs(7))
+    def test_matches_rescanning_oracle(self, g):
+        """Witness flows skip only max-flows that cannot fail, so the trees
+        equal those of re-running every sink's max-flow per edge."""
+        assert tree_packing(g) == rescanning_tree_packing(g)
 
 
 class TestReachableSets:

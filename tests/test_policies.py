@@ -4,19 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastsim import (Arborescence, ConstructionError, Digraph,
-                      SchedulingError, broadcast_capacity, random_digraph,
-                      tree_packing)
-from bcastsim.policies import (MultiClassState, assign_class, best_transition,
-                               build_randomized_table, default_eps,
-                               edge_weight, max_weight_decide,
+                      SchedulingError, broadcast_capacity, tree_packing)
+from bcastsim.policies import (MultiClassState, RandomizedTable, assign_class,
+                               best_transition, build_randomized_table,
+                               default_eps, edge_weight, max_weight_decide,
                                multiclass_apply, multiclass_decide,
                                randomized_decide, sample_reachable_sequences,
                                static_tree_decide)
 from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
-                      RC_SET)
-from oracles import PacketLedger, count_exactly_at, validate_reachable_sequence
+                      RC_SET, small_graphs)
+from oracles import (PacketLedger, count_exactly_at, linear_cdf_decide,
+                     rescanning_sample_sequences, validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -180,13 +180,6 @@ class TestMultiClassApply:
             assert state.histogram() == (state.mirror.counts, state.mirror.delivered)
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(n - 1, n * (n - 1) // 2))
-    return random_digraph(n, m, draw(st.integers(0, 2 ** 16)))
-
-
 # Each op admits a packet (first entry 0) or activates an edge; the second
 # entry picks the class or the edge.
 MOVES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16)), max_size=80)
@@ -294,6 +287,20 @@ class TestRandomizedTable:
         assert default_eps(2, 2.4, 4) == pytest.approx(1 / 16)
 
 
+class _Draws:
+    """Stand-in generator whose ``random()`` returns preset draws in turn."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+# Probabilities that make zero-width pairs and repeated running sums likely.
+PROBS = st.sampled_from([0.0, 0.1, 0.125, 0.2, 1 / 3]) | st.floats(0, 0.25)
+
+
 class TestRandomizedDecide:
     def test_empty_entry_idles(self, d4):
         table = build_randomized_table(d4, [BLUE], [], 0.1)
@@ -324,6 +331,45 @@ class TestRandomizedDecide:
         sigma = (draws * expect * (1 - expect)) ** 0.5
         assert abs(hits - draws * expect) < 4 * sigma
 
+    @settings(max_examples=60, deadline=2000)
+    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16))
+    def test_matches_linear_cdf_on_built_tables(self, g, seed):
+        trees = tree_packing(g)
+        rng = np.random.default_rng(seed)
+        extra = sample_reachable_sequences(g, 2 * g.m, rng)
+        table = build_randomized_table(
+            g, trees, extra, default_eps(len(trees), len(trees) / 2, g.n))
+        state = VirtualQueueState(g)
+        for entry in table.entries:
+            for fset, _ in entry:
+                state.counts[fset] = int(rng.integers(2))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(8):
+            for eid in range(g.m):
+                assert (randomized_decide(table, state, eid, ours)
+                        == linear_cdf_decide(table, state, eid, ref))
+        assert ours.random() == ref.random()
+
+    @settings(max_examples=150, deadline=2000)
+    @given(probs=st.lists(PROBS, max_size=6), held=st.integers(0, 63),
+           extra=st.lists(st.floats(0, 1, exclude_max=True), max_size=4))
+    def test_matches_linear_cdf_at_every_boundary(self, probs, held, extra):
+        """Draws at, just below and just above every running sum, including
+        zero-width pairs and the residual (idle) mass."""
+        entry = tuple((1 << i, p) for i, p in enumerate(probs))
+        table = RandomizedTable((entry,))
+        state = VirtualQueueState(Digraph(2, [(0, 1)], 0))
+        state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
+        if not entry:
+            assert randomized_decide(table, state, 0, _Draws([])) is None
+            return
+        draws = list(extra) + [0.0]
+        for c in table.cum[0]:
+            draws += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+        for u in draws:
+            assert (randomized_decide(table, state, 0, _Draws([u]))
+                    == linear_cdf_decide(table, state, 0, _Draws([u])))
+
 
 class TestSampledSequences:
     def test_valid_and_deterministic(self, d4):
@@ -336,6 +382,15 @@ class TestSampledSequences:
         g = Digraph(3, [(0, 1), (2, 1)], 0)
         with pytest.raises(ValueError):
             sample_reachable_sequences(g, 1, np.random.default_rng(0))
+
+    @settings(max_examples=80, deadline=2000)
+    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
+           count=st.integers(0, 12))
+    def test_matches_rescanning_oracle(self, g, seed, count):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (sample_reachable_sequences(g, count, ours)
+                == rescanning_sample_sequences(g, count, ref))
+        assert ours.random() == ref.random()
 
 
 def test_one_class_per_packet_matches_max_weight(d4):

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import bcastsim
-from bcastsim.cli import load_experiment
+from bcastsim.cli import build_activation, load_experiment, resolve_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,8 +33,13 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_config_block_loads(tmp_path):
+    """The block loads and passes the checks ``simulate`` runs on the graph
+    and activation family it would build."""
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     path = tmp_path / "readme.ini"
     path.write_text(blocks[0])
-    load_experiment(path)
+    exp = load_experiment(path)
+    g = resolve_graph(exp.graph_spec)
+    fam = build_activation(exp.activation, g) if exp.activation else None
+    assert exp.sim.validation_errors(g, fam) == []
