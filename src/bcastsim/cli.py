@@ -86,7 +86,8 @@ def load_experiment(path: Path, graph_override: str | None = None,
     raising ConfigError."""
     if not path.is_file():
         raise ConfigError([f"config file '{path}' not found"])
-    parser = configparser.ConfigParser()
+    # Values are read as written: a '%' is not an interpolation marker.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(path.read_text())
     except configparser.Error as exc:
@@ -114,6 +115,7 @@ def load_experiment(path: Path, graph_override: str | None = None,
     seeds = [seed_override] if seed_override is not None else exp.get("seeds", [1])
     if not seeds:
         errs.append("empty seed list")
+    errs.extend(f"seed must be non-negative, got {s}" for s in seeds if s < 0)
     for key in ("lambda", "horizon"):
         if not parser.has_option("sim", key):
             errs.append(f"missing '{key}' in [sim]")

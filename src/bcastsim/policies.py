@@ -292,7 +292,7 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
     per-edge total would exceed 1 (the table must stay realizable by a single
     transmission per activation).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ConstructionError("rate margin eps must be positive")
     n = g.n
     acc: list[dict[int, float]] = [{} for _ in range(g.m)]

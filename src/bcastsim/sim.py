@@ -78,7 +78,7 @@ class SimConfig:
             errs.append(f"unknown time model '{self.time_model}'")
         if self.policy == "multiclass" and self.classes < 1:
             errs.append(f"multiclass policy needs classes >= 1, got {self.classes}")
-        if self.eps is not None and self.eps <= 0:
+        if self.eps is not None and not self.eps > 0:
             errs.append(f"eps must be positive, got {self.eps}")
         if self.extra_sequences is not None and self.extra_sequences < 1:
             errs.append(f"extra_sequences must be positive, got {self.extra_sequences}")
@@ -295,6 +295,15 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     return replace(result, rate=broadcast_rate(result))
 
 
+def _pair_at(n: int, idx: int) -> tuple[int, int]:
+    """The ``idx``-th pair ``(u, v)``, ``u < v``, of ``range(n)`` in
+    lexicographic order, found without listing the pairs before it."""
+    # Counted from the last pair, the rows (fixed u) have lengths 1, 2, 3, ...
+    j = n * (n - 1) // 2 - 1 - idx
+    t = (math.isqrt(8 * j + 1) - 1) // 2
+    return n - 2 - t, n - 1 - (j - t * (t + 1) // 2)
+
+
 def random_digraph(n: int, m: int, seed: int) -> Digraph:
     """Random simple digraph: ``m`` distinct node pairs, each given a uniform
     direction (never both), rooted at node 0 and resampled until every node is
@@ -308,19 +317,19 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
     max_m = n * (n - 1) // 2
     if not n - 1 <= m <= max_m:
         raise ValueError(f"need n-1 <= m <= n(n-1)/2 = {max_m}, got m={m}")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(10000):
-        chosen = rng.choice(len(pairs), size=m, replace=False)
+        chosen = rng.choice(max_m, size=m, replace=False)
         flips = rng.integers(0, 2, size=m)
         edges = []
         for idx, flip in zip(chosen.tolist(), flips.tolist()):
-            u, v = pairs[idx]
+            u, v = _pair_at(n, idx)
             edges.append((v, u) if flip else (u, v))
         g = Digraph(n, edges, 0)
         if broadcast_capacity(g) >= 1:
             return g
-    raise RuntimeError(f"no connected sample found for n={n}, m={m}, seed={seed}")
+    raise ValueError(f"no connected sample found for n={n}, m={m}, seed={seed}; "
+                     f"use more edges or another seed")
 
 
 def sweep_k(g: Digraph, lam: float, k_values: Sequence[int], horizon: int,

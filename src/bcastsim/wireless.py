@@ -6,6 +6,8 @@ The per-edge weights come from ``policies.edge_weight``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import CapabilityError, ParseError
@@ -20,7 +22,9 @@ class ActivationFamily:
     """Feasible simultaneous activations, each a bitmask over edge ids.
 
     The empty activation is always a member (idling is feasible) and members
-    are unique.
+    are unique. ``holds[e]`` is a bitset over member indices: bit i is set
+    when member i activates edge e. ``width`` is the most edges any member
+    activates. Both are built on first use.
     """
 
     edge_count: int
@@ -37,6 +41,21 @@ class ActivationFamily:
             seen.add(mask)
         if 0 not in seen:
             raise ValueError("the empty activation must be a member")
+
+    @cached_property
+    def holds(self) -> tuple[int, ...]:
+        holds = [0] * self.edge_count
+        for i, mask in enumerate(self.masks):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                holds[low.bit_length() - 1] |= bit
+                mask ^= low
+        return tuple(holds)
+
+    @cached_property
+    def width(self) -> int:
+        return max(mask.bit_count() for mask in self.masks)
 
 
 def make_family(edge_count: int, masks: Sequence[int]) -> ActivationFamily:
@@ -165,19 +184,50 @@ def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:
 def choose_activation(weights: Sequence[int], fam: ActivationFamily) -> int:
     """Member of the family with the largest total weight; negative weights
     are floored at zero, so idling an activated edge is never penalized. Ties
-    keep the earliest member in family order."""
-    best_mask = 0
-    best_total = None
-    for mask in fam.masks:
-        total = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            w = weights[low.bit_length() - 1]
-            if w > 0:
-                total += w
-            mm ^= low
-        if best_total is None or total > best_total:
-            best_total = total
-            best_mask = mask
-    return best_mask
+    keep the earliest member in family order.
+
+    Exact branch-and-bound instead of a scan of every member. The positive
+    edges are decided one at a time, heaviest first, include before exclude;
+    ``alive`` is the bitset (over ``fam.holds``) of the members that hold
+    every included edge and no excluded one. A member can hold at most
+    ``room`` more edges, so a branch is pruned when its total plus the
+    ``room`` heaviest undecided weights falls below the best total, or only
+    equals it while its lowest alive index is not below the best one. At a
+    leaf every alive member has the same total and the lowest index wins,
+    which is the scan's own tie-break.
+    """
+    pos = [e for e, w in enumerate(weights) if w > 0]
+    if not pos:
+        return fam.masks[0]
+    pos.sort(key=weights.__getitem__, reverse=True)
+    k = len(pos)
+    width = fam.width
+    # prefix[j]: the j heaviest positive weights summed; padded so that
+    # prefix[i + room] - prefix[i] is the room heaviest from position i.
+    prefix = [0, *accumulate(map(weights.__getitem__, pos))]
+    prefix.extend([prefix[-1]] * width)
+    holds = fam.holds
+    best_total, best_idx = -1, 0
+    # (next position in pos, alive members, total so far, room for edges)
+    stack = [(0, (1 << len(fam.masks)) - 1, 0, width)]
+    while stack:
+        i, alive, total, room = stack.pop()
+        bound = total + prefix[i + room] - prefix[i]
+        if bound < best_total or (
+                bound == best_total
+                and (alive & -alive).bit_length() - 1 >= best_idx):
+            continue
+        while i < k and room:
+            e = pos[i]
+            inc = alive & holds[e]
+            i += 1
+            if inc:
+                if inc != alive:
+                    stack.append((i, alive ^ inc, total, room))
+                alive = inc
+                total += weights[e]
+                room -= 1
+        idx = (alive & -alive).bit_length() - 1
+        if total > best_total or (total == best_total and idx < best_idx):
+            best_total, best_idx = total, idx
+    return fam.masks[best_idx]

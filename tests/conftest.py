@@ -29,8 +29,12 @@ def d4():
 
 
 @st.composite
-def small_graphs(draw, max_n=6):
-    """``random_digraph`` with 2..max_n nodes and any feasible edge count."""
+def small_graphs(draw, max_n=6, max_m=None):
+    """``random_digraph`` with 2..max_n nodes and any feasible edge count,
+    capped at ``max_m`` where that still leaves a spanning tree possible."""
     n = draw(st.integers(2, max_n))
-    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    top = n * (n - 1) // 2
+    if max_m is not None:
+        top = max(n - 1, min(top, max_m))
+    m = draw(st.integers(n - 1, top))
     return random_digraph(n, m, draw(st.integers(0, 2 ** 16)))

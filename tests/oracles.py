@@ -6,11 +6,12 @@ disjoint paths come from exhaustive combination, multiclass set counts are
 taken one node set at a time, and the packet ledger tracks every packet's
 replication set explicitly.
 
-The last three are the slow forms of paths the library now runs faster:
+The last four are the slow forms of paths the library now runs faster:
 tree packing that re-runs every sink's max-flow per candidate edge,
 sequence sampling that rescans every edge for the out-boundary per step,
-and the randomized decide's linear walk of the cumulative distribution.
-The fast forms must give the same trees, sequences and decisions.
+the randomized decide's linear walk of the cumulative distribution, and
+the slotted activation choice that totals every member of the family. The
+fast forms must give the same trees, sequences, decisions and activations.
 """
 
 from collections import Counter
@@ -264,3 +265,24 @@ def linear_cdf_decide(table, state, eid, rng):
         if u < acc:
             return fset if state.counts.get(fset, 0) > 0 else None
     return None
+
+
+def scanning_choose_activation(weights, fam):
+    """Member of the family with the largest total weight; negative weights
+    are floored at zero, so idling an activated edge is never penalized. Ties
+    keep the earliest member in family order."""
+    best_mask = 0
+    best_total = None
+    for mask in fam.masks:
+        total = 0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            w = weights[low.bit_length() - 1]
+            if w > 0:
+                total += w
+            mm ^= low
+        if best_total is None or total > best_total:
+            best_total = total
+            best_mask = mask
+    return best_mask

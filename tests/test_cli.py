@@ -109,6 +109,23 @@ class TestSimulate:
         assert (out / "quick_seed7.csv").is_file()
         assert not (out / "quick_seed1.csv").exists()
 
+    @pytest.mark.parametrize("seeds, override, bad", [
+        ("2 -3", None, -3),
+        ("1 2", "-1", -1),
+    ], ids=["config", "option"])
+    def test_negative_seed_is_a_config_error(self, runner, tmp_path, seeds,
+                                             override, bad):
+        cfg = write(tmp_path, "quick.ini",
+                    FIG2_QUICK.replace("seeds = 1 2", f"seeds = {seeds}"))
+        out = tmp_path / "out"
+        args = ["simulate", "--config", str(cfg), "--out-dir", str(out)]
+        if override is not None:
+            args += ["--seed", override]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"config error: seed must be non-negative, got {bad}" in result.stderr
+        assert not out.exists()
+
     # zero-arrivals runs in mini-slot mode, d4-wireless in slotted mode, and
     # the last case swaps d4-wireless's matchings for the wireline family.
     @pytest.mark.parametrize("preset, activation", [

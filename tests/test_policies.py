@@ -275,6 +275,8 @@ class TestRandomizedTable:
             build_randomized_table(d4, [BLUE, RED], [], 2.0)
         with pytest.raises(ConstructionError):
             build_randomized_table(d4, [BLUE, RED], [], 0.0)
+        with pytest.raises(ConstructionError):
+            build_randomized_table(d4, [BLUE, RED], [], float("nan"))
 
     def test_csv_rows(self, d4):
         table = build_randomized_table(d4, [BLUE, RED], [], 0.1)

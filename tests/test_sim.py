@@ -5,8 +5,8 @@ from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       random_digraph, run, sweep_k)
 from bcastsim import sim
 from bcastsim.graph import Digraph
-from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, received_csv, run_csv,
-                          sweep_csv)
+from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _pair_at, received_csv,
+                          run_csv, sweep_csv)
 from bcastsim.wireless import make_family, wireline_family
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
@@ -21,6 +21,11 @@ class TestConfigValidation:
         cfg = SimConfig(lam=-1, horizon=0, policy="nope", sample_every=0)
         errs = cfg.validation_errors()
         assert len(errs) == 4
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        cfg = SimConfig(lam=1, horizon=10, policy="randomized", eps=eps)
+        assert f"eps must be positive, got {eps}" in cfg.validation_errors()
 
     def test_multiclass_needs_classes(self):
         cfg = SimConfig(lam=1, horizon=10, policy="multiclass", classes=0)
@@ -177,11 +182,21 @@ class TestRandomDigraph:
         pairs = set(g.edges)
         assert not any((b, a) in pairs for a, b in pairs)
 
+    def test_pair_at_matches_the_listed_pairs(self):
+        for n in range(2, 41):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert [_pair_at(n, idx) for idx in range(len(pairs))] == pairs
+
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValueError):
             random_digraph(4, 2, 0)
         with pytest.raises(ValueError):
             random_digraph(4, 7, 0)
+
+    def test_no_connected_sample_is_a_value_error(self):
+        # A tree-sized edge count rarely yields an arborescence from node 0.
+        with pytest.raises(ValueError, match="no connected sample"):
+            random_digraph(12, 11, 1)
 
     def test_twenty_node_instance(self):
         # Desk-scale stand-in for a 20-node, 176-edge experiment topology.

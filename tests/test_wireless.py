@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcastsim import CapabilityError, Digraph, ParseError
 from bcastsim.policies import (MultiClassState, assign_class, edge_weight,
@@ -10,8 +12,8 @@ from bcastsim.wireless import (MATCHING_ENUM_EDGE_LIMIT, ActivationFamily,
                                parse_activation_family,
                                primary_interference_family, wireline_family)
 
-from conftest import R_, RA, RA_SET, RB
-from oracles import brute_matchings
+from conftest import R_, RA, RA_SET, RB, small_graphs
+from oracles import brute_matchings, scanning_choose_activation
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)], 0)
 TWO_DISJOINT = Digraph(4, [(0, 1), (2, 3)], 0)
@@ -37,6 +39,13 @@ class TestFamilyType:
     def test_wireline(self):
         assert wireline_family(3).masks == (0, 0b111)
         assert wireline_family(0).masks == (0,)
+
+    def test_holds_and_width(self):
+        fam = ActivationFamily(3, (0b011, 0, 0b100))
+        assert fam.holds == (0b001, 0b001, 0b100)
+        assert fam.width == 2
+        assert wireline_family(0).holds == ()
+        assert wireline_family(0).width == 0
 
 
 class TestPrimaryInterference:
@@ -157,6 +166,51 @@ class TestChooseActivation:
                            if (mask >> e) & 1)
 
             assert total(chosen) == max(total(m) for m in fam.masks)
+
+
+# Negative, zero and tied weights.
+WEIGHTS = st.integers(-3, 4)
+
+
+def floored_total(weights, mask):
+    return sum(max(w, 0) for e, w in enumerate(weights) if (mask >> e) & 1)
+
+
+@st.composite
+def families(draw):
+    """A family over up to 8 edges, made by ``make_family`` or parsed from
+    text, with the empty member at any position or (then prepended) absent."""
+    m = draw(st.integers(0, 8))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), unique=True,
+                          max_size=24)) if m else []
+    at = draw(st.integers(0, len(masks) + 1))
+    if at <= len(masks):
+        masks.insert(at, 0)
+    if draw(st.booleans()):
+        return make_family(m, masks)
+    lines = ["-" if mask == 0 else
+             " ".join(str(e) for e in range(m) if (mask >> e) & 1)
+             for mask in masks]
+    return parse_activation_family("# drawn\n" + "\n".join(lines) + "\n", m)
+
+
+class TestChooseActivationMatchesScan:
+    @settings(max_examples=500, deadline=2000)
+    @given(fam=families(), data=st.data())
+    def test_any_family(self, fam, data):
+        weights = data.draw(st.lists(WEIGHTS, min_size=fam.edge_count,
+                                     max_size=fam.edge_count))
+        assert choose_activation(weights, fam) == scanning_choose_activation(weights, fam)
+
+    @settings(max_examples=200, deadline=2000)
+    @given(g=small_graphs(7, max_m=10), maximal=st.booleans(), data=st.data())
+    def test_primary_families_reach_the_best_matching(self, g, maximal, data):
+        fam = primary_interference_family(g, maximal_only=maximal)
+        weights = data.draw(st.lists(WEIGHTS, min_size=g.m, max_size=g.m))
+        chosen = choose_activation(weights, fam)
+        assert chosen == scanning_choose_activation(weights, fam)
+        assert floored_total(weights, chosen) == max(
+            floored_total(weights, mask) for mask in brute_matchings(g))
 
 
 def test_forwarding_on_activation_preserves_conservation(d4):
