@@ -1,5 +1,6 @@
 """Golden outputs: every preset, run once at its first seed, writes files
-whose sha256 hashes are pinned here.
+whose sha256 hashes are pinned here, and so do the in-order policies on a
+random graph, which no preset covers.
 
 A change meant to keep behaviour must pass unchanged. A change meant to alter
 output re-pins the hashes and says so.
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bcastsim.cli import main
+from bcastsim.cli import build_activation, main, resolve_graph
+from bcastsim.sim import SimConfig, received_csv, run, run_csv
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -67,3 +69,33 @@ def test_preset_outputs_match(name, tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == GOLDEN[name]
+
+
+# (policy, classes, time model, lambda) on random(8,16,2), horizon 3000 at
+# seed 5 -> sha256 of (run_csv, received_csv). The slotted run uses the
+# primary-maximal family.
+IN_ORDER_GOLDEN = {
+    ("multiclass", 4, "mini-slot", 0.7): (
+        "135a6180383760c4d5f62e82000732a1185a531e1b74d2b294025c2189cfb715",
+        "6d60d925080aabbc51f9bf32fbdbbdbcba32072924c6c429d8b0afd87d3827b9"),
+    ("static-tree", 1, "mini-slot", 0.7): (
+        "2be06591711c7ecdb57c93feb17c10aef70bc337686ba8aff2d76ccc176074c1",
+        "15b41c0752a2d183dc2ed5d7c73cf1ec4295715f975da653eac84b2912448fb1"),
+    ("multiclass", 3, "slotted-wireless", 0.25): (
+        "f02e4d7c06f5a3f9354e8b964c17b83c5347814aed34c197e76c25cf6e9eb845",
+        "3213c322601e595e1e3db70842f1445d93da71722209ba92527bc9864dfa070e"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(IN_ORDER_GOLDEN))
+def test_in_order_policy_outputs_match(key):
+    policy, classes, time_model, lam = key
+    g = resolve_graph("random(8,16,2)")
+    fam = (build_activation("primary-maximal", g)
+           if time_model == "slotted-wireless" else None)
+    cfg = SimConfig(lam=lam, horizon=3000, seed=5, policy=policy, classes=classes,
+                    time_model=time_model, sample_every=100)
+    result = run(cfg, g, fam)
+    assert (hashlib.sha256(run_csv(result).encode()).hexdigest(),
+            hashlib.sha256(received_csv(result).encode()).hexdigest()) == \
+        IN_ORDER_GOLDEN[key]
