@@ -19,8 +19,8 @@ from . import fixtures
 from .errors import CapabilityError, ConstructionError, ParseError
 from .graph import (Digraph, broadcast_capacity, capacity_bottleneck,
                     is_arborescence, parse_graph, tree_packing)
-from .sim import (SimConfig, random_digraph, received_csv, run, run_csv,
-                  sweep_csv, sweep_k)
+from .sim import (MAX_CLASSES, SimConfig, random_digraph, received_csv, run,
+                  run_csv, sweep_csv, sweep_k)
 from .wireless import (parse_activation_family, primary_interference_family,
                        wireline_family)
 
@@ -122,6 +122,8 @@ def load_experiment(path: Path, graph_override: str | None = None,
 
     activation = simsec.pop("activation", None)
     k_values = simsec.pop("k_values", None)
+    errs.extend(f"k_values entries must lie in [1, {MAX_CLASSES}], got {k}"
+                for k in k_values or () if not 1 <= k <= MAX_CLASSES)
     if "lambda" in simsec:
         simsec["lam"] = simsec.pop("lambda")
     # A missing or bad lambda or horizon is already reported; the stand-ins

@@ -20,13 +20,13 @@ def diamond4() -> Digraph:
 def path_graph(n: int) -> Digraph:
     if n < 2:
         raise ValueError("path needs at least two nodes")
-    return Digraph(n, [(i, i + 1) for i in range(n - 1)], 0)
+    return Digraph(n, ((i, i + 1) for i in range(n - 1)), 0)
 
 
 def star_graph(n: int) -> Digraph:
     if n < 2:
         raise ValueError("star needs at least two nodes")
-    return Digraph(n, [(0, i) for i in range(1, n)], 0)
+    return Digraph(n, ((0, i) for i in range(1, n)), 0)
 
 
 def by_name(name: str) -> Digraph | None:

@@ -14,6 +14,9 @@ from typing import Iterable
 
 from .errors import ParseError
 
+# Largest node count of any graph: set-up runs one max-flow per sink.
+MAX_NODES = 1000
+
 
 class Digraph:
     """Simple digraph with unit-capacity edges and a designated source node.
@@ -26,9 +29,11 @@ class Digraph:
     __slots__ = ("n", "edges", "source")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], source: int):
-        edges = tuple((int(a), int(b)) for a, b in edges)
         if n < 1:
             raise ValueError("node count must be positive")
+        if n > MAX_NODES:  # before reading edges, which may be a generator
+            raise ValueError(f"node count must be at most {MAX_NODES}, got {n}")
+        edges = tuple((int(a), int(b)) for a, b in edges)
         if not 0 <= source < n:
             raise ValueError(f"source {source} out of range for n={n}")
         seen = set()

@@ -68,13 +68,17 @@ class MultiClassState:
 
     ``highest[c][i]`` is the highest in-order packet index of class ``c``
     received by node ``i``; the source entry is the class's arrival count.
+    ``inflight[c]`` lists the replication-set bitmask of every class-``c``
+    packet not yet held by every node, oldest first, so packet ``p`` sits at
+    position ``p - 1 - highest[c][source]`` (counted from the end) and the
+    moves read a head-of-line set without a pass over the nodes.
     A mirrored VirtualQueueState tracks how many packets (of any class) sit at
     each exact replication set. The mirror is maintained move-by-move, which
     makes the weight lookups O(1) instead of O(k*n); ``histogram`` rebuilds
-    it from the indices so a run can check the two agree.
+    it from the indices alone so a run can check the two agree.
     """
 
-    __slots__ = ("graph", "k", "highest", "mirror")
+    __slots__ = ("graph", "k", "highest", "inflight", "mirror")
 
     def __init__(self, graph: Digraph, k: int):
         if k < 1:
@@ -82,19 +86,13 @@ class MultiClassState:
         self.graph = graph
         self.k = k
         self.highest = [[0] * graph.n for _ in range(k)]
+        self.inflight: list[list[int]] = [[] for _ in range(k)]
         self.mirror = VirtualQueueState(graph)
 
     def admit_packet(self, c: int):
         self.highest[c][self.graph.source] += 1
+        self.inflight[c].append(self.graph.source_mask)
         self.mirror.admit(1)
-
-    def packet_set(self, c: int, p: int) -> int:
-        """Bitmask of nodes currently holding packet ``p`` of class ``c``."""
-        mask = 0
-        for v, r in enumerate(self.highest[c]):
-            if r >= p:
-                mask |= 1 << v
-        return mask
 
     def received_count(self, node: int) -> int:
         return sum(row[node] for row in self.highest)
@@ -123,27 +121,26 @@ def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None
     active edge, ties to the lowest class; None when no class is eligible.
 
     A class is eligible when its next in-order packet for the edge's head
-    exists and is already present at the edge's tail.
+    exists, is already present at the edge's tail and has an in-flight set.
     """
     g = state.graph
     i, j = g.edges[eid]
     jbit = 1 << j
     full = g.full_mask
     counts = state.mirror.counts
-    highest = state.highest
+    inflight = state.inflight
     src = g.source
-    n = g.n
     best = None
     best_w = None
-    for c in range(state.k):
-        row = highest[c]
-        p = row[j] + 1
-        if p > row[src] or row[i] < p:
+    for c, row in enumerate(state.highest):
+        hj = row[j]
+        if row[i] <= hj:
             continue
-        fset = 0
-        for v in range(n):
-            if row[v] >= p:
-                fset |= 1 << v
+        pos = hj - row[src]  # packet hj + 1's position; < 0 once it arrived
+        sets = inflight[c]
+        if not -len(sets) <= pos < 0:
+            continue
+        fset = sets[pos]
         nxt = fset | jbit
         w = counts.get(fset, 0) - (0 if nxt == full else counts.get(nxt, 0))
         if best_w is None or w > best_w:
@@ -173,9 +170,16 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
         raise SchedulingError(f"class {c} has no packet {p} yet")
     if row[i] < p:
         raise SchedulingError(f"class {c} packet {p} is absent at node {i}")
-    fset = state.packet_set(c, p)
-    row[j] = p
+    sets = state.inflight[c]
+    pos = p - 1 - row[g.source]
+    if pos < -len(sets):
+        raise SchedulingError(f"class {c} packet {p} has no in-flight set")
+    fset = sets[pos]
     state.mirror.transmit(fset, eid)
+    row[j] = p
+    sets[pos] = fset | 1 << j
+    if sets[pos] == g.full_mask:
+        del sets[pos]  # in-order delivery: the completed packet is the oldest
 
 
 def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:

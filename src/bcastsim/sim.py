@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, SchedulingError
-from .graph import Digraph, broadcast_capacity, tree_packing
+from .graph import MAX_NODES, Digraph, broadcast_capacity, tree_packing
 from .policies import (MultiClassState, RandomizedTable, assign_class,
                        build_randomized_table, default_eps, edge_weight,
                        max_weight_decide, multiclass_apply, multiclass_decide,
@@ -36,6 +36,10 @@ MAX_WEIGHT_NODE_LIMIT = 25
 
 # numpy's Poisson sampler refuses rates above about 9.2e18.
 MAX_ARRIVAL_RATE = 1e18
+
+# Each class holds a row of n indices; each extra sequence is sampled in set-up.
+MAX_CLASSES = 1000
+MAX_EXTRA_SEQUENCES = 10_000
 
 _CHUNK_SLOTS = 1024
 
@@ -76,12 +80,15 @@ class SimConfig:
             errs.append(f"unknown policy '{self.policy}' (choose from {', '.join(POLICIES)})")
         if self.time_model not in TIME_MODELS:
             errs.append(f"unknown time model '{self.time_model}'")
-        if self.policy == "multiclass" and self.classes < 1:
-            errs.append(f"multiclass policy needs classes >= 1, got {self.classes}")
+        if self.policy == "multiclass" and not 1 <= self.classes <= MAX_CLASSES:
+            errs.append(f"multiclass policy needs 1 <= classes <= {MAX_CLASSES}, "
+                        f"got {self.classes}")
         if self.eps is not None and not self.eps > 0:
             errs.append(f"eps must be positive, got {self.eps}")
-        if self.extra_sequences is not None and self.extra_sequences < 1:
-            errs.append(f"extra_sequences must be positive, got {self.extra_sequences}")
+        if self.extra_sequences is not None and not (
+                1 <= self.extra_sequences <= MAX_EXTRA_SEQUENCES):
+            errs.append(f"extra_sequences must lie in [1, {MAX_EXTRA_SEQUENCES}], "
+                        f"got {self.extra_sequences}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
             errs.append(f"burn_in must lie in [0, horizon), got {self.burn_in}")
         if self.time_model == "slotted-wireless":
@@ -312,8 +319,8 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
     One direction per pair keeps the unit-capacity broadcast capacity within
     n/2, matching the bound used by the tree-count checks.
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    if not 2 <= n <= MAX_NODES:
+        raise ValueError(f"need 2 <= n <= {MAX_NODES} nodes, got n={n}")
     max_m = n * (n - 1) // 2
     if not n - 1 <= m <= max_m:
         raise ValueError(f"need n-1 <= m <= n(n-1)/2 = {max_m}, got m={m}")

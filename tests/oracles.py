@@ -6,12 +6,14 @@ disjoint paths come from exhaustive combination, multiclass set counts are
 taken one node set at a time, and the packet ledger tracks every packet's
 replication set explicitly.
 
-The last four are the slow forms of paths the library now runs faster:
+The last five are the slow forms of paths the library now runs faster:
 tree packing that re-runs every sink's max-flow per candidate edge,
 sequence sampling that rescans every edge for the out-boundary per step,
-the randomized decide's linear walk of the cumulative distribution, and
-the slotted activation choice that totals every member of the family. The
-fast forms must give the same trees, sequences, decisions and activations.
+the randomized decide's linear walk of the cumulative distribution, the
+slotted activation choice that totals every member of the family, and the
+multiclass choice that rebuilds each head-of-line set from the index
+matrix. The fast forms must give the same trees, sequences, decisions,
+activations and (class, differential) pairs.
 """
 
 from collections import Counter
@@ -181,6 +183,16 @@ def count_exactly_at(state, gset):
     return total
 
 
+def packet_set(state, c, p):
+    """Bitmask of the nodes of a MultiClassState holding packet ``p`` of
+    class ``c``, read off the in-order indices."""
+    mask = 0
+    for v, r in enumerate(state.highest[c]):
+        if r >= p:
+            mask |= 1 << v
+    return mask
+
+
 class PacketLedger:
     """Shadow bookkeeping: the exact replication set of every packet, updated
     from the decisions alone."""
@@ -203,6 +215,12 @@ class PacketLedger:
     def delivered(self):
         full = self.g.full_mask
         return sum(1 for m in self.sets.values() if m == full)
+
+    def in_flight(self, c):
+        """Class ``c``'s replication sets short of the full set, by index."""
+        full = self.g.full_mask
+        return [m for (cc, _), m in sorted(self.sets.items())
+                if cc == c and m != full]
 
 
 def rescanning_tree_packing(g):
@@ -286,3 +304,34 @@ def scanning_choose_activation(weights, fam):
             best_total = total
             best_mask = mask
     return best_mask
+
+
+def rebuilding_multiclass_best(state, eid):
+    """Best (class, differential) among the eligible head-of-line packets,
+    ties to the lowest class, with each head-of-line set rebuilt from the
+    index matrix by a pass over the nodes."""
+    g = state.graph
+    i, j = g.edges[eid]
+    jbit = 1 << j
+    full = g.full_mask
+    counts = state.mirror.counts
+    src = g.source
+    best = None
+    best_w = None
+    for c in range(state.k):
+        row = state.highest[c]
+        p = row[j] + 1
+        if p > row[src] or row[i] < p:
+            continue
+        fset = 0
+        for v in range(g.n):
+            if row[v] >= p:
+                fset |= 1 << v
+        nxt = fset | jbit
+        w = counts.get(fset, 0) - (0 if nxt == full else counts.get(nxt, 0))
+        if best_w is None or w > best_w:
+            best_w = w
+            best = c
+    if best is None:
+        return None
+    return best, best_w

@@ -6,6 +6,8 @@ run: huge rates, horizons and node counts appear only next to an input that
 validation rejects, or where validation itself rejects them.
 """
 
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -78,12 +80,12 @@ INI_VALUES = {
     ("sim", "lambda"): ["0", "0.5", "1.5", "-1", "nan", "inf", "-inf", "1e19",
                         "1e300", "x", ""],
     ("sim", "horizon"): ["1", "20", "0", "-5", "1.5", "1e3", "x", ""],
-    ("sim", "classes"): ["1", "3", "0", "-2", "x"],
+    ("sim", "classes"): ["1", "3", "0", "-2", "1000", "1001", "x"],
     ("sim", "eps"): ["0.1", "0", "-0.5", "nan", "x"],
-    ("sim", "extra_sequences"): ["2", "0", "-1", "x"],
+    ("sim", "extra_sequences"): ["2", "0", "-1", "10001", "x"],
     ("sim", "sample_every"): ["1", "7", "0", "-1", "x"],
     ("sim", "burn_in"): ["0", "3", "-1", "20", "99", "x"],
-    ("sim", "k_values"): ["1 2", "x", ""],
+    ("sim", "k_values"): ["1 2", "2 0", "1 1001", "x", ""],
     ("sim", "bogus_key"): ["1"],
 }
 
@@ -184,11 +186,58 @@ def test_config_files(runner, tmp_path, config, message):
 
 
 def test_huge_node_count_stops_at_validation(runner, tmp_path):
+    # 26 nodes pass the graph's node cap and break the subset policies' cap.
     path = tmp_path / "g.txt"
-    path.write_text("1000000000 1 0\n0 1\n")
+    path.write_text("26 1 0\n0 1\n")
     result = simulate(runner, tmp_path, render(BASE).encode(), "--graph", str(path))
     assert result.exit_code == 2
     assert "capped at n=25" in result.stderr
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("header", "node count must be at most 1000, got 1000000"),
+    ("path1001", "node count must be at most 1000, got 1001"),
+    ("star1000000", "node count must be at most 1000, got 1000000"),
+    ("random(1001,1000,1)", "need 2 <= n <= 1000 nodes, got n=1001"),
+    ("random(400000,400000,1)", "need 2 <= n <= 1000 nodes, got n=400000"),
+    ("random(99999999999999,99999999999999,0)",
+     "need 2 <= n <= 1000 nodes, got n=99999999999999"),
+], ids=["header", "path", "star", "random", "random-huge", "random-huger"])
+def test_node_count_over_the_cap_exits_2(runner, tmp_path, spec, message):
+    """Graphs over the 1000-node cap are refused before any per-node work,
+    whether the count comes from a file header, a builtin name or a random
+    spec."""
+    if spec == "header":
+        spec = str(tmp_path / "g.txt")
+        Path(spec).write_text("1000000 1 0\n0 1\n")
+    for result in (capacity(runner, spec),
+                   simulate(runner, tmp_path, render(BASE).encode(), "--graph", spec)):
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("classes", "1001", "multiclass policy needs 1 <= classes <= 1000, got 1001"),
+    ("extra_sequences", "10001", "extra_sequences must lie in [1, 10000], got 10001"),
+    ("k_values", "2 0", "k_values entries must lie in [1, 1000], got 0"),
+    ("k_values", "1 1001", "k_values entries must lie in [1, 1000], got 1001"),
+], ids=["classes", "extra_sequences", "k_values-zero", "k_values-over"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_size_keys_over_the_cap_exit_2(runner, tmp_path, command, key, value, message):
+    """Class counts and extra sequences over their caps are config errors
+    raised before any run, so no output directory is made."""
+    policy = "randomized" if key == "extra_sequences" else "multiclass"
+    sections = {"experiment": dict(BASE["experiment"]),
+                "sim": {**BASE["sim"], "policy": policy, key: value}}
+    cfg = tmp_path / "fz.ini"
+    cfg.write_text(render(sections))
+    args = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    check(result, args)
+    assert result.exit_code == 2
+    assert f"config error: {message}" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 GRAPH_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "x", "#", "1.5",

@@ -5,17 +5,18 @@ from hypothesis import strategies as st
 
 from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
-from bcastsim.policies import (MultiClassState, RandomizedTable, assign_class,
-                               best_transition, build_randomized_table,
-                               default_eps, edge_weight, max_weight_decide,
-                               multiclass_apply, multiclass_decide,
-                               randomized_decide, sample_reachable_sequences,
-                               static_tree_decide)
+from bcastsim.policies import (MultiClassState, RandomizedTable,
+                               _multiclass_best, assign_class, best_transition,
+                               build_randomized_table, default_eps, edge_weight,
+                               max_weight_decide, multiclass_apply,
+                               multiclass_decide, randomized_decide,
+                               sample_reachable_sequences, static_tree_decide)
 from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET, small_graphs)
 from oracles import (PacketLedger, count_exactly_at, linear_cdf_decide,
+                     packet_set, rebuilding_multiclass_best,
                      rescanning_sample_sequences, validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
@@ -86,9 +87,13 @@ class TestAssignClass:
 
 def mc_state(g, rows):
     """State with the given index rows; each row's source entry is its
-    class's arrival count."""
+    class's arrival count. The in-flight lists hold the oracle's set of every
+    packet some node still lacks."""
     state = MultiClassState(g, len(rows))
     state.highest = [list(row) for row in rows]
+    state.inflight = [[packet_set(state, c, p)
+                       for p in range(min(row) + 1, row[g.source] + 1)]
+                      for c, row in enumerate(rows)]
     # Rebuild the mirror from the rows it must summarize.
     state.mirror.admitted = sum(row[g.source] for row in rows)
     for gset in range(1, 1 << g.n):
@@ -190,7 +195,9 @@ MOVES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16)), max_size
 @given(g=small_graphs(), classes=st.integers(1, 4), moves=MOVES)
 def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
     """After every move of either in-order policy, the histogram rebuilt from
-    the index matrix equals the incremental mirror and a per-packet ledger."""
+    the index matrix equals the incremental mirror and a per-packet ledger,
+    the in-flight lists equal the ledger's sets, and the multiclass choice on
+    every edge equals the one that rebuilds each head-of-line set."""
     trees = tree_packing(g)
     state = MultiClassState(g, classes if policy == "multiclass" else len(trees))
     ledger = PacketLedger(g)
@@ -213,6 +220,9 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
         assert (counts, delivered) == (state.mirror.counts, state.mirror.delivered)
         assert counts == ledger.histogram()
         assert delivered == ledger.delivered()
+        assert state.inflight == [ledger.in_flight(c) for c in range(state.k)]
+        for e in range(g.m):
+            assert _multiclass_best(state, e) == rebuilding_multiclass_best(state, e)
 
 
 class TestStaticTree:
@@ -405,6 +415,7 @@ def test_one_class_per_packet_matches_max_weight(d4):
         if rng.random() < 0.3:
             # Open a fresh class for the arriving packet.
             state.highest.append([0] * d4.n)
+            state.inflight.append([])
             state.k += 1
             state.admit_packet(state.k - 1)
         eid = int(rng.integers(d4.m))
@@ -417,7 +428,9 @@ def test_one_class_per_packet_matches_max_weight(d4):
             # The head-of-line packet of the chosen class must have the
             # max-weight differential in the mirror (a full set reads 0).
             j = d4.edges[eid][1]
-            chosen = state.packet_set(c, state.highest[c][j] + 1)
+            p = state.highest[c][j] + 1
+            chosen = packet_set(state, c, p)
+            assert state.inflight[c][p - 1 - state.highest[c][d4.source]] == chosen
             nxt = chosen | 1 << j
             counts = state.mirror.counts
             w = counts.get(chosen, 0) - (

@@ -327,11 +327,22 @@ def _shift_in_mirror(g, state, queues):
         queues.counts[g.source_mask] = queues.counts.get(g.source_mask, 0) + 1
 
 
+def _forget_in_flight_copies(g, state, queues):
+    # Overwrite class 0's oldest in-flight set with the source singleton.
+    # The indices and the mirror are untouched; the next move of that packet
+    # takes the wrong set out of the mirror, which then disagrees with the
+    # histogram rebuilt from the indices.
+    sets = state.inflight[0]
+    if sets:
+        sets[0] = g.source_mask
+
+
 @pytest.mark.parametrize("policy, corrupt, message", [
     ("max-weight", _undeliver, "fell below its previous sample"),
     ("multiclass", _over_deliver, "exceeds min_received"),
     ("multiclass", _over_receive, "exceeds admitted"),
     ("multiclass", _shift_in_mirror, "mirror differs"),
+    ("multiclass", _forget_in_flight_copies, "mirror differs"),
 ])
 def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, message):
     """Each sample checks the invariants: apply ``corrupt`` after every step
