@@ -212,30 +212,28 @@ class Arborescence:
         return frozenset(self.edge_ids)
 
 
-def is_arborescence(g: Digraph, edge_ids: Iterable[int]) -> bool:
-    """Exactly n-1 edges, in-degree 1 everywhere but the source, all nodes
-    reached from the source using only these edges."""
-    ids = list(edge_ids)
-    if len(ids) != g.n - 1 or len(set(ids)) != len(ids):
-        return False
-    indeg = [0] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for eid in ids:
-        a, b = g.edges[eid]
-        indeg[b] += 1
+def reaches_all(n: int, source: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether every node in ``range(n)`` is reachable from ``source`` over
+    the (tail, head) pairs in ``edges``."""
+    children: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
         children[a].append(b)
-    if indeg[g.source] != 0:
-        return False
-    if any(indeg[v] != 1 for v in range(g.n) if v != g.source):
-        return False
-    seen = {g.source}
-    stack = [g.source]
+    seen = {source}
+    stack = [source]
     while stack:
         for v in children[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == g.n
+    return len(seen) == n
+
+
+def is_arborescence(g: Digraph, edge_ids: Iterable[int]) -> bool:
+    """Exactly n-1 edges, all nodes reached from the source using only these
+    edges. Reaching each other node takes an edge into it, so with n-1 edges
+    every other node has in-degree 1 and the source 0."""
+    pairs = [g.edges[eid] for eid in edge_ids]
+    return len(pairs) == g.n - 1 and reaches_all(g.n, g.source, pairs)
 
 
 def tree_packing(g: Digraph) -> list[Arborescence]:

@@ -21,39 +21,33 @@ from .graph import (Arborescence, Digraph, ReachableSequence, out_edges,
 from .queues import VirtualQueueState
 
 
-def best_transition(state: VirtualQueueState, eid: int) -> tuple[int, int] | None:
-    """Best (node set, backlog differential) for the active edge, or None when
-    no nonempty queue has the edge on its out-boundary.
+def max_weight_decide(state: VirtualQueueState, eid: int) -> int | None:
+    """Node set whose packet the max-weight policy sends over the active edge:
+    of the queues holding the edge's tail and not its head, the one with the
+    largest strictly positive backlog differential, ties to the smaller set,
+    then the smaller bitmask; None to idle.
 
-    Ranks by differential, then by smaller set, then by smaller bitmask, so
-    the choice is deterministic.
+    A differential is at most the set's count, so a smaller count is skipped.
+    ``counts`` never holds the full set, so completing a packet reads 0 there.
     """
-    g = state.graph
-    a, b = g.edges[eid]
-    bbit = 1 << b
-    full = g.full_mask
+    a, b = state.graph.edges[eid]
+    want = 1 << a
+    sel = want | 1 << b
     counts = state.counts
     best = None
-    best_key = None
-    for fset, q in counts.items():
-        if not (fset >> a) & 1 or fset & bbit:
+    best_w = 0
+    for fset in counts:
+        if fset & sel != want:
             continue
-        nxt = fset | bbit
-        w = q - (0 if nxt == full else counts.get(nxt, 0))
-        key = (w, -(fset.bit_count()), -fset)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (fset, w)
+        q = counts[fset]
+        if q < best_w:
+            continue
+        w = q - counts.get(fset | sel, 0)
+        if w > best_w:
+            best, best_w = fset, w
+        elif w == best_w > 0 and (fset.bit_count(), fset) < (best.bit_count(), best):
+            best = fset
     return best
-
-
-def max_weight_decide(state: VirtualQueueState, eid: int) -> int | None:
-    """Node set whose packet the max-weight policy sends over the active edge,
-    or None to idle when no candidate has a strictly positive differential."""
-    best = best_transition(state, eid)
-    if best is None or best[1] <= 0:
-        return None
-    return best[0]
 
 
 def assign_class(rng: np.random.Generator, k: int) -> int:
@@ -187,12 +181,15 @@ def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:
     candidate rule (nonempty queues for the virtual-queue policy, eligible
     head-of-line packets for the multi-class one), floored at zero."""
     if isinstance(state, VirtualQueueState):
-        best = best_transition(state, eid)
-    elif isinstance(state, MultiClassState):
+        fset = max_weight_decide(state, eid)
+        if fset is None:
+            return 0
+        counts = state.counts
+        return counts[fset] - counts.get(fset | 1 << state.graph.edges[eid][1], 0)
+    if isinstance(state, MultiClassState):
         best = _multiclass_best(state, eid)
-    else:
-        raise TypeError(f"no edge weight rule for {type(state).__name__}")
-    return max(best[1], 0) if best is not None else 0
+        return max(best[1], 0) if best is not None else 0
+    raise TypeError(f"no edge weight rule for {type(state).__name__}")
 
 
 def static_tree_decide(state: MultiClassState, trees: Sequence[Arborescence],

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, SchedulingError
-from .graph import MAX_NODES, Digraph, broadcast_capacity, tree_packing
+from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
 from .policies import (MultiClassState, RandomizedTable, assign_class,
                        build_randomized_table, default_eps, edge_weight,
                        max_weight_decide, multiclass_apply, multiclass_decide,
@@ -332,9 +332,8 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
         for idx, flip in zip(chosen.tolist(), flips.tolist()):
             u, v = _pair_at(n, idx)
             edges.append((v, u) if flip else (u, v))
-        g = Digraph(n, edges, 0)
-        if broadcast_capacity(g) >= 1:
-            return g
+        if reaches_all(n, 0, edges):  # the same test as capacity >= 1
+            return Digraph(n, edges, 0)
     raise ValueError(f"no connected sample found for n={n}, m={m}, seed={seed}; "
                      f"use more edges or another seed")
 

@@ -6,14 +6,16 @@ disjoint paths come from exhaustive combination, multiclass set counts are
 taken one node set at a time, and the packet ledger tracks every packet's
 replication set explicitly.
 
-The last five are the slow forms of paths the library now runs faster:
+The last six are the slow forms of paths the library now runs faster:
 tree packing that re-runs every sink's max-flow per candidate edge,
 sequence sampling that rescans every edge for the out-boundary per step,
 the randomized decide's linear walk of the cumulative distribution, the
-slotted activation choice that totals every member of the family, and the
+slotted activation choice that totals every member of the family, the
 multiclass choice that rebuilds each head-of-line set from the index
-matrix. The fast forms must give the same trees, sequences, decisions,
-activations and (class, differential) pairs.
+matrix, and the max-weight ranking of every candidate set, non-positive
+differentials included. The fast forms must give the same trees,
+sequences, decisions, activations and (class, differential) pairs, and the
+same set wherever the ranked differential is positive.
 """
 
 from collections import Counter
@@ -335,3 +337,29 @@ def rebuilding_multiclass_best(state, eid):
     if best is None:
         return None
     return best, best_w
+
+
+def ranking_best_transition(state, eid):
+    """Best (node set, backlog differential) for the active edge, or None when
+    no nonempty queue has the edge on its out-boundary.
+
+    Ranks every candidate, non-positive differentials included, by
+    differential, then by smaller set, then by smaller bitmask.
+    """
+    g = state.graph
+    a, b = g.edges[eid]
+    bbit = 1 << b
+    full = g.full_mask
+    counts = state.counts
+    best = None
+    best_key = None
+    for fset, q in counts.items():
+        if not (fset >> a) & 1 or fset & bbit:
+            continue
+        nxt = fset | bbit
+        w = q - (0 if nxt == full else counts.get(nxt, 0))
+        key = (w, -(fset.bit_count()), -fset)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (fset, w)
+    return best

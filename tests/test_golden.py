@@ -1,6 +1,7 @@
 """Golden outputs: every preset, run once at its first seed, writes files
-whose sha256 hashes are pinned here, and so do the in-order policies on a
-random graph, which no preset covers.
+whose sha256 hashes are pinned here, and so do runs on a random graph: the
+in-order policies, which no preset covers, and max-weight, which the presets
+run only on small fixed graphs where ties are rare.
 
 A change meant to keep behaviour must pass unchanged. A change meant to alter
 output re-pins the hashes and says so.
@@ -72,9 +73,15 @@ def test_preset_outputs_match(name, tmp_path):
 
 
 # (policy, classes, time model, lambda) on random(8,16,2), horizon 3000 at
-# seed 5 -> sha256 of (run_csv, received_csv). The slotted run uses the
+# seed 5 -> sha256 of (run_csv, received_csv). The slotted runs use the
 # primary-maximal family.
-IN_ORDER_GOLDEN = {
+RANDOM_GRAPH_GOLDEN = {
+    ("max-weight", 1, "mini-slot", 0.9): (
+        "d0765c37d7c4693036829d8b86a667724d5110cac6939d78bf42dee0b2c013ad",
+        "25121c59da0298c1d41ea40a01fd52be34474025065a46f99ba868e14df7a975"),
+    ("max-weight", 1, "slotted-wireless", 0.3): (
+        "1bcd3f246ad22eb587fe47b02b40dd1170db19c66f4dabc4686a23abe064e49a",
+        "74536a4f03c3c3cb353bb6c3aa7a7596645cbe96f68f7fd5e4a6e21416594994"),
     ("multiclass", 4, "mini-slot", 0.7): (
         "135a6180383760c4d5f62e82000732a1185a531e1b74d2b294025c2189cfb715",
         "6d60d925080aabbc51f9bf32fbdbbdbcba32072924c6c429d8b0afd87d3827b9"),
@@ -87,8 +94,9 @@ IN_ORDER_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(IN_ORDER_GOLDEN))
-def test_in_order_policy_outputs_match(key):
+@pytest.mark.parametrize("key", sorted(RANDOM_GRAPH_GOLDEN),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_random_graph_outputs_match(key):
     policy, classes, time_model, lam = key
     g = resolve_graph("random(8,16,2)")
     fam = (build_activation("primary-maximal", g)
@@ -98,4 +106,4 @@ def test_in_order_policy_outputs_match(key):
     result = run(cfg, g, fam)
     assert (hashlib.sha256(run_csv(result).encode()).hexdigest(),
             hashlib.sha256(received_csv(result).encode()).hexdigest()) == \
-        IN_ORDER_GOLDEN[key]
+        RANDOM_GRAPH_GOLDEN[key]

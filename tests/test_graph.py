@@ -200,6 +200,17 @@ class TestTreePacking:
         g = Digraph(3, [(0, 1), (2, 1)], 0)
         assert tree_packing(g) == []
 
+    @settings(max_examples=150, deadline=2000)
+    @given(g=small_graphs(6), data=st.data())
+    def test_is_arborescence_matches_parent_chain_oracle(self, g, data):
+        """Edge-id lists of every length up to n, repeats included, and every
+        packed tree in any order."""
+        ids = data.draw(st.lists(st.integers(0, g.m - 1), max_size=g.n))
+        assert is_arborescence(g, ids) == independent_arborescence_check(g, ids)
+        for t in tree_packing(g):
+            order = data.draw(st.permutations(t.edge_ids))
+            assert is_arborescence(g, order) and independent_arborescence_check(g, order)
+
     @staticmethod
     def check_packing(g):
         """One spanning arborescence per unit of capacity, pairwise

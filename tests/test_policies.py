@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
 from bcastsim.policies import (MultiClassState, RandomizedTable,
-                               _multiclass_best, assign_class, best_transition,
+                               _multiclass_best, assign_class,
                                build_randomized_table, default_eps, edge_weight,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide, randomized_decide,
@@ -16,8 +16,9 @@ from bcastsim.queues import VirtualQueueState
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET, small_graphs)
 from oracles import (PacketLedger, count_exactly_at, linear_cdf_decide,
-                     packet_set, rebuilding_multiclass_best,
-                     rescanning_sample_sequences, validate_reachable_sequence)
+                     packet_set, ranking_best_transition,
+                     rebuilding_multiclass_best, rescanning_sample_sequences,
+                     validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -56,10 +57,33 @@ class TestMaxWeightDecide:
         state.counts.update({RA_SET: 3, RAC: 1, 0b1001: 3})
         assert max_weight_decide(state, RB) == RA_SET
 
-    def test_best_transition_reports_weight(self, d4):
-        state = VirtualQueueState(d4)
-        state.counts.update({R_: 4, RA_SET: 1})
-        assert best_transition(state, RA) == (R_, 3)
+
+@st.composite
+def queue_states(draw):
+    """A VirtualQueueState on a small random graph where every nonempty
+    proper node set, the ones a node short of full included, is absent, an
+    empty queue, or holds one or two packets, so ties and zero or negative
+    differentials are common. Never the full set, which the queues never
+    hold."""
+    g = draw(small_graphs(6))
+    values = draw(st.lists(st.sampled_from([None, 0, 1, 2]),
+                           min_size=g.full_mask - 1, max_size=g.full_mask - 1))
+    state = VirtualQueueState(g)
+    state.counts.update((fset, q) for fset, q in enumerate(values, 1) if q is not None)
+    return state
+
+
+@settings(max_examples=300, deadline=2000)
+@given(state=queue_states())
+def test_max_weight_matches_ranking_oracle(state):
+    """On every edge the pruned scan picks the oracle's set when the oracle's
+    differential is positive and idles otherwise, and the edge weight is
+    that differential floored at zero."""
+    for eid in range(state.graph.m):
+        ranked = ranking_best_transition(state, eid)
+        w = ranked[1] if ranked is not None else 0
+        assert max_weight_decide(state, eid) == (ranked[0] if w > 0 else None)
+        assert edge_weight(state, eid) == max(w, 0)
 
 
 class TestAssignClass:
@@ -435,7 +459,7 @@ def test_one_class_per_packet_matches_max_weight(d4):
             counts = state.mirror.counts
             w = counts.get(chosen, 0) - (
                 0 if nxt == d4.full_mask else counts.get(nxt, 0))
-            assert w == best_transition(state.mirror, eid)[1]
+            assert w == edge_weight(state.mirror, eid)
             multiclass_apply(state, c, eid)
 
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from bcastsim import SchedulingError
 from bcastsim.fixtures import diamond4
 from bcastsim.graph import out_edges
-from bcastsim.policies import best_transition
+from bcastsim.policies import edge_weight
 from bcastsim.queues import VirtualQueueState
-from oracles import reachable_fixed_point
+from oracles import ranking_best_transition, reachable_fixed_point
 
 from conftest import AB, BC, CA, FULL, R_, RA, RAB, RA_SET
 
@@ -62,19 +62,23 @@ class TestTransmit:
 
 
 class TestWeight:
-    """The backlog differential, as ``best_transition`` reports it."""
+    """The backlog differential: signed as the ranking oracle reports it,
+    floored at zero as ``edge_weight`` reports it."""
 
     def test_difference(self, state):
         state.counts.update({R_: 5, RA_SET: 2})
-        assert best_transition(state, RA) == (R_, 3)
+        assert ranking_best_transition(state, RA) == (R_, 3)
+        assert edge_weight(state, RA) == 3
 
     def test_negative(self, state):
         state.counts.update({R_: 1, RA_SET: 5})
-        assert best_transition(state, RA) == (R_, -4)
+        assert ranking_best_transition(state, RA) == (R_, -4)
+        assert edge_weight(state, RA) == 0
 
     def test_full_set_reads_zero(self, state):
         state.counts.update({RAB: 2})
-        assert best_transition(state, BC) == (RAB, 2)
+        assert ranking_best_transition(state, BC) == (RAB, 2)
+        assert edge_weight(state, BC) == 2
 
 
 class TestCounters:

@@ -3,7 +3,7 @@ import pytest
 from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       broadcast_capacity, broadcast_rate, parse_graph,
                       random_digraph, run, sweep_k)
-from bcastsim import sim
+from bcastsim import graph, sim
 from bcastsim.graph import Digraph
 from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _pair_at, received_csv,
                           run_csv, sweep_csv)
@@ -193,10 +193,17 @@ class TestRandomDigraph:
         with pytest.raises(ValueError):
             random_digraph(4, 7, 0)
 
-    def test_no_connected_sample_is_a_value_error(self):
+    def test_no_connected_sample_is_a_value_error(self, monkeypatch):
         # A tree-sized edge count rarely yields an arborescence from node 0.
-        with pytest.raises(ValueError, match="no connected sample"):
+        # Each draw is rejected by a reachability walk, never a max-flow.
+        def no_flow(*args, **kwargs):
+            raise AssertionError("random_digraph ran a max-flow")
+
+        monkeypatch.setattr(graph, "max_flow", no_flow)
+        with pytest.raises(ValueError) as err:
             random_digraph(12, 11, 1)
+        assert str(err.value) == ("no connected sample found for n=12, m=11, "
+                                  "seed=1; use more edges or another seed")
 
     def test_twenty_node_instance(self):
         # Desk-scale stand-in for a 20-node, 176-edge experiment topology.
