@@ -132,6 +132,8 @@ def load_experiment(path: Path, graph_override: str | None = None,
     errs.extend(cfg.validation_errors())
     if cfg.time_model == "slotted-wireless" and activation is None:
         errs.append("slotted-wireless mode needs an 'activation' entry")
+    elif cfg.time_model != "slotted-wireless" and activation is not None:
+        errs.append("activation family only applies to slotted-wireless mode")
     if errs:
         raise ConfigError(errs)
     return Experiment(exp.get("name", path.stem), graph_spec, tuple(seeds), cfg,
@@ -141,10 +143,8 @@ def load_experiment(path: Path, graph_override: str | None = None,
 def build_activation(spec: str, g: Digraph):
     if spec == "wireline":
         return wireline_family(g.m)
-    if spec == "primary":
+    if spec in ("primary", "primary-maximal"):
         return primary_interference_family(g)
-    if spec == "primary-maximal":
-        return primary_interference_family(g, maximal_only=True)
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         if not path.is_file():
@@ -240,9 +240,11 @@ def simulate(config_path, graph_spec, out_dir, seed):
     def body():
         exp = load_experiment(config_path, graph_spec, seed)
         g = resolve_graph(exp.graph_spec)
+        # The family can be exponential in the graph: check the graph first.
+        if errs := exp.sim.graph_errors(g):
+            raise ConfigError(errs)
         fam = build_activation(exp.activation, g) if exp.activation else None
-        errs = exp.sim.validation_errors(g, fam)
-        if errs:
+        if errs := exp.sim.validation_errors(g, fam):
             raise ConfigError(errs)
         out_dir.mkdir(parents=True, exist_ok=True)
         for s in exp.seeds:

@@ -6,7 +6,8 @@ class ParseError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """Input exceeds a guarded size limit (node-subset policies, matching enumeration)."""
+    """Input exceeds a guarded size limit (node-subset policies, members of
+    the primary-interference family)."""
 
 
 class SchedulingError(RuntimeError):

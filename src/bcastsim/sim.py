@@ -101,12 +101,18 @@ class SimConfig:
         if g is not None:
             if fam is not None and fam.edge_count != g.m:
                 errs.append(f"activation family built for {fam.edge_count} edges, graph has {g.m}")
-            if g.m == 0:
-                errs.append("the graph needs at least one edge")
-            if self._exceeds_node_cap(g):
-                errs.append(
-                    f"policy '{self.policy}' tracks node subsets and is capped "
-                    f"at n={MAX_WEIGHT_NODE_LIMIT}, got n={g.n}")
+            errs.extend(self.graph_errors(g))
+        return errs
+
+    def graph_errors(self, g: Digraph) -> list[str]:
+        """The checks of the graph that need no activation family."""
+        errs = []
+        if g.m == 0:
+            errs.append("the graph needs at least one edge")
+        if self._exceeds_node_cap(g):
+            errs.append(
+                f"policy '{self.policy}' tracks node subsets and is capped "
+                f"at n={MAX_WEIGHT_NODE_LIMIT}, got n={g.n}")
         return errs
 
     def _exceeds_node_cap(self, g: Digraph) -> bool:
@@ -302,12 +308,14 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     return replace(result, rate=broadcast_rate(result))
 
 
-def _pair_at(n: int, idx: int) -> tuple[int, int]:
-    """The ``idx``-th pair ``(u, v)``, ``u < v``, of ``range(n)`` in
-    lexicographic order, found without listing the pairs before it."""
+def _pairs_at(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``idx``-th pairs ``(u, v)``, ``u < v``, of ``range(n)`` in
+    lexicographic order, found without listing the pairs before them."""
     # Counted from the last pair, the rows (fixed u) have lengths 1, 2, 3, ...
+    # t depends on j alone, and the float root gives it exactly for every j
+    # that n <= MAX_NODES allows.
     j = n * (n - 1) // 2 - 1 - idx
-    t = (math.isqrt(8 * j + 1) - 1) // 2
+    t = ((np.sqrt(8 * j + 1) - 1) // 2).astype(np.int64)
     return n - 2 - t, n - 1 - (j - t * (t + 1) // 2)
 
 
@@ -326,16 +334,21 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
         raise ValueError(f"need n-1 <= m <= n(n-1)/2 = {max_m}, got m={m}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(10000):
-        chosen = rng.choice(max_m, size=m, replace=False)
-        flips = rng.integers(0, 2, size=m)
-        edges = []
-        for idx, flip in zip(chosen.tolist(), flips.tolist()):
-            u, v = _pair_at(n, idx)
-            edges.append((v, u) if flip else (u, v))
-        if reaches_all(n, 0, edges):  # the same test as capacity >= 1
-            return Digraph(n, edges, 0)
+        u, v = _pairs_at(n, rng.choice(max_m, size=m, replace=False))
+        flips = rng.integers(0, 2, size=m).astype(bool)
+        tails, heads = np.where(flips, v, u), np.where(flips, u, v)
+        if _entered_all(n, heads):
+            edges = list(zip(tails.tolist(), heads.tolist()))
+            if reaches_all(n, 0, edges):  # the same test as capacity >= 1
+                return Digraph(n, edges, 0)
     raise ValueError(f"no connected sample found for n={n}, m={m}, seed={seed}; "
                      f"use more edges or another seed")
+
+
+def _entered_all(n: int, heads: np.ndarray) -> bool:
+    """Whether every node but the root 0 is entered by some edge in ``heads``
+    (a condition of ``reaches_all`` from node 0, and a cheaper test)."""
+    return bool(np.bincount(heads, minlength=n)[1:].all())
 
 
 def sweep_k(g: Digraph, lam: float, k_values: Sequence[int], horizon: int,

@@ -13,8 +13,9 @@ from typing import Sequence
 from .errors import CapabilityError, ParseError
 from .graph import Digraph
 
-# Enumerating all matchings is exponential in the edge count.
-MATCHING_ENUM_EDGE_LIMIT = 20
+# The most members a primary-interference family may hold; the count of
+# maximal matchings grows exponentially with the edge count.
+MAX_FAMILY_MEMBERS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,64 +74,41 @@ def wireline_family(edge_count: int) -> ActivationFamily:
 
 def _conflicts(g: Digraph) -> list[int]:
     # Primary interference: edges conflict when they share an endpoint in
-    # either role.
-    m = g.m
-    conflict = [0] * m
-    for e in range(m):
-        ae, be = g.edges[e]
-        for f in range(e + 1, m):
-            af, bf = g.edges[f]
-            if len({ae, be, af, bf}) < 4:
-                conflict[e] |= 1 << f
-                conflict[f] |= 1 << e
-    return conflict
+    # either role. inc[v] is the bitmask of the edges touching node v.
+    inc = [0] * g.n
+    for e, (a, b) in enumerate(g.edges):
+        inc[a] |= 1 << e
+        inc[b] |= 1 << e
+    return [(inc[a] | inc[b]) & ~(1 << e) for e, (a, b) in enumerate(g.edges)]
 
 
-def primary_interference_family(g: Digraph, maximal_only: bool = False) -> ActivationFamily:
-    """All matchings of the graph (edges viewed as undirected for conflicts).
+def primary_interference_family(g: Digraph) -> ActivationFamily:
+    """The maximal matchings of the graph (edges viewed as undirected for
+    conflicts) plus the empty activation, in ascending mask order.
 
-    With ``maximal_only`` the family holds just the maximal matchings plus the
-    empty activation, which keeps the family small on dense graphs; the
-    max-weight activation is unchanged because edge weights are non-negative.
+    Every matching lies inside a maximal one and edge weights are floored at
+    zero, so the best total is the same as over all matchings. Raises
+    CapabilityError when the family would pass MAX_FAMILY_MEMBERS members.
     """
-    m = g.m
-    conflict = _conflicts(g)
-    if maximal_only:
-        return make_family(m, sorted(_maximal_matchings(m, conflict)))
-    if m > MATCHING_ENUM_EDGE_LIMIT:
-        raise CapabilityError(
-            f"matching enumeration capped at m={MATCHING_ENUM_EDGE_LIMIT}, "
-            f"got m={m}; use activation = primary-maximal")
-    masks: list[int] = []
-
-    def extend(mask: int, banned: int, start: int):
-        masks.append(mask)
-        for e in range(start, m):
-            ebit = 1 << e
-            if not banned & ebit:
-                extend(mask | ebit, banned | conflict[e] | ebit, e + 1)
-
-    extend(0, 0, 0)
-    return ActivationFamily(m, tuple(masks))
-
-
-def _maximal_matchings(m: int, conflict: list[int]) -> list[int]:
     # Maximal matchings are the maximal independent sets of the conflict
     # relation; enumerate them as maximal cliques of its complement
     # (Bron-Kerbosch with pivoting).
-    if m == 0:
-        return [0]
-    full = (1 << m) - 1
-    compat = [full & ~conflict[e] & ~(1 << e) for e in range(m)]
+    full = (1 << g.m) - 1
+    compat = [full & ~(c | 1 << e) for e, c in enumerate(_conflicts(g))]
     out: list[int] = []
 
     def bk(r: int, p: int, x: int):
         if p == 0 and x == 0:
             out.append(r)
+            # With the empty activation the family has one member more.
+            if len(out) >= MAX_FAMILY_MEMBERS:
+                raise CapabilityError(
+                    f"primary interference family capped at "
+                    f"{MAX_FAMILY_MEMBERS} members; the graph has more "
+                    f"maximal matchings")
             return
-        pux = p | x
         pivot, best = -1, -1
-        mm = pux
+        mm = p | x
         while mm:
             low = mm & -mm
             u = low.bit_length() - 1
@@ -148,7 +126,7 @@ def _maximal_matchings(m: int, conflict: list[int]) -> list[int]:
             x |= low
 
     bk(0, full, 0)
-    return out
+    return make_family(g.m, sorted(out))
 
 
 def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:

@@ -168,6 +168,21 @@ def brute_matchings(g):
     return masks
 
 
+def pairwise_conflicts(g):
+    """Primary-interference conflict masks by testing every pair of edges:
+    edges conflict when they share an endpoint in either role."""
+    m = g.m
+    conflict = [0] * m
+    for e in range(m):
+        ae, be = g.edges[e]
+        for f in range(e + 1, m):
+            af, bf = g.edges[f]
+            if len({ae, be, af, bf}) < 4:
+                conflict[e] |= 1 << f
+                conflict[f] |= 1 << e
+    return conflict
+
+
 def count_exactly_at(state, gset):
     """Packets of a MultiClassState replicated at exactly the node set
     ``gset``, computed set by set from the in-order indices: per class, the

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,55 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--config", str(cfg)])
         assert result.exit_code == 2
         assert "out of range" in result.output
+
+    @pytest.mark.parametrize("activation", ["primary", "primary-maximal"])
+    def test_family_over_the_member_cap_exits_2(self, runner, tmp_path,
+                                                activation):
+        # random(20,80,3) has about two million maximal matchings.
+        text = FIG2_QUICK.replace(
+            "policy = max-weight",
+            f"policy = max-weight\ntime_model = slotted-wireless\n"
+            f"activation = {activation}")
+        cfg = write(tmp_path, "wl.ini", text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--graph",
+                                      "random(20,80,3)", "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("error: primary interference family capped at 262144 members"
+                in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_node_cap_checked_before_the_family_is_built(self, runner, tmp_path):
+        # 26 nodes: 25 source edges and 75 random forward pairs, whose
+        # maximal matchings would take far longer to list than the check.
+        forward = [(u, v) for u in range(1, 26) for v in range(u + 1, 26)]
+        edges = [(0, v) for v in range(1, 26)] + random.Random(0).sample(forward, 75)
+        path = write(tmp_path, "g.txt", "26 100 0\n"
+                     + "".join(f"{a} {b}\n" for a, b in edges))
+        text = FIG2_QUICK.replace(
+            "policy = max-weight",
+            "policy = max-weight\ntime_model = slotted-wireless\n"
+            "activation = primary-maximal")
+        cfg = write(tmp_path, "wl.ini", text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--graph",
+                                      str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "config error: policy 'max-weight' tracks node subsets and is " \
+            "capped at n=25, got n=26" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_activation_in_mini_slot_mode_exits_before_the_family(self, runner,
+                                                                  tmp_path):
+        text = FIG2_QUICK.replace("policy = max-weight",
+                                  "policy = max-weight\nactivation = primary")
+        cfg = write(tmp_path, "quick.ini", text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--graph",
+                                      "random(20,80,3)", "--out-dir",
+                                      str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("config error: activation family only applies "
+                                 "to slotted-wireless mode\n")
 
     def test_config_errors_listed_all_at_once(self, runner, tmp_path):
         bad = """[experiment]

@@ -1,12 +1,17 @@
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       broadcast_capacity, broadcast_rate, parse_graph,
                       random_digraph, run, sweep_k)
 from bcastsim import graph, sim
-from bcastsim.graph import Digraph
-from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _pair_at, received_csv,
-                          run_csv, sweep_csv)
+from bcastsim.graph import Digraph, reaches_all
+from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _entered_all, _pairs_at,
+                          received_csv, run_csv, sweep_csv)
 from bcastsim.wireless import make_family, wireline_family
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
@@ -183,9 +188,31 @@ class TestRandomDigraph:
         assert not any((b, a) in pairs for a, b in pairs)
 
     def test_pair_at_matches_the_listed_pairs(self):
-        for n in range(2, 41):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            assert [_pair_at(n, idx) for idx in range(len(pairs))] == pairs
+        for n in [*range(2, 41), 1000]:
+            u, v = _pairs_at(n, np.arange(n * (n - 1) // 2))
+            listed_u, listed_v = np.triu_indices(n, 1)
+            assert (u == listed_u).all() and (v == listed_v).all()
+
+    # sha256 of repr(edges) as drawn before the numpy decoding and the
+    # in-degree prefilter; the bench workloads use the first three graphs.
+    @pytest.mark.parametrize("n, m, seed, digest", [
+        (14, 70, 4, "8e5e2f97f32bc38064dfa9c71e810e08af2b4be425594be5703d3b9741813f19"),
+        (12, 30, 3, "b86af99ad5a5bbc1d1e62bce6729b05e8fe582c4a07d4a149bb903dd9fdcca4c"),
+        (25, 200, 1, "772d5f7c61f58069407c243061963468858909cc0c57b3bac73a8c08ccf7685a"),
+        (8, 16, 2, "93b725abd2ce3831eb6efac8eb18f2b53e390062d3b9c68d9dae96fe0333aa74"),
+    ])
+    def test_pinned_graphs(self, n, m, seed, digest):
+        edges = random_digraph(n, m, seed).edges
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+    @settings(max_examples=300, deadline=2000)
+    @given(n=st.integers(2, 7), data=st.data())
+    def test_prefilter_keeps_every_reachable_draw(self, n, data):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        heads = np.array([b for _, b in edges], dtype=np.int64)
+        if reaches_all(n, 0, edges):
+            assert _entered_all(n, heads)
 
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -276,8 +303,6 @@ def test_uniform_singleton_slots_match_the_mini_slot_engine(d4):
     """One uniformly active edge per slot is a mini-slot by another name: a
     hand-rolled singleton loop must deliver at the engine's per-activation
     rate."""
-    import numpy as np
-
     from bcastsim.policies import max_weight_decide
     from bcastsim.queues import VirtualQueueState
 

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastsim import CapabilityError, Digraph, ParseError
+from bcastsim import CapabilityError, Digraph, ParseError, wireless
+from bcastsim.cli import build_activation, resolve_graph
 from bcastsim.policies import (MultiClassState, assign_class, edge_weight,
                                multiclass_apply, multiclass_decide)
 from bcastsim.queues import VirtualQueueState
-from bcastsim.wireless import (MATCHING_ENUM_EDGE_LIMIT, ActivationFamily,
-                               choose_activation, make_family,
-                               parse_activation_family,
+from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
+                               make_family, parse_activation_family,
                                primary_interference_family, wireline_family)
 
 from conftest import R_, RA, RA_SET, RB, small_graphs
-from oracles import brute_matchings, scanning_choose_activation
+from oracles import brute_matchings, pairwise_conflicts, scanning_choose_activation
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)], 0)
 TWO_DISJOINT = Digraph(4, [(0, 1), (2, 3)], 0)
@@ -55,11 +55,14 @@ class TestPrimaryInterference:
 
     def test_two_disjoint_edges(self):
         fam = primary_interference_family(TWO_DISJOINT)
-        assert sorted(fam.masks) == [0b00, 0b01, 0b10, 0b11]
+        assert fam.masks == (0, 0b11)
 
     def test_diamond_matches_brute_force(self, d4):
         fam = primary_interference_family(d4)
-        assert sorted(fam.masks) == sorted(brute_matchings(d4))
+        every = set(brute_matchings(d4))
+        maximal = {m for m in every
+                   if not any(m != o and m & o == m for o in every)}
+        assert set(fam.masks) == maximal | {0}
         assert fam.masks[0] == 0
 
     def test_direction_ignored_for_conflicts(self):
@@ -68,23 +71,34 @@ class TestPrimaryInterference:
         fam = primary_interference_family(g)
         assert 0b11 not in fam.masks
 
-    def test_maximal_only_diamond(self, d4):
-        fam = primary_interference_family(d4, maximal_only=True)
-        every = set(brute_matchings(d4))
-        maximal = {m for m in every
-                   if not any(m != o and m & o == m for o in every)}
-        assert set(fam.masks) == maximal | {0}
-
     def test_guard(self):
         n = 22
         g = Digraph(n, [(0, i) for i in range(1, n)], 0)
-        with pytest.raises(CapabilityError,
-                           match="use activation = primary-maximal"):
-            primary_interference_family(g)
-        fam = primary_interference_family(g, maximal_only=True)
+        fam = primary_interference_family(g)
         # A star admits no two compatible edges: singletons are the maxima.
-        assert len(fam.masks) == g.m + 1
-        assert g.m > MATCHING_ENUM_EDGE_LIMIT
+        assert len(fam.masks) == g.m + 1 == 22
+
+    def test_member_cap(self, monkeypatch):
+        g = resolve_graph("random(12,30,3)")  # 714 maximal matchings
+        monkeypatch.setattr(wireless, "MAX_FAMILY_MEMBERS", 715)
+        assert len(primary_interference_family(g).masks) == 715
+        monkeypatch.setattr(wireless, "MAX_FAMILY_MEMBERS", 714)
+        with pytest.raises(CapabilityError, match="capped at 714 members"):
+            primary_interference_family(g)
+
+    @pytest.mark.parametrize("spec", ["diamond4", "star6", "random(12,30,3)"])
+    def test_both_spellings_build_one_family(self, spec):
+        g = resolve_graph(spec)
+        assert (build_activation("primary", g).masks
+                == build_activation("primary-maximal", g).masks)
+
+    @settings(max_examples=200, deadline=2000)
+    @given(g=small_graphs(7), data=st.data())
+    def test_conflicts_match_the_pairwise_oracle(self, g, data):
+        # Add the reverse of some edges, so that antiparallel pairs occur.
+        back = data.draw(st.lists(st.sampled_from(g.edges), unique=True))
+        g = Digraph(g.n, [*g.edges, *((b, a) for a, b in back)], g.source)
+        assert _conflicts(g) == pairwise_conflicts(g)
 
 
 class TestParseFamily:
@@ -203,9 +217,9 @@ class TestChooseActivationMatchesScan:
         assert choose_activation(weights, fam) == scanning_choose_activation(weights, fam)
 
     @settings(max_examples=200, deadline=2000)
-    @given(g=small_graphs(7, max_m=10), maximal=st.booleans(), data=st.data())
-    def test_primary_families_reach_the_best_matching(self, g, maximal, data):
-        fam = primary_interference_family(g, maximal_only=maximal)
+    @given(g=small_graphs(7, max_m=10), data=st.data())
+    def test_primary_families_reach_the_best_matching(self, g, data):
+        fam = primary_interference_family(g)
         weights = data.draw(st.lists(WEIGHTS, min_size=g.m, max_size=g.m))
         chosen = choose_activation(weights, fam)
         assert chosen == scanning_choose_activation(weights, fam)
