@@ -263,7 +263,9 @@ def simulate(config_path, graph_spec, out_dir, seed):
 @main.command()
 @_common_run_options
 def sweep(config_path, graph_spec, out_dir, seed):
-    """Sweep the multiclass policy over k_values and write a k,rate CSV."""
+    """Sweep the multiclass policy over k_values and write a k,rate CSV.
+
+    The runs are mini-slot runs at the config's first seed."""
 
     def body():
         exp = load_experiment(config_path, graph_spec, seed)
@@ -271,13 +273,15 @@ def sweep(config_path, graph_spec, out_dir, seed):
             raise ConfigError(["sweep requires policy = multiclass"])
         if not exp.k_values:
             raise ConfigError(["sweep requires a k_values list in [sim]"])
+        if exp.sim.time_model != "mini-slot":
+            raise ConfigError(["sweep runs in mini-slot mode"])
         g = resolve_graph(exp.graph_spec)
         errs = exp.sim.validation_errors(g)
         if errs:
             raise ConfigError(errs)
         out_dir.mkdir(parents=True, exist_ok=True)
         rows = sweep_k(g, exp.sim.lam, exp.k_values, exp.sim.horizon,
-                       exp.seeds[0], exp.sim.sample_every)
+                       exp.seeds[0], exp.sim.sample_every, burn_in=exp.sim.burn_in)
         out_path = out_dir / f"{exp.name}_sweep.csv"
         out_path.write_text(sweep_csv(rows))
         for k, rate in rows:

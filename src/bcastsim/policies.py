@@ -112,20 +112,23 @@ class MultiClassState:
 
 def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None:
     """Best (class, differential) among eligible head-of-line packets for the
-    active edge, ties to the lowest class; None when no class is eligible.
+    active edge, keeping only a strictly positive differential, ties to the
+    lowest class; None when no class has one.
 
     A class is eligible when its next in-order packet for the edge's head
     exists, is already present at the edge's tail and has an in-flight set.
+    A differential is at most the head-of-line count, so a smaller count is
+    skipped. The mirror's ``counts`` never holds the full set, so completing
+    a packet reads 0 there.
     """
     g = state.graph
     i, j = g.edges[eid]
     jbit = 1 << j
-    full = g.full_mask
     counts = state.mirror.counts
     inflight = state.inflight
     src = g.source
     best = None
-    best_w = None
+    best_w = 0
     for c, row in enumerate(state.highest):
         hj = row[j]
         if row[i] <= hj:
@@ -135,9 +138,11 @@ def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None
         if not -len(sets) <= pos < 0:
             continue
         fset = sets[pos]
-        nxt = fset | jbit
-        w = counts.get(fset, 0) - (0 if nxt == full else counts.get(nxt, 0))
-        if best_w is None or w > best_w:
+        q = counts.get(fset, 0)
+        if q <= best_w:
+            continue
+        w = q - counts.get(fset | jbit, 0)
+        if w > best_w:
             best_w = w
             best = c
     if best is None:
@@ -149,9 +154,7 @@ def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
     """Class whose head-of-line packet the multi-class policy sends over the
     active edge, or None to idle when no eligible class has positive weight."""
     best = _multiclass_best(state, eid)
-    if best is None or best[1] <= 0:
-        return None
-    return best[0]
+    return best[0] if best is not None else None
 
 
 def multiclass_apply(state: MultiClassState, c: int, eid: int):
@@ -179,7 +182,8 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
 def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:
     """Largest backlog differential attainable on the edge under the state's
     candidate rule (nonempty queues for the virtual-queue policy, eligible
-    head-of-line packets for the multi-class one), floored at zero."""
+    head-of-line packets for the multi-class one), or 0 when none is
+    positive."""
     if isinstance(state, VirtualQueueState):
         fset = max_weight_decide(state, eid)
         if fset is None:
@@ -188,7 +192,7 @@ def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:
         return counts[fset] - counts.get(fset | 1 << state.graph.edges[eid][1], 0)
     if isinstance(state, MultiClassState):
         best = _multiclass_best(state, eid)
-        return max(best[1], 0) if best is not None else 0
+        return best[1] if best is not None else 0
     raise TypeError(f"no edge weight rule for {type(state).__name__}")
 
 

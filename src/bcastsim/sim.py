@@ -1,9 +1,10 @@
 """The simulation engine, metrics, random graphs and sweeps.
 
-``run`` has one loop per time model (mini-slot, slotted wireless). It drives
-every policy the same way: ``_set_up_policy`` returns the policy's state, an
-``admit(count)`` function and a per-policy ``step(eid)`` function that decides
-the move over the active edge and applies it.
+``run`` has one event loop for both time models. It drives every policy the
+same way: ``_set_up_policy`` returns the policy's state, an ``admit(count)``
+function and a per-policy ``step(eid)`` function that decides the move over
+the active edge and applies it. The time model sets only how many events a
+slot has and what one event does.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -219,13 +221,14 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
     """Simulate one run and return its sampled time series.
 
-    One loop per time model drives the policy through the ``admit`` and
-    ``step`` functions that ``_set_up_policy`` returns. Mini-slot mode: every
-    slot is ``m`` mini-slots, each drawing arrivals and one uniformly active
-    edge, with at most one transmission. Slotted mode: arrivals once per
-    slot, then a max-weight feasible activation forwards at most one packet
-    per activated edge, edges applied in ascending id order. Fully
-    deterministic given the seed.
+    One event loop drives the policy through ``admit`` and ``step``; each
+    event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
+    each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
+    one event per slot, with Poisson(lam) arrivals and a max-weight feasible
+    activation whose edges step in ascending id order. Draws come per chunk
+    of ``_CHUNK_SLOTS`` slots: arrivals, then (mini-slot) active edges. The
+    state is sampled at slot 0, every ``sample_every`` slots and at the
+    horizon. Fully deterministic given the seed.
     """
     errors = config.validation_errors(g, fam)
     if errors:
@@ -267,56 +270,40 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         samples.append(Sample(slot, admitted, delivered,
                               min_received, tuple(received), backlog))
 
-    record(0)
     m = g.m
-    slot = 0
-    if config.time_model == "mini-slot":
-        lam_mini = config.lam / m
-        while slot < config.horizon:
-            chunk = min(_CHUNK_SLOTS, config.horizon - slot)
-            arrivals = arr_rng.poisson(lam_mini, size=chunk * m).tolist()
-            active = act_rng.integers(0, m, size=chunk * m).tolist()
-            idx = 0
-            for _ in range(chunk):
-                for _ in range(m):
-                    a = arrivals[idx]
-                    if a:
-                        admit(a)
-                    step(active[idx])
-                    idx += 1
-                slot += 1
-                if slot % config.sample_every == 0 or slot == config.horizon:
-                    record(slot)
+    mini_slot = config.time_model == "mini-slot"
+    if mini_slot:
+        per_slot, event = m, step
     else:
-        while slot < config.horizon:
-            chunk = min(_CHUNK_SLOTS, config.horizon - slot)
-            arrivals = arr_rng.poisson(config.lam, size=chunk).tolist()
-            for a in arrivals:
+        per_slot = 1
+
+        def event(_):
+            weights = [edge_weight(state, e) for e in range(m)]
+            smask = choose_activation(weights, fam)
+            while smask:
+                low = smask & -smask
+                step(low.bit_length() - 1)
+                smask ^= low
+
+    record(0)
+    slot = 0
+    while slot < config.horizon:
+        chunk = min(_CHUNK_SLOTS, config.horizon - slot)
+        arrivals = arr_rng.poisson(config.lam / per_slot, size=chunk * per_slot).tolist()
+        edges = (act_rng.integers(0, m, size=chunk * m).tolist() if mini_slot
+                 else repeat(None))
+        events = zip(arrivals, edges)
+        for _ in range(chunk):
+            for a, e in islice(events, per_slot):
                 if a:
                     admit(a)
-                weights = [edge_weight(state, e) for e in range(m)]
-                smask = choose_activation(weights, fam)
-                while smask:
-                    low = smask & -smask
-                    step(low.bit_length() - 1)
-                    smask ^= low
-                slot += 1
-                if slot % config.sample_every == 0 or slot == config.horizon:
-                    record(slot)
+                event(e)
+            slot += 1
+            if slot % config.sample_every == 0 or slot == config.horizon:
+                record(slot)
 
     result = RunResult(config, g.n, tuple(samples), 0.0, table)
     return replace(result, rate=broadcast_rate(result))
-
-
-def _pairs_at(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``idx``-th pairs ``(u, v)``, ``u < v``, of ``range(n)`` in
-    lexicographic order, found without listing the pairs before them."""
-    # Counted from the last pair, the rows (fixed u) have lengths 1, 2, 3, ...
-    # t depends on j alone, and the float root gives it exactly for every j
-    # that n <= MAX_NODES allows.
-    j = n * (n - 1) // 2 - 1 - idx
-    t = ((np.sqrt(8 * j + 1) - 1) // 2).astype(np.int64)
-    return n - 2 - t, n - 1 - (j - t * (t + 1) // 2)
 
 
 def random_digraph(n: int, m: int, seed: int) -> Digraph:
@@ -333,8 +320,10 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
     if not n - 1 <= m <= max_m:
         raise ValueError(f"need n-1 <= m <= n(n-1)/2 = {max_m}, got m={m}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pair_u, pair_v = np.triu_indices(n, 1)  # the pairs u < v, lexicographic
     for _ in range(10000):
-        u, v = _pairs_at(n, rng.choice(max_m, size=m, replace=False))
+        idx = rng.choice(max_m, size=m, replace=False)
+        u, v = pair_u[idx], pair_v[idx]
         flips = rng.integers(0, 2, size=m).astype(bool)
         tails, heads = np.where(flips, v, u), np.where(flips, u, v)
         if _entered_all(n, heads):
@@ -352,15 +341,16 @@ def _entered_all(n: int, heads: np.ndarray) -> bool:
 
 
 def sweep_k(g: Digraph, lam: float, k_values: Sequence[int], horizon: int,
-            seed: int, sample_every: int = 1000) -> list[tuple[int, float]]:
-    """Multiclass broadcast rate per class count, one run each, sharing the
-    seed so every run sees the same arrival sample path."""
+            seed: int, sample_every: int = 1000, *,
+            burn_in: int | None = None) -> list[tuple[int, float]]:
+    """Multiclass broadcast rate per class count, one mini-slot run each,
+    sharing the seed so every run sees the same arrival sample path."""
     if lam >= broadcast_capacity(g):
         raise ValueError("sweep arrival rate must sit below the broadcast capacity")
     rows = []
     for k in k_values:
         cfg = SimConfig(lam=lam, horizon=horizon, seed=seed, policy="multiclass",
-                        classes=k, sample_every=sample_every)
+                        classes=k, sample_every=sample_every, burn_in=burn_in)
         rows.append((k, run(cfg, g).rate))
     return rows
 

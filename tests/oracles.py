@@ -6,7 +6,7 @@ disjoint paths come from exhaustive combination, multiclass set counts are
 taken one node set at a time, and the packet ledger tracks every packet's
 replication set explicitly.
 
-The last six are the slow forms of paths the library now runs faster:
+The next six are the slow forms of paths the library now runs faster:
 tree packing that re-runs every sink's max-flow per candidate edge,
 sequence sampling that rescans every edge for the out-boundary per step,
 the randomized decide's linear walk of the cumulative distribution, the
@@ -14,11 +14,17 @@ slotted activation choice that totals every member of the family, the
 multiclass choice that rebuilds each head-of-line set from the index
 matrix, and the max-weight ranking of every candidate set, non-positive
 differentials included. The fast forms must give the same trees,
-sequences, decisions, activations and (class, differential) pairs, and the
-same set wherever the ranked differential is positive.
-"""
+sequences, decisions and activations, and the same (class, differential)
+pair or set wherever the ranked differential is positive.
 
+The last one, ``replay_max_weight``, replays a whole max-weight run from
+the documented RNG and loop protocol with those slow forms, so the engine's
+event loop is checked against its description.
+"""
 from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
 
 from bcastsim.graph import Arborescence, broadcast_capacity, max_flow, out_edges
 
@@ -378,3 +384,99 @@ def ranking_best_transition(state, eid):
             best_key = key
             best = (fset, w)
     return best
+
+
+def replay_max_weight(config, g, fam=None):
+    """The run, received and broadcast-rate outputs of a max-weight run,
+    replayed event by event: ``(run_csv, received_csv, rate)``.
+
+    The four streams are ``SeedSequence(seed).spawn(4)`` (arrivals, active
+    edges, class labels, policy); max-weight reads only the first two. Draws
+    come per chunk of up to 1024 slots: the chunk's Poisson arrivals, one per
+    event, then in mini-slot mode one uniform active edge per event. A
+    mini-slot slot is ``m`` events at rate lam/m, each admitting its arrivals
+    and then moving the best positive transition over its edge. A slotted
+    slot is one event at rate lam: admit, weigh every edge on the state after
+    admission, activate the heaviest member of ``fam``, then move over its
+    edges in ascending id order, each on the state its predecessors left.
+    The state is sampled at slot 0, every ``sample_every`` slots and at the
+    horizon; the rate is the slope of the minimum received count from the
+    last sample at or before the burn-in (a tenth of the horizon unless set).
+    """
+    arr_seq, act_seq, _, _ = np.random.SeedSequence(config.seed).spawn(4)
+    arr_rng = np.random.default_rng(arr_seq)
+    act_rng = np.random.default_rng(act_seq)
+    full = g.full_mask
+    counts = {}
+    admitted = delivered = 0
+    view = SimpleNamespace(graph=g, counts=counts)
+
+    def admit(a):
+        nonlocal admitted
+        admitted += a
+        if a:
+            counts[g.source_mask] = counts.get(g.source_mask, 0) + a
+
+    def move(eid):
+        nonlocal delivered
+        best = ranking_best_transition(view, eid)
+        if best is None or best[1] <= 0:
+            return
+        fset = best[0]
+        counts[fset] -= 1
+        if not counts[fset]:
+            del counts[fset]
+        nxt = fset | 1 << g.edges[eid][1]
+        if nxt == full:
+            delivered += 1
+        else:
+            counts[nxt] = counts.get(nxt, 0) + 1
+
+    rows = []
+
+    def sample(slot):
+        received = tuple(
+            delivered + sum(q for fset, q in counts.items() if fset >> v & 1)
+            for v in range(g.n))
+        rows.append((slot, admitted, delivered, min(received),
+                     sum(counts.values()), received))
+
+    sample(0)
+    slot = 0
+    while slot < config.horizon:
+        chunk = min(1024, config.horizon - slot)
+        if config.time_model == "mini-slot":
+            arrivals = arr_rng.poisson(config.lam / g.m, size=chunk * g.m)
+            active = act_rng.integers(0, g.m, size=chunk * g.m)
+            for t in range(chunk):
+                for i in range(t * g.m, (t + 1) * g.m):
+                    admit(int(arrivals[i]))
+                    move(int(active[i]))
+                slot += 1
+                if slot % config.sample_every == 0 or slot == config.horizon:
+                    sample(slot)
+        else:
+            arrivals = arr_rng.poisson(config.lam, size=chunk)
+            for t in range(chunk):
+                admit(int(arrivals[t]))
+                weights = []
+                for eid in range(g.m):
+                    best = ranking_best_transition(view, eid)
+                    weights.append(max(best[1], 0) if best is not None else 0)
+                chosen = scanning_choose_activation(weights, fam)
+                for eid in range(g.m):
+                    if chosen >> eid & 1:
+                        move(eid)
+                slot += 1
+                if slot % config.sample_every == 0 or slot == config.horizon:
+                    sample(slot)
+
+    run_lines = ["slot,admitted,delivered,min_received,backlog"]
+    run_lines += [",".join(map(str, row[:5])) for row in rows]
+    recv_lines = ["slot," + ",".join(f"recv_{v}" for v in range(g.n))]
+    recv_lines += [",".join(map(str, (row[0], *row[5]))) for row in rows]
+    burn_in = config.burn_in if config.burn_in is not None else config.horizon // 10
+    base = [row for row in rows if row[0] <= burn_in][-1]
+    last = rows[-1]
+    rate = (last[3] - base[3]) / (last[0] - base[0])
+    return "\n".join(run_lines) + "\n", "\n".join(recv_lines) + "\n", rate

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bcastsim.cli import main
+from bcastsim.cli import main, resolve_graph
+from bcastsim.sim import SimConfig, run
 
 FIG2_QUICK = """[experiment]
 graph = diamond4
@@ -303,6 +304,21 @@ horizon = 0
         assert nodes_header == "slot,recv_0,recv_1,recv_2"
 
 
+SWEEP_BURN_IN = """[experiment]
+graph = diamond4
+name = burn
+seeds = 1
+
+[sim]
+policy = multiclass
+lambda = 1.5
+horizon = 200
+sample_every = 50
+burn_in = 150
+k_values = 1 2
+"""
+
+
 class TestSweep:
     def test_writes_sweep_csv(self, runner, tmp_path):
         text = """[experiment]
@@ -325,6 +341,28 @@ k_values = 2
         lines = (out / "swp_sweep.csv").read_text().splitlines()
         assert lines[0] == "k,rate"
         assert len(lines) == 2
+
+    def test_honours_burn_in(self, runner, tmp_path):
+        cfg = write(tmp_path, "burn.ini", SWEEP_BURN_IN)
+        result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        g = resolve_graph("diamond4")
+        expected = [run(SimConfig(lam=1.5, horizon=200, sample_every=50,
+                                  burn_in=150, policy="multiclass", classes=k), g).rate
+                    for k in (1, 2)]
+        assert result.stdout.splitlines() == [f"k {k}: rate {rate:.6f}"
+                                              for k, rate in zip((1, 2), expected)]
+
+    def test_slotted_config_exits_2(self, runner, tmp_path):
+        text = SWEEP_BURN_IN.replace(
+            "[sim]\n", "[sim]\ntime_model = slotted-wireless\nactivation = primary\n")
+        cfg = write(tmp_path, "slotted.ini", text)
+        result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr == "config error: sweep runs in mini-slot mode\n"
+        assert not (tmp_path / "out").exists()
 
     def test_requires_multiclass_policy(self, runner, tmp_path):
         cfg = write(tmp_path, "quick.ini", FIG2_QUICK)

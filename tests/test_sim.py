@@ -10,9 +10,12 @@ from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       random_digraph, run, sweep_k)
 from bcastsim import graph, sim
 from bcastsim.graph import Digraph, reaches_all
-from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _entered_all, _pairs_at,
+from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _entered_all,
                           received_csv, run_csv, sweep_csv)
-from bcastsim.wireless import make_family, wireline_family
+from bcastsim.cli import resolve_graph
+from bcastsim.wireless import (make_family, primary_interference_family,
+                                wireline_family)
+from oracles import replay_max_weight
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
 DAG4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)], 0)
@@ -187,12 +190,6 @@ class TestRandomDigraph:
         pairs = set(g.edges)
         assert not any((b, a) in pairs for a, b in pairs)
 
-    def test_pair_at_matches_the_listed_pairs(self):
-        for n in [*range(2, 41), 1000]:
-            u, v = _pairs_at(n, np.arange(n * (n - 1) // 2))
-            listed_u, listed_v = np.triu_indices(n, 1)
-            assert (u == listed_u).all() and (v == listed_v).all()
-
     # sha256 of repr(edges) as drawn before the numpy decoding and the
     # in-degree prefilter; the bench workloads use the first three graphs.
     @pytest.mark.parametrize("n, m, seed, digest", [
@@ -238,6 +235,29 @@ class TestRandomDigraph:
         cap = broadcast_capacity(g)
         assert cap == 5
         assert 1 <= cap <= g.n / 2
+
+
+class TestLoopReplay:
+    """``run`` against a slow replay of the documented max-weight protocol:
+    more than one draw chunk, and a sample cadence that does not divide the
+    horizon."""
+
+    @pytest.mark.parametrize("spec, lam_mini, lam_slotted, burn_in", [
+        ("diamond4", 1.9, 0.6, None),
+        ("random(6,10,1)", 0.9, 0.45, 500),
+        ("random(6,10,5)", 0.9, 0.45, None),
+    ])
+    @pytest.mark.parametrize("time_model", TIME_MODELS)
+    def test_outputs_match_the_replay(self, spec, lam_mini, lam_slotted, burn_in,
+                                      time_model):
+        g = resolve_graph(spec)
+        slotted = time_model == "slotted-wireless"
+        fam = primary_interference_family(g) if slotted else None
+        cfg = SimConfig(lam=lam_slotted if slotted else lam_mini, horizon=1300,
+                        seed=3, time_model=time_model, sample_every=250,
+                        burn_in=burn_in)
+        res = run(cfg, g, fam)
+        assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
 
 
 class TestSweep:
