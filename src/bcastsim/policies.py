@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,13 +48,6 @@ def max_weight_decide(state: VirtualQueueState, eid: int) -> int | None:
         elif w == best_w > 0 and (fset.bit_count(), fset) < (best.bit_count(), best):
             best = fset
     return best
-
-
-def assign_class(rng: np.random.Generator, k: int) -> int:
-    """Uniform class label for an arriving packet; consumes one draw."""
-    if k < 1:
-        raise ValueError("need at least one class")
-    return int(rng.integers(k))
 
 
 class MultiClassState:
@@ -325,19 +318,20 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
 
 
 def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
-                      eid: int, rng: np.random.Generator) -> int | None:
+                      eid: int, uniform: Callable[[], float]) -> int | None:
     """Sample a node set from the edge's entry; idle on the residual mass or
     when the sampled queue is empty (the policy never substitutes a class, as
     that would change its stationary behavior).
 
-    One uniform draw u picks the first pair whose running sum in
-    ``table.cum`` exceeds u, found by bisection; an empty entry idles
-    without a draw.
+    One call ``uniform()`` gives a draw u in [0, 1) (``Generator.random``,
+    or the next value of a block of them); u picks the first pair whose
+    running sum in ``table.cum`` exceeds u, found by bisection. An empty
+    entry idles without a draw.
     """
     entry = table.entries[eid]
     if not entry:
         return None
-    i = bisect_right(table.cum[eid], float(rng.random()))
+    i = bisect_right(table.cum[eid], uniform())
     if i == len(entry):
         return None
     fset = entry[i][0]

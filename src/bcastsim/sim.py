@@ -8,21 +8,33 @@ slot has and what one event does.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
-identical arrival sample paths regardless of the policy under test.
+identical arrival sample paths regardless of the policy under test. Every
+per-event value is drawn in blocks and used one at a time, in the order the
+scalar calls it replaces would make:
+
+* arrivals, then (mini-slot) active edges, per chunk of ``_CHUNK_SLOTS`` slots;
+* class labels (multiclass, static-tree): ``integers(k, size=_BLOCK_DRAWS)``
+  from the class stream, one label per admitted packet in arrival order;
+* policy uniforms (randomized): ``random(_BLOCK_DRAWS)`` from the policy
+  stream once set-up has sampled its sequences from it, one uniform per event
+  whose edge has a non-empty table entry.
+
+numpy's block forms yield the same values as repeated scalar ``integers(k)``
+and ``random()`` calls, so the block size is not observable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, SchedulingError
 from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
-from .policies import (MultiClassState, RandomizedTable, assign_class,
+from .policies import (MultiClassState, RandomizedTable,
                        build_randomized_table, default_eps, edge_weight,
                        max_weight_decide, multiclass_apply, multiclass_decide,
                        randomized_decide, sample_reachable_sequences,
@@ -44,6 +56,7 @@ MAX_CLASSES = 1000
 MAX_EXTRA_SEQUENCES = 10_000
 
 _CHUNK_SLOTS = 1024
+_BLOCK_DRAWS = 1024
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,12 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
     return (last.min_received - base.min_received) / (last.slot - base.slot)
 
 
+def _blocks(draw):
+    """The values of repeated ``draw()`` calls, one at a time: a block is
+    drawn only when the previous one is used up."""
+    return chain.from_iterable(iter(draw, None))
+
+
 def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     """The configured policy's state, the VirtualQueueState counting its
     packets (the state itself, or the multiclass mirror), ``admit(count)``,
@@ -181,10 +200,12 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     else:
         state = MultiClassState(g, len(trees) if policy == "static-tree" else config.classes)
         queues = state.mirror
+        k = state.k
+        labels = _blocks(lambda: cls_rng.integers(k, size=_BLOCK_DRAWS).tolist())
 
         def admit(count: int):
-            for _ in range(count):
-                state.admit_packet(assign_class(cls_rng, state.k))
+            for c in islice(labels, count):
+                state.admit_packet(c)
 
     if policy == "max-weight":
         def step(eid: int):
@@ -200,9 +221,10 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             bprime = 4 * g.m
         extra = sample_reachable_sequences(g, bprime, pol_rng)
         table = build_randomized_table(g, trees, extra, eps)
+        uniform = _blocks(lambda: pol_rng.random(_BLOCK_DRAWS).tolist()).__next__
 
         def step(eid: int):
-            fset = randomized_decide(table, state, eid, pol_rng)
+            fset = randomized_decide(table, state, eid, uniform)
             if fset is not None:
                 state.transmit(fset, eid)
     elif policy == "multiclass":
@@ -226,9 +248,12 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
     activation whose edges step in ascending id order. Draws come per chunk
-    of ``_CHUNK_SLOTS`` slots: arrivals, then (mini-slot) active edges. The
-    state is sampled at slot 0, every ``sample_every`` slots and at the
-    horizon. Fully deterministic given the seed.
+    of ``_CHUNK_SLOTS`` slots: arrivals, then (mini-slot) active edges. Each
+    admitted packet of an in-order policy takes the next class label, and
+    each randomized event over a non-empty table entry the next policy
+    uniform; both come in blocks, as the module docstring says. The state
+    is sampled at slot 0, every ``sample_every`` slots and at the horizon.
+    Fully deterministic given the seed.
     """
     errors = config.validation_errors(g, fam)
     if errors:

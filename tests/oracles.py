@@ -17,9 +17,14 @@ differentials included. The fast forms must give the same trees,
 sequences, decisions and activations, and the same (class, differential)
 pair or set wherever the ranked differential is positive.
 
-The last one, ``replay_max_weight``, replays a whole max-weight run from
-the documented RNG and loop protocol with those slow forms, so the engine's
-event loop is checked against its description.
+``assign_class`` draws one class label per scalar call, the stream the
+engine draws in blocks.
+
+The last three, ``replay_max_weight``, ``replay_randomized`` and
+``replay_in_order`` (multiclass and static-tree), replay whole runs from the
+documented RNG and loop protocol with those slow forms and scalar draws, so
+the engine's event loop and its block draws are checked against their
+description.
 """
 from collections import Counter
 from types import SimpleNamespace
@@ -27,6 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from bcastsim.graph import Arborescence, broadcast_capacity, max_flow, out_edges
+from bcastsim.policies import build_randomized_table, default_eps
 
 
 def reachable_fixed_point(g, mask):
@@ -386,60 +392,148 @@ def ranking_best_transition(state, eid):
     return best
 
 
-def replay_max_weight(config, g, fam=None):
-    """The run, received and broadcast-rate outputs of a max-weight run,
-    replayed event by event: ``(run_csv, received_csv, rate)``.
+def assign_class(rng, k):
+    """Uniform class label for an arriving packet by one scalar draw; the
+    engine draws the same labels from the class stream in blocks."""
+    if k < 1:
+        raise ValueError("need at least one class")
+    return int(rng.integers(k))
 
-    The four streams are ``SeedSequence(seed).spawn(4)`` (arrivals, active
-    edges, class labels, policy); max-weight reads only the first two. Draws
-    come per chunk of up to 1024 slots: the chunk's Poisson arrivals, one per
-    event, then in mini-slot mode one uniform active edge per event. A
-    mini-slot slot is ``m`` events at rate lam/m, each admitting its arrivals
-    and then moving the best positive transition over its edge. A slotted
-    slot is one event at rate lam: admit, weigh every edge on the state after
-    admission, activate the heaviest member of ``fam``, then move over its
-    edges in ascending id order, each on the state its predecessors left.
-    The state is sampled at slot 0, every ``sample_every`` slots and at the
-    horizon; the rate is the slope of the minimum received count from the
-    last sample at or before the burn-in (a tenth of the horizon unless set).
-    """
-    arr_seq, act_seq, _, _ = np.random.SeedSequence(config.seed).spawn(4)
-    arr_rng = np.random.default_rng(arr_seq)
-    act_rng = np.random.default_rng(act_seq)
-    full = g.full_mask
-    counts = {}
-    admitted = delivered = 0
-    view = SimpleNamespace(graph=g, counts=counts)
 
-    def admit(a):
-        nonlocal admitted
-        admitted += a
+def _streams(config):
+    """The run's four generators: arrivals, active edges, class labels,
+    policy."""
+    return [np.random.default_rng(seq)
+            for seq in np.random.SeedSequence(config.seed).spawn(4)]
+
+
+class _CountQueues:
+    """Virtual queues as a plain count dict: packets per exact replication
+    set short of the full set, plus admitted and delivered totals."""
+
+    def __init__(self, g):
+        self.graph = g
+        self.counts = {}
+        self.admitted = self.delivered = 0
+
+    def admit(self, a):
+        self.admitted += a
         if a:
-            counts[g.source_mask] = counts.get(g.source_mask, 0) + a
+            src = self.graph.source_mask
+            self.counts[src] = self.counts.get(src, 0) + a
 
-    def move(eid):
-        nonlocal delivered
-        best = ranking_best_transition(view, eid)
-        if best is None or best[1] <= 0:
-            return
-        fset = best[0]
+    def forward(self, fset, eid):
+        counts = self.counts
         counts[fset] -= 1
         if not counts[fset]:
             del counts[fset]
-        nxt = fset | 1 << g.edges[eid][1]
-        if nxt == full:
-            delivered += 1
+        nxt = fset | 1 << self.graph.edges[eid][1]
+        if nxt == self.graph.full_mask:
+            self.delivered += 1
         else:
             counts[nxt] = counts.get(nxt, 0) + 1
 
+    def sample(self):
+        """(admitted, delivered, backlog, received per node)."""
+        received = tuple(
+            self.delivered + sum(q for fset, q in self.counts.items() if fset >> v & 1)
+            for v in range(self.graph.n))
+        return self.admitted, self.delivered, sum(self.counts.values()), received
+
+
+class _LedgerQueues:
+    """In-order classes kept in a ``PacketLedger``: each arrival takes one
+    scalar label, the index matrix is read off the ledger, and a plain count
+    dict beside it counts the in-flight sets for the weights."""
+
+    def __init__(self, g, k, cls_rng):
+        self.graph = g
+        self.k = k
+        self.cls_rng = cls_rng
+        self.ledger = PacketLedger(g)
+        self.arrived = [0] * k
+        self.done = [0] * k  # leading packets of each class held everywhere
+        self.counts = {}
+        self._view = None
+
+    def admit(self, a):
+        src = self.graph.source_mask
+        for _ in range(a):
+            c = assign_class(self.cls_rng, self.k)
+            self.arrived[c] += 1
+            self.ledger.admit(c, self.arrived[c])
+            self.counts[src] = self.counts.get(src, 0) + 1
+        if a:
+            self._view = None
+
+    def view(self):
+        """The state as the multiclass rules read it: ``highest[c][v]`` is
+        the longest run of class-``c`` packets from index 1 that node ``v``
+        holds, and ``mirror.counts`` counts the in-flight sets."""
+        if self._view is None:
+            sets = self.ledger.sets
+            highest = []
+            for c in range(self.k):
+                row = []
+                for v in range(self.graph.n):
+                    p = self.done[c]
+                    while p < self.arrived[c] and sets[(c, p + 1)] >> v & 1:
+                        p += 1
+                    row.append(p)
+                highest.append(row)
+            self._view = SimpleNamespace(graph=self.graph, k=self.k, highest=highest,
+                                         mirror=SimpleNamespace(counts=self.counts))
+        return self._view
+
+    def forward(self, c, eid):
+        """Move class ``c``'s next in-order packet for the edge's head."""
+        g = self.graph
+        j = g.edges[eid][1]
+        p = self.view().highest[c][j] + 1
+        old = self.ledger.sets[(c, p)]
+        self.ledger.move(c, p, j)
+        self.counts[old] -= 1
+        if not self.counts[old]:
+            del self.counts[old]
+        nxt = old | 1 << j
+        if nxt != g.full_mask:
+            self.counts[nxt] = self.counts.get(nxt, 0) + 1
+        while (self.done[c] < self.arrived[c]
+               and self.ledger.sets[(c, self.done[c] + 1)] == g.full_mask):
+            self.done[c] += 1
+        self._view = None
+
+    def sample(self):
+        """(admitted, delivered, backlog, received per node)."""
+        sets = self.ledger.sets.values()
+        received = tuple(sum(1 for m in sets if m >> v & 1)
+                         for v in range(self.graph.n))
+        return (len(self.ledger.sets), self.ledger.delivered(),
+                sum(self.ledger.histogram().values()), received)
+
+
+def _replay(config, g, fam, queues, move, weight=None):
+    """Drive a run by the documented loop protocol: ``(run_csv,
+    received_csv, rate)``.
+
+    Draws come per chunk of up to 1024 slots: the chunk's Poisson arrivals,
+    one per event, then in mini-slot mode one uniform active edge per event.
+    A mini-slot slot is ``m`` events at rate lam/m, each admitting its
+    arrivals (``queues.admit``) and then calling ``move`` on its edge. A
+    slotted slot is one event at rate lam: admit, ``weight`` every edge on
+    the state after admission, activate the heaviest member of ``fam``, then
+    ``move`` over its edges in ascending id order, each on the state its
+    predecessors left. The state is sampled at slot 0, every
+    ``sample_every`` slots and at the horizon; the rate is the slope of the
+    minimum received count from the last sample at or before the burn-in (a
+    tenth of the horizon unless set).
+    """
+    arr_rng, act_rng, _, _ = _streams(config)
     rows = []
 
     def sample(slot):
-        received = tuple(
-            delivered + sum(q for fset, q in counts.items() if fset >> v & 1)
-            for v in range(g.n))
-        rows.append((slot, admitted, delivered, min(received),
-                     sum(counts.values()), received))
+        admitted, delivered, backlog, received = queues.sample()
+        rows.append((slot, admitted, delivered, min(received), backlog, received))
 
     sample(0)
     slot = 0
@@ -450,7 +544,7 @@ def replay_max_weight(config, g, fam=None):
             active = act_rng.integers(0, g.m, size=chunk * g.m)
             for t in range(chunk):
                 for i in range(t * g.m, (t + 1) * g.m):
-                    admit(int(arrivals[i]))
+                    queues.admit(int(arrivals[i]))
                     move(int(active[i]))
                 slot += 1
                 if slot % config.sample_every == 0 or slot == config.horizon:
@@ -458,11 +552,8 @@ def replay_max_weight(config, g, fam=None):
         else:
             arrivals = arr_rng.poisson(config.lam, size=chunk)
             for t in range(chunk):
-                admit(int(arrivals[t]))
-                weights = []
-                for eid in range(g.m):
-                    best = ranking_best_transition(view, eid)
-                    weights.append(max(best[1], 0) if best is not None else 0)
+                queues.admit(int(arrivals[t]))
+                weights = [weight(eid) for eid in range(g.m)]
                 chosen = scanning_choose_activation(weights, fam)
                 for eid in range(g.m):
                     if chosen >> eid & 1:
@@ -480,3 +571,89 @@ def replay_max_weight(config, g, fam=None):
     last = rows[-1]
     rate = (last[3] - base[3]) / (last[0] - base[0])
     return "\n".join(run_lines) + "\n", "\n".join(recv_lines) + "\n", rate
+
+
+def replay_max_weight(config, g, fam=None):
+    """A max-weight run replayed with a plain count dict and
+    ``ranking_best_transition``: ``(run_csv, received_csv, rate)``.
+
+    Max-weight reads only the arrival and active-edge streams. An event moves
+    the best transition over its edge when that differential is positive; a
+    slotted edge weighs the best differential, floored at 0.
+    """
+    queues = _CountQueues(g)
+
+    def move(eid):
+        best = ranking_best_transition(queues, eid)
+        if best is not None and best[1] > 0:
+            queues.forward(best[0], eid)
+
+    def weight(eid):
+        best = ranking_best_transition(queues, eid)
+        return max(best[1], 0) if best is not None else 0
+
+    return _replay(config, g, fam, queues, move, weight)
+
+
+def replay_randomized(config, g):
+    """A mini-slot randomized run replayed with a plain count dict and
+    scalar draws: ``(run_csv, received_csv, rate, table_csv)``.
+
+    Set-up packs the trees and samples the extra sequences from the policy
+    stream with the rescanning oracles, then builds the table. Each event
+    whose edge has a non-empty entry then takes one scalar uniform from the
+    policy stream through ``linear_cdf_decide``.
+    """
+    pol_rng = _streams(config)[3]
+    trees = rescanning_tree_packing(g)
+    eps = config.eps if config.eps is not None else default_eps(len(trees), config.lam, g.n)
+    bprime = config.extra_sequences if config.extra_sequences is not None else 4 * g.m
+    extra = rescanning_sample_sequences(g, bprime, pol_rng)
+    table = build_randomized_table(g, trees, extra, eps)
+    queues = _CountQueues(g)
+
+    def move(eid):
+        fset = linear_cdf_decide(table, queues, eid, pol_rng)
+        if fset is not None:
+            queues.forward(fset, eid)
+
+    table_csv = "\n".join(table.csv_rows()) + "\n"
+    return (*_replay(config, g, None, queues, move), table_csv)
+
+
+def replay_in_order(config, g, fam=None):
+    """A multiclass or static-tree run replayed packet by packet in a
+    ``PacketLedger``: ``(run_csv, received_csv, rate)``.
+
+    Each admitted packet takes one scalar label from the class stream, in
+    arrival order. Multiclass moves the class ``rebuilding_multiclass_best``
+    picks when its differential is positive (a slotted edge weighs that
+    differential, floored at 0); static-tree binds class ``c`` to the
+    ``c``-th packed tree and moves the edge's owner whenever its next
+    in-order packet for the head is at the tail.
+    """
+    cls_rng = _streams(config)[2]
+    static = config.policy == "static-tree"
+    trees = rescanning_tree_packing(g) if static else None
+    queues = _LedgerQueues(g, len(trees) if static else config.classes, cls_rng)
+
+    def multiclass_move(eid):
+        best = rebuilding_multiclass_best(queues.view(), eid)
+        if best is not None and best[1] > 0:
+            queues.forward(best[0], eid)
+
+    def static_tree_move(eid):
+        i, j = g.edges[eid]
+        for c, tree in enumerate(trees):
+            if eid in tree.edge_ids:
+                row = queues.view().highest[c]
+                if row[j] < queues.arrived[c] and row[i] > row[j]:
+                    queues.forward(c, eid)
+                return
+
+    def weight(eid):
+        best = rebuilding_multiclass_best(queues.view(), eid)
+        return max(best[1], 0) if best is not None else 0
+
+    move = static_tree_move if static else multiclass_move
+    return _replay(config, g, fam, queues, move, weight)

@@ -12,15 +12,14 @@ from bcastsim import (SimConfig, broadcast_capacity, random_digraph, run,
                       sweep_k, tree_packing)
 from bcastsim.fixtures import diamond4
 from bcastsim.graph import is_arborescence, out_edges
-from bcastsim.policies import (MultiClassState, assign_class, edge_weight,
-                               max_weight_decide, multiclass_apply,
-                               multiclass_decide)
+from bcastsim.policies import (MultiClassState, edge_weight, max_weight_decide,
+                               multiclass_apply, multiclass_decide)
 from bcastsim.queues import VirtualQueueState
 from bcastsim.wireless import (choose_activation, primary_interference_family,
                                wireline_family)
 
-from oracles import (PacketLedger, brute_min_cut, count_exactly_at,
-                     independent_arborescence_check)
+from oracles import (PacketLedger, assign_class, brute_min_cut,
+                     count_exactly_at, independent_arborescence_check)
 
 D4 = diamond4()
 D4_CAPACITY = 2

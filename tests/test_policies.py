@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
 from bcastsim.policies import (MultiClassState, RandomizedTable,
-                               _multiclass_best, assign_class,
+                               _multiclass_best,
                                build_randomized_table, default_eps, edge_weight,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide, randomized_decide,
@@ -15,8 +15,8 @@ from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET, small_graphs)
-from oracles import (PacketLedger, count_exactly_at, linear_cdf_decide,
-                     packet_set, ranking_best_transition,
+from oracles import (PacketLedger, assign_class, count_exactly_at,
+                     linear_cdf_decide, packet_set, ranking_best_transition,
                      rebuilding_multiclass_best, rescanning_sample_sequences,
                      validate_reachable_sequence)
 
@@ -347,13 +347,13 @@ class TestRandomizedDecide:
         rng = np.random.default_rng(0)
         # Edge ca appears in no blue-tree pair, so its entry is empty.
         assert table.entries[CA] == ()
-        assert randomized_decide(table, state, CA, rng) is None
+        assert randomized_decide(table, state, CA, rng.random) is None
 
     def test_empty_queue_idles(self, d4):
         table = build_randomized_table(d4, [BLUE, RED], [], 0.1)
         state = VirtualQueueState(d4)  # nothing admitted
         rng = np.random.default_rng(0)
-        assert all(randomized_decide(table, state, e, rng) is None
+        assert all(randomized_decide(table, state, e, rng.random) is None
                    for e in range(d4.m) for _ in range(20))
 
     def test_sampling_matches_table_mass(self, d4):
@@ -363,7 +363,7 @@ class TestRandomizedDecide:
         state.admit(10 ** 6)
         rng = np.random.default_rng(42)
         draws = 20000
-        hits = sum(randomized_decide(table, state, RA, rng) == R_
+        hits = sum(randomized_decide(table, state, RA, rng.random) == R_
                    for _ in range(draws))
         expect = 1 - 3 * eps / 4
         sigma = (draws * expect * (1 - expect)) ** 0.5
@@ -384,7 +384,7 @@ class TestRandomizedDecide:
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(8):
             for eid in range(g.m):
-                assert (randomized_decide(table, state, eid, ours)
+                assert (randomized_decide(table, state, eid, ours.random)
                         == linear_cdf_decide(table, state, eid, ref))
         assert ours.random() == ref.random()
 
@@ -399,13 +399,13 @@ class TestRandomizedDecide:
         state = VirtualQueueState(Digraph(2, [(0, 1)], 0))
         state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
         if not entry:
-            assert randomized_decide(table, state, 0, _Draws([])) is None
+            assert randomized_decide(table, state, 0, _Draws([]).random) is None
             return
         draws = list(extra) + [0.0]
         for c in table.cum[0]:
             draws += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
         for u in draws:
-            assert (randomized_decide(table, state, 0, _Draws([u]))
+            assert (randomized_decide(table, state, 0, _Draws([u]).random)
                     == linear_cdf_decide(table, state, 0, _Draws([u])))
 
 

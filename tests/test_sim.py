@@ -15,7 +15,7 @@ from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _entered_all,
 from bcastsim.cli import resolve_graph
 from bcastsim.wireless import (make_family, primary_interference_family,
                                 wireline_family)
-from oracles import replay_max_weight
+from oracles import replay_in_order, replay_max_weight, replay_randomized
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
 DAG4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)], 0)
@@ -258,6 +258,75 @@ class TestLoopReplay:
                         burn_in=burn_in)
         res = run(cfg, g, fam)
         assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
+
+    @pytest.mark.parametrize("spec, lam", [
+        ("diamond4", 1.6), ("random(6,10,1)", 0.85), ("random(6,10,5)", 0.85)])
+    def test_randomized_outputs_match_the_replay(self, spec, lam):
+        """Many blocks of policy uniforms, after the set-up's draws from the
+        same stream."""
+        g = resolve_graph(spec)
+        cfg = SimConfig(lam=lam, horizon=1300, seed=3, policy="randomized",
+                        sample_every=250)
+        res = run(cfg, g)
+        table_csv = "\n".join(res.rand_table.csv_rows()) + "\n"
+        assert ((run_csv(res), received_csv(res), res.rate, table_csv)
+                == replay_randomized(cfg, g))
+
+    @pytest.mark.parametrize("spec, lam_mini, lam_slotted, classes", [
+        ("diamond4", 1.6, 0.6, 3),
+        ("random(6,10,1)", 0.85, 0.45, 2),
+        ("random(6,10,5)", 0.85, 0.45, 1),
+    ])
+    @pytest.mark.parametrize("time_model", TIME_MODELS)
+    def test_multiclass_outputs_match_the_replay(self, spec, lam_mini, lam_slotted,
+                                                 classes, time_model):
+        """In mini-slot mode more than one block of class labels is used."""
+        g = resolve_graph(spec)
+        slotted = time_model == "slotted-wireless"
+        fam = primary_interference_family(g) if slotted else None
+        cfg = SimConfig(lam=lam_slotted if slotted else lam_mini, horizon=1300,
+                        seed=3, time_model=time_model, policy="multiclass",
+                        classes=classes, sample_every=250)
+        res = run(cfg, g, fam)
+        assert (run_csv(res), received_csv(res), res.rate) == replay_in_order(cfg, g, fam)
+
+    @pytest.mark.parametrize("spec, lam", [
+        ("diamond4", 1.6), ("random(6,10,1)", 0.85), ("random(8,16,2)", 0.9)])
+    def test_static_tree_outputs_match_the_replay(self, spec, lam):
+        g = resolve_graph(spec)
+        cfg = SimConfig(lam=lam, horizon=1300, seed=3, policy="static-tree",
+                        sample_every=250)
+        res = run(cfg, g)
+        assert (run_csv(res), received_csv(res), res.rate) == replay_in_order(cfg, g)
+
+
+class TestBlockDraws:
+    """``run`` draws policy uniforms and class labels in blocks and uses them
+    one at a time; that gives the scalar calls' values only while numpy's
+    block and scalar forms consume a generator alike."""
+
+    @staticmethod
+    def _pair(seed):
+        # A few 32-bit draws first, as set-up makes on the policy stream, so
+        # a half-used word may carry into the blocks.
+        gens = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in gens:
+            rng.integers(5, size=3)
+            [rng.integers(5) for _ in range(3)]
+        return gens
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 257, 1024])
+    def test_random_blocks_equal_scalar_calls(self, size):
+        block, scalar = self._pair(size)
+        drawn = [u for _ in range(3) for u in block.random(size).tolist()]
+        assert drawn == [scalar.random() for _ in range(3 * size)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 1000])
+    @pytest.mark.parametrize("size", [1, 3, 7, 257])
+    def test_integer_blocks_equal_scalar_calls(self, k, size):
+        block, scalar = self._pair(k * size)
+        drawn = [c for _ in range(3) for c in block.integers(k, size=size).tolist()]
+        assert drawn == [int(scalar.integers(k)) for _ in range(3 * size)]
 
 
 class TestSweep:

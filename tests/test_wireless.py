@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from bcastsim import CapabilityError, Digraph, ParseError, wireless
 from bcastsim.cli import build_activation, resolve_graph
-from bcastsim.policies import (MultiClassState, assign_class, edge_weight,
-                               multiclass_apply, multiclass_decide)
+from bcastsim.policies import (MultiClassState, edge_weight, multiclass_apply,
+                               multiclass_decide)
 from bcastsim.queues import VirtualQueueState
 from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
                                make_family, parse_activation_family,
                                primary_interference_family, wireline_family)
 
 from conftest import R_, RA, RA_SET, RB, small_graphs
-from oracles import brute_matchings, pairwise_conflicts, scanning_choose_activation
+from oracles import (assign_class, brute_matchings, pairwise_conflicts,
+                     scanning_choose_activation)
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)], 0)
 TWO_DISJOINT = Digraph(4, [(0, 1), (2, 3)], 0)
