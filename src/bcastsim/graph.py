@@ -23,10 +23,12 @@ class Digraph:
 
     ``edges`` is an ordered tuple of (tail, head) pairs; node indices run in
     ``[0, n)``. Self-loops and repeated directed edges are rejected.
-    Instances are never mutated after construction and are safe to share.
+    ``full_mask`` and ``source_mask`` are the node-set bitmasks of every node
+    and of the source alone. Instances are never mutated after construction
+    and are safe to share.
     """
 
-    __slots__ = ("n", "edges", "source")
+    __slots__ = ("n", "edges", "source", "full_mask", "source_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], source: int):
         if n < 1:
@@ -48,18 +50,12 @@ class Digraph:
         self.n = n
         self.edges = edges
         self.source = source
+        self.full_mask = (1 << n) - 1
+        self.source_mask = 1 << source
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    @property
-    def source_mask(self) -> int:
-        return 1 << self.source
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m}, source={self.source})"

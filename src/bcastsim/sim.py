@@ -247,8 +247,10 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
-    activation whose edges step in ascending id order. Draws come per chunk
-    of ``_CHUNK_SLOTS`` slots: arrivals, then (mini-slot) active edges. Each
+    activation whose edges step in ascending id order. ``choose_activation``
+    picks it with a bounded memo that this run alone owns, since under
+    stable load the weight vectors recur. Draws come per chunk of
+    ``_CHUNK_SLOTS`` slots: arrivals, then (mini-slot) active edges. Each
     admitted packet of an in-order policy takes the next class label, and
     each randomized event over a non-empty table entry the next policy
     uniform; both come in blocks, as the module docstring says. The state
@@ -301,10 +303,11 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         per_slot, event = m, step
     else:
         per_slot = 1
+        memo: dict[tuple[int, ...], int] = {}
 
         def event(_):
             weights = [edge_weight(state, e) for e in range(m)]
-            smask = choose_activation(weights, fam)
+            smask = choose_activation(weights, fam, memo)
             while smask:
                 low = smask & -smask
                 step(low.bit_length() - 1)

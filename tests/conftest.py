@@ -29,10 +29,10 @@ def d4():
 
 
 @st.composite
-def small_graphs(draw, max_n=6, max_m=None):
-    """``random_digraph`` with 2..max_n nodes and any feasible edge count,
+def small_graphs(draw, max_n=6, max_m=None, min_n=2):
+    """``random_digraph`` with min_n..max_n nodes and any feasible edge count,
     capped at ``max_m`` where that still leaves a spanning tree possible."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     top = n * (n - 1) // 2
     if max_m is not None:
         top = max(n - 1, min(top, max_m))

@@ -15,6 +15,7 @@ from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _entered_all,
 from bcastsim.cli import resolve_graph
 from bcastsim.wireless import (make_family, primary_interference_family,
                                 wireline_family)
+from conftest import small_graphs
 from oracles import replay_in_order, replay_max_weight, replay_randomized
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
@@ -298,6 +299,47 @@ class TestLoopReplay:
                         sample_every=250)
         res = run(cfg, g)
         assert (run_csv(res), received_csv(res), res.rate) == replay_in_order(cfg, g)
+
+
+@st.composite
+def small_runs(draw):
+    """A short run of any policy on a graph of at most 6 nodes, in either
+    time model where the policy has one, with its activation family."""
+    g = draw(small_graphs(6, min_n=3))
+    policy, slotted = draw(st.sampled_from(
+        [(p, False) for p in sim.POLICIES]
+        + [("max-weight", True), ("multiclass", True)]))
+    horizon = draw(st.integers(10, 400))
+    cfg = SimConfig(
+        lam=draw(st.sampled_from([0.9, 0.2, 0.5, 1.4, 2.0, 2.8])), horizon=horizon,
+        seed=draw(st.integers(0, 2 ** 16)),
+        time_model="slotted-wireless" if slotted else "mini-slot",
+        policy=policy, classes=draw(st.integers(1, 4)),
+        sample_every=draw(st.integers(1, 120)),
+        burn_in=draw(st.none() | st.integers(0, horizon - 1)))
+    fam = None
+    if slotted:
+        fam = draw(st.sampled_from([primary_interference_family,
+                                    lambda g: wireline_family(g.m)]))(g)
+    return cfg, g, fam
+
+
+@settings(max_examples=250, deadline=5000)
+@given(small_runs())
+def test_any_small_run_matches_its_replay(case):
+    """Every policy and time model on drawn graphs, rates, cadences and
+    burn-ins; the slotted replay searches each slot's activation afresh, so
+    this also checks ``run``'s activation memo."""
+    cfg, g, fam = case
+    res = run(cfg, g, fam)
+    got = (run_csv(res), received_csv(res), res.rate)
+    if cfg.policy == "max-weight":
+        assert got == replay_max_weight(cfg, g, fam)
+    elif cfg.policy == "randomized":
+        table_csv = "\n".join(res.rand_table.csv_rows()) + "\n"
+        assert (*got, table_csv) == replay_randomized(cfg, g)
+    else:
+        assert got == replay_in_order(cfg, g, fam)
 
 
 class TestBlockDraws:

@@ -8,6 +8,7 @@ from bcastsim.cli import build_activation, resolve_graph
 from bcastsim.policies import (MultiClassState, edge_weight, multiclass_apply,
                                multiclass_decide)
 from bcastsim.queues import VirtualQueueState
+from bcastsim.sim import SimConfig, received_csv, run, run_csv
 from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
                                make_family, parse_activation_family,
                                primary_interference_family, wireline_family)
@@ -226,6 +227,58 @@ class TestChooseActivationMatchesScan:
         assert chosen == scanning_choose_activation(weights, fam)
         assert floored_total(weights, chosen) == max(
             floored_total(weights, mask) for mask in brute_matchings(g))
+
+
+class TestActivationMemo:
+    @staticmethod
+    def _vectors(data, m):
+        """Weight vectors drawn from a small pool, so that they repeat."""
+        pool = data.draw(st.lists(st.lists(WEIGHTS, min_size=m, max_size=m),
+                                  min_size=1, max_size=6))
+        return data.draw(st.lists(st.sampled_from(pool), max_size=40))
+
+    @settings(max_examples=200, deadline=2000)
+    @given(fam=families(), data=st.data())
+    def test_answers_equal_a_fresh_search(self, fam, data):
+        memo = {}
+        for weights in self._vectors(data, fam.edge_count):
+            assert (choose_activation(weights, fam, memo)
+                    == choose_activation(weights, fam)
+                    == scanning_choose_activation(weights, fam))
+            assert memo[tuple(weights)] == choose_activation(weights, fam)
+
+    @settings(max_examples=200, deadline=2000)
+    @given(fam=families(), limit=st.integers(0, 40), data=st.data())
+    def test_a_small_limit_bounds_the_memo(self, fam, limit, data):
+        m = fam.edge_count
+        memo = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wireless, "MEMO_WEIGHT_LIMIT", limit)
+            for weights in self._vectors(data, m):
+                assert (choose_activation(weights, fam, memo)
+                        == scanning_choose_activation(weights, fam))
+                # One entry stays even when a vector alone is over the limit.
+                assert len(memo) * m <= limit or len(memo) == 1
+
+    @pytest.mark.parametrize("policy", ["max-weight", "multiclass"])
+    def test_a_small_limit_leaves_a_run_unchanged(self, policy, monkeypatch):
+        g = resolve_graph("random(6,10,1)")
+        fam = primary_interference_family(g)
+        cfg = SimConfig(lam=0.45, horizon=1500, seed=5, time_model="slotted-wireless",
+                        policy=policy, classes=2, sample_every=100)
+        default = run(cfg, g, fam)
+        monkeypatch.setattr(wireless, "MEMO_WEIGHT_LIMIT", 3 * g.m)
+        small = run(cfg, g, fam)
+        assert ((run_csv(small), received_csv(small))
+                == (run_csv(default), received_csv(default)))
+
+    def test_a_full_memo_is_cleared(self, monkeypatch):
+        fam = wireline_family(2)
+        monkeypatch.setattr(wireless, "MEMO_WEIGHT_LIMIT", 4)
+        memo = {}
+        for weights in ([1, 0], [0, 1], [1, 1]):
+            choose_activation(weights, fam, memo)
+        assert memo == {(1, 1): 0b11}
 
 
 def test_forwarding_on_activation_preserves_conservation(d4):
