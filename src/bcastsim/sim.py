@@ -51,9 +51,20 @@ MAX_WEIGHT_NODE_LIMIT = 25
 # numpy's Poisson sampler refuses rates above about 9.2e18.
 MAX_ARRIVAL_RATE = 1e18
 
+# The in-order policies admit packets one at a time, each with a class label
+# and an in-flight entry. No graph within MAX_NODES has a broadcast capacity
+# above MAX_NODES - 1, so a faster rate only grows the backlog.
+MAX_IN_ORDER_RATE = 1e4
+
 # Each class holds a row of n indices; each extra sequence is sampled in set-up.
 MAX_CLASSES = 1000
 MAX_EXTRA_SEQUENCES = 10_000
+
+# The most key entries the slotted activation memo holds, summed over its keys
+# (queue-count items or weights); a memo that is full is cleared before the
+# next key goes in. A count item costs ~160 bytes and a weight ~11, so a full
+# memo stays near 10 MB.
+MEMO_KEY_LIMIT = 1 << 16
 
 _CHUNK_SLOTS = 1024
 _BLOCK_DRAWS = 1024
@@ -87,6 +98,9 @@ class SimConfig:
             errs.append(f"arrival rate must be finite and non-negative, got {self.lam}")
         elif self.lam > MAX_ARRIVAL_RATE:
             errs.append(f"arrival rate must be at most {MAX_ARRIVAL_RATE:g}, got {self.lam}")
+        elif self.policy in ("multiclass", "static-tree") and self.lam > MAX_IN_ORDER_RATE:
+            errs.append(f"arrival rate must be at most {MAX_IN_ORDER_RATE:g} for policy "
+                        f"'{self.policy}', got {self.lam}")
         if self.horizon < 1:
             errs.append(f"horizon must be at least 1 slot, got {self.horizon}")
         if self.sample_every < 1:
@@ -247,15 +261,20 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
-    activation whose edges step in ascending id order. ``choose_activation``
-    picks it with a bounded memo that this run alone owns, since under
-    stable load the weight vectors recur. Draws come per chunk of
-    ``_CHUNK_SLOTS`` slots: arrivals, then (mini-slot) active edges. Each
-    admitted packet of an in-order policy takes the next class label, and
-    each randomized event over a non-empty table entry the next policy
-    uniform; both come in blocks, as the module docstring says. The state
-    is sampled at slot 0, every ``sample_every`` slots and at the horizon.
-    Fully deterministic given the seed.
+    activation whose edges step in ascending id order. The run memoises
+    that activation. Max-weight's is a function of the queue counts alone,
+    so while they hold at most ``m`` entries they are the key, and a
+    repeated count state skips the ``m`` edge weights and the search. Longer
+    count states, and every multiclass slot, are keyed by the weight vector.
+    Under stable load the keys recur. The memo is cleared before the next
+    key would take its summed key size past ``MEMO_KEY_LIMIT``.
+
+    Draws come per chunk of ``_CHUNK_SLOTS`` slots: arrivals, then
+    (mini-slot) active edges. Each admitted packet of an in-order policy
+    takes the next class label, and each randomized event over a non-empty
+    table entry the next policy uniform; both come in blocks, as the module
+    docstring says. The state is sampled at slot 0, every ``sample_every``
+    slots and at the horizon. Fully deterministic given the seed.
     """
     errors = config.validation_errors(g, fam)
     if errors:
@@ -303,11 +322,31 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         per_slot, event = m, step
     else:
         per_slot = 1
-        memo: dict[tuple[int, ...], int] = {}
+        # Max-weight's choice reads the counts alone, so they key it while
+        # they hold at most m entries (a longer key costs more to build than
+        # its hits save); otherwise, and for multiclass, the weights do.
+        counts = state.counts if isinstance(state, VirtualQueueState) else None
+        memo: dict[frozenset | tuple[int, ...], int] = {}
+        memo_size = 0
+
+        def weigh():
+            return [edge_weight(state, e) for e in range(m)]
 
         def event(_):
-            weights = [edge_weight(state, e) for e in range(m)]
-            smask = choose_activation(weights, fam, memo)
+            nonlocal memo_size
+            if counts is not None and len(counts) <= m:
+                weights = None
+                key = frozenset(counts.items())
+            else:
+                weights = weigh()
+                key = tuple(weights)
+            smask = memo.get(key)
+            if smask is None:
+                if memo_size + len(key) > MEMO_KEY_LIMIT:
+                    memo.clear()
+                    memo_size = 0
+                memo_size += len(key)
+                smask = memo[key] = choose_activation(weights or weigh(), fam)
             while smask:
                 low = smask & -smask
                 step(low.bit_length() - 1)

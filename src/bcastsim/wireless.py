@@ -17,10 +17,6 @@ from .graph import Digraph
 # maximal matchings grows exponentially with the edge count.
 MAX_FAMILY_MEMBERS = 1 << 18
 
-# The most edge weights an activation memo holds (entries times edge count);
-# a memo that is full is cleared before the next entry goes in.
-MEMO_WEIGHT_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class ActivationFamily:
@@ -163,45 +159,21 @@ def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:
         raise ParseError(str(exc)) from None
 
 
-def choose_activation(weights: Sequence[int], fam: ActivationFamily,
-                      memo: dict[tuple[int, ...], int] | None = None) -> int:
+def choose_activation(weights: Sequence[int], fam: ActivationFamily) -> int:
     """Member of the family with the largest total weight; negative weights
     are floored at zero, so idling an activated edge is never penalized. Ties
     keep the earliest member in family order.
 
-    ``memo`` maps a weight vector (as a tuple) to the member chosen for it.
-    The search is deterministic, so a vector found there gets the answer a
-    fresh search would give; a vector not found is searched and stored. Below
-    capacity the backlogs stay bounded and the same vectors recur, so most
-    slots of a run hit. A memo serves one family only: ``run`` gives each
-    slotted run a memo of its own, never shared across runs, seeds or
-    families. It is cleared whenever the next entry would take it past
-    ``MEMO_WEIGHT_LIMIT`` weights, so memory stays flat on long or
-    overloaded runs.
-    """
-    if memo is None:
-        return _search(weights, fam)
-    key = tuple(weights)
-    chosen = memo.get(key)
-    if chosen is None:
-        if (len(memo) + 1) * len(key) > MEMO_WEIGHT_LIMIT:
-            memo.clear()
-        chosen = memo[key] = _search(weights, fam)
-    return chosen
-
-
-def _search(weights: Sequence[int], fam: ActivationFamily) -> int:
-    """``choose_activation`` without a memo: an exact branch-and-bound instead
-    of a scan of every member.
-
-    The positive edges are decided one at a time, heaviest first, include
-    before exclude; ``alive`` is the bitset (over ``fam.holds``) of the
-    members that hold every included edge and no excluded one. A member can
-    hold at most ``room`` more edges, so a branch is pruned when its total
-    plus the ``room`` heaviest undecided weights falls below the best total,
-    or only equals it while its lowest alive index is not below the best one.
-    At a leaf every alive member has the same total and the lowest index
-    wins, which is the scan's own tie-break.
+    An exact branch-and-bound instead of a scan of every member. The positive
+    edges are decided one at a time, heaviest first, include before exclude;
+    ``alive`` is the bitset (over ``fam.holds``) of the members that hold
+    every included edge and no excluded one. A member can hold at most
+    ``room`` more edges, so a branch is pruned when its total plus the
+    ``room`` heaviest undecided weights falls below the best total, or only
+    equals it while its lowest alive index is not below the best one. At a
+    leaf every alive member has the same total and the lowest index wins,
+    which is the scan's own tie-break. The answer is a function of the
+    weights and the family alone, so ``run`` memoises it per slotted run.
     """
     pos = [e for e, w in enumerate(weights) if w > 0]
     if not pos:

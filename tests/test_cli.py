@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from bcastsim import cli
 from bcastsim.cli import main, resolve_graph
 from bcastsim.sim import SimConfig, run
 
@@ -158,6 +159,28 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert "config error: arrival rate" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, policy", [
+        ("simulate", "multiclass"), ("simulate", "static-tree"), ("sweep", "multiclass")])
+    def test_in_order_lambda_over_the_cap_is_a_config_error(self, runner, tmp_path,
+                                                            monkeypatch, command, policy):
+        """Each in-order packet is admitted one at a time, so a huge rate
+        would never finish; it is refused before any run starts."""
+        def never(*args, **kwargs):
+            raise AssertionError("the rate was run")
+
+        monkeypatch.setattr(cli, "run", never)
+        monkeypatch.setattr(cli, "sweep_k", never)
+        text = Path("presets/d4-sweep.ini").read_text()
+        text = text.replace("lambda = 1.95", "lambda = 1e17").replace(
+            "policy = multiclass", f"policy = {policy}\nclasses = 3")
+        cfg = write(tmp_path, "huge.ini", text)
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"config error: arrival rate must be at most 10000 "
+                                 f"for policy '{policy}', got 1e+17\n")
+        assert not (tmp_path / "out").exists()
 
     def test_zero_arrivals_preset_shape(self, runner, tmp_path):
         cfg = write(tmp_path, "zero.ini", FIG2_QUICK.replace("1.95", "0.0"))

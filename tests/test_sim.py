@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       random_digraph, run, sweep_k)
 from bcastsim import graph, sim
 from bcastsim.graph import Digraph, reaches_all
-from bcastsim.sim import (MAX_ARRIVAL_RATE, TIME_MODELS, _entered_all,
-                          received_csv, run_csv, sweep_csv)
+from bcastsim.sim import (MAX_ARRIVAL_RATE, MAX_IN_ORDER_RATE, TIME_MODELS,
+                          _entered_all, received_csv, run_csv, sweep_csv)
 from bcastsim.cli import resolve_graph
 from bcastsim.wireless import (make_family, primary_interference_family,
                                 wireline_family)
@@ -62,6 +63,19 @@ class TestConfigValidation:
 
     def test_lambda_at_the_poisson_limit_accepted(self, d4):
         assert SimConfig(lam=MAX_ARRIVAL_RATE, horizon=10).validation_errors(d4) == []
+
+    @pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
+    def test_in_order_lambda_capped(self, d4, policy):
+        """The in-order policies admit packets one at a time, so their rate
+        has a cap of its own; the virtual-queue policies admit in bulk."""
+        at_cap = SimConfig(lam=MAX_IN_ORDER_RATE, horizon=10, policy=policy)
+        assert at_cap.validation_errors(d4) == []
+        over = replace(at_cap, lam=2 * MAX_IN_ORDER_RATE)
+        assert over.validation_errors(d4) == [
+            f"arrival rate must be at most 10000 for policy '{policy}', "
+            f"got {2 * MAX_IN_ORDER_RATE}"]
+        for other in ("max-weight", "randomized"):
+            assert replace(over, policy=other).validation_errors(d4) == []
 
     @pytest.mark.parametrize("time_model", TIME_MODELS)
     @pytest.mark.parametrize("n", [1, 2])
@@ -257,6 +271,16 @@ class TestLoopReplay:
         cfg = SimConfig(lam=lam_slotted if slotted else lam_mini, horizon=1300,
                         seed=3, time_model=time_model, sample_every=250,
                         burn_in=burn_in)
+        res = run(cfg, g, fam)
+        assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
+
+    def test_overloaded_slotted_run_matches_the_replay(self):
+        """Above the slotted capacity the backlog grows, so the queue counts,
+        and with them the activation memo's keys, seldom repeat."""
+        g = resolve_graph("random(6,10,1)")
+        fam = primary_interference_family(g)
+        cfg = SimConfig(lam=3.0, horizon=1300, seed=3, time_model="slotted-wireless",
+                        sample_every=250)
         res = run(cfg, g, fam)
         assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
 

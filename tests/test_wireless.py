@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastsim import CapabilityError, Digraph, ParseError, wireless
+from bcastsim import CapabilityError, Digraph, ParseError, sim, wireless
 from bcastsim.cli import build_activation, resolve_graph
 from bcastsim.policies import (MultiClassState, edge_weight, multiclass_apply,
                                multiclass_decide)
@@ -229,56 +229,110 @@ class TestChooseActivationMatchesScan:
             floored_total(weights, mask) for mask in brute_matchings(g))
 
 
+def _grow(state: VirtualQueueState, target: int):
+    """Admit one packet and forward it over edges into ``target`` until it is
+    held by exactly ``target`` (delivered, when that is every node)."""
+    g = state.graph
+    state.admit(1)
+    fset = g.source_mask
+    while fset != target:
+        eid = next(e for e, (a, b) in enumerate(g.edges)
+                   if fset >> a & 1 and not fset >> b & 1 and target >> b & 1)
+        state.transmit(fset, eid)
+        fset |= 1 << g.edges[eid][1]
+
+
 class TestActivationMemo:
+    """``run`` memoises the slotted activation: max-weight by the queue
+    counts while they hold at most m entries, otherwise and for multiclass
+    by the weight vector."""
+
+    @settings(max_examples=150, deadline=2000)
+    @given(g=small_graphs(6), data=st.data())
+    def test_equal_counts_give_equal_weights(self, g, data):
+        """Two states with equal counts, reached by different histories (other
+        admissions, deliveries, moves and insertion orders), weigh every edge
+        alike, so the counts are a sound memo key."""
+        first = VirtualQueueState(g)
+        for _ in range(data.draw(st.integers(0, 30))):
+            fsets = sorted(first.counts)
+            if not fsets or data.draw(st.booleans()):
+                first.admit(data.draw(st.integers(1, 3)))
+                continue
+            fset = data.draw(st.sampled_from(fsets))
+            out = [e for e, (a, b) in enumerate(g.edges)
+                   if fset >> a & 1 and not fset >> b & 1]
+            if out:
+                first.transmit(fset, data.draw(st.sampled_from(out)))
+        second = VirtualQueueState(g)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _grow(second, g.full_mask)
+        for fset, count in sorted(first.counts.items(), reverse=True):
+            for _ in range(count):
+                _grow(second, fset)
+        assert second.counts == first.counts
+        assert ([edge_weight(second, e) for e in range(g.m)]
+                == [edge_weight(first, e) for e in range(g.m)])
+
     @staticmethod
-    def _vectors(data, m):
-        """Weight vectors drawn from a small pool, so that they repeat."""
-        pool = data.draw(st.lists(st.lists(WEIGHTS, min_size=m, max_size=m),
-                                  min_size=1, max_size=6))
-        return data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    def _counted_run(cfg, g, fam, monkeypatch):
+        """The run's CSVs and the weight vectors it searched (its misses)."""
+        searched = []
 
-    @settings(max_examples=200, deadline=2000)
-    @given(fam=families(), data=st.data())
-    def test_answers_equal_a_fresh_search(self, fam, data):
-        memo = {}
-        for weights in self._vectors(data, fam.edge_count):
-            assert (choose_activation(weights, fam, memo)
-                    == choose_activation(weights, fam)
-                    == scanning_choose_activation(weights, fam))
-            assert memo[tuple(weights)] == choose_activation(weights, fam)
+        def counted(weights, fam):
+            searched.append(tuple(weights))
+            return choose_activation(weights, fam)
 
-    @settings(max_examples=200, deadline=2000)
-    @given(fam=families(), limit=st.integers(0, 40), data=st.data())
-    def test_a_small_limit_bounds_the_memo(self, fam, limit, data):
-        m = fam.edge_count
-        memo = {}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wireless, "MEMO_WEIGHT_LIMIT", limit)
-            for weights in self._vectors(data, m):
-                assert (choose_activation(weights, fam, memo)
-                        == scanning_choose_activation(weights, fam))
-                # One entry stays even when a vector alone is over the limit.
-                assert len(memo) * m <= limit or len(memo) == 1
+        monkeypatch.setattr(sim, "choose_activation", counted)
+        res = run(cfg, g, fam)
+        return (run_csv(res), received_csv(res)), searched
 
     @pytest.mark.parametrize("policy", ["max-weight", "multiclass"])
     def test_a_small_limit_leaves_a_run_unchanged(self, policy, monkeypatch):
+        """A limit of 3 holds a few max-weight keys but no second multiclass
+        key (10 weights each): the memo clears on nearly every miss."""
         g = resolve_graph("random(6,10,1)")
         fam = primary_interference_family(g)
-        cfg = SimConfig(lam=0.45, horizon=1500, seed=5, time_model="slotted-wireless",
+        cfg = SimConfig(lam=0.3, horizon=1500, seed=5, time_model="slotted-wireless",
                         policy=policy, classes=2, sample_every=100)
-        default = run(cfg, g, fam)
-        monkeypatch.setattr(wireless, "MEMO_WEIGHT_LIMIT", 3 * g.m)
-        small = run(cfg, g, fam)
-        assert ((run_csv(small), received_csv(small))
-                == (run_csv(default), received_csv(default)))
+        outputs, searched = self._counted_run(cfg, g, fam, monkeypatch)
+        assert len(searched) < cfg.horizon / 2  # most slots hit
+        monkeypatch.setattr(sim, "MEMO_KEY_LIMIT", 3)
+        small_outputs, small_searched = self._counted_run(cfg, g, fam, monkeypatch)
+        assert small_outputs == outputs
+        assert len(small_searched) > len(searched)
 
     def test_a_full_memo_is_cleared(self, monkeypatch):
-        fam = wireline_family(2)
-        monkeypatch.setattr(wireless, "MEMO_WEIGHT_LIMIT", 4)
-        memo = {}
-        for weights in ([1, 0], [0, 1], [1, 1]):
-            choose_activation(weights, fam, memo)
-        assert memo == {(1, 1): 0b11}
+        """A multiclass key is the weight vector, whose every slot passes
+        through ``edge_weight``; the searches must be the misses of a memo
+        cleared whenever the next key would take it past the bound."""
+        g = resolve_graph("random(6,10,1)")
+        fam = primary_interference_family(g)
+        limit = 2 * g.m  # two keys fill it exactly; a third clears it
+        weighed = []
+
+        def recorded(state, eid):
+            weighed.append(edge_weight(state, eid))
+            return weighed[-1]
+
+        monkeypatch.setattr(sim, "edge_weight", recorded)
+        monkeypatch.setattr(sim, "MEMO_KEY_LIMIT", limit)
+        cfg = SimConfig(lam=0.3, horizon=400, seed=5, time_model="slotted-wireless",
+                        policy="multiclass", classes=2)
+        _, searched = self._counted_run(cfg, g, fam, monkeypatch)
+        keys = [tuple(weighed[i:i + g.m]) for i in range(0, len(weighed), g.m)]
+        assert len(keys) == cfg.horizon
+        memo, size, misses = set(), 0, []
+        for key in keys:
+            if key not in memo:
+                if size + len(key) > limit:
+                    memo.clear()
+                    size = 0
+                memo.add(key)
+                size += len(key)
+                misses.append(key)
+        assert searched == misses
+        assert len(misses) > len(set(keys))  # the memo was cleared
 
 
 def test_forwarding_on_activation_preserves_conservation(d4):
