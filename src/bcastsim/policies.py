@@ -8,9 +8,10 @@ turns the same candidate rules into the per-edge weights of the slotted model.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -237,6 +238,54 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
     return 1 / (4 * n)
 
 
+# 32-bit words per block drawn by ``_bounded_indices``; like sim's uniform and
+# label blocks, the size is not observable.
+_WORD_BLOCK = 1024
+_WORD_MASK = 0xFFFF_FFFF
+
+
+@contextmanager
+def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]:
+    """Yield ``index(k)``, which returns what ``int(rng.integers(k))`` would,
+    taking its 32-bit words from blocks of ``rng.integers(0, 2**32,
+    size=_WORD_BLOCK, dtype=np.uint32)``.
+
+    numpy's bounded rule for ``k <= 2**32`` (Lemire 2019): ``k == 1`` takes no
+    word; otherwise ``x = w * k`` for the next word ``w``, and while the low 32
+    bits of ``x`` are below ``(2**32 - k) % k`` (tested only once they are
+    below ``k``) the next word replaces ``w``; the index is ``x >> 32``. On
+    exit, also by an exception, the generator is reset to its state on entry
+    and advanced by exactly the words used, drawn as one block, which leaves
+    it where the scalar calls would, PCG64's buffered half-word included.
+    """
+    saved = rng.bit_generator.state
+    words = chain.from_iterable(iter(
+        lambda: rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32).tolist(),
+        None))
+    next_word = words.__next__
+    used = 0
+
+    def index(k: int) -> int:
+        nonlocal used
+        if k == 1:
+            return 0
+        x = next_word() * k
+        used += 1
+        if x & _WORD_MASK < k:
+            threshold = ((1 << 32) - k) % k
+            while x & _WORD_MASK < threshold:
+                x = next_word() * k
+                used += 1
+        return x >> 32
+
+    try:
+        yield index
+    finally:
+        rng.bit_generator.state = saved
+        if used:
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+
+
 def sample_reachable_sequences(g: Digraph, count: int,
                                rng: np.random.Generator) -> list[ReachableSequence]:
     """Sample growth sequences by repeatedly crossing a uniformly chosen
@@ -244,7 +293,10 @@ def sample_reachable_sequences(g: Digraph, count: int,
 
     The out-boundary is kept as an ascending list of edge ids: when node b
     joins the set, the edges into b leave it and b's edges to nodes outside
-    the set enter it.
+    the set enter it. Each step picks ``boundary[int(rng.integers(k))]`` for a
+    boundary of k edges, with the words of those scalar calls drawn in blocks
+    (``_bounded_indices``), so the sequences and the generator state
+    afterwards, on the unreachable-node error too, equal the scalar calls'.
     """
     full = g.full_mask
     into: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -254,24 +306,25 @@ def sample_reachable_sequences(g: Digraph, count: int,
         into[b].append((eid, a))
     start = out_edges(g, g.source_mask)
     seqs = []
-    for _ in range(count):
-        fset = g.source_mask
-        boundary = list(start)
-        seq = []
-        while fset != full:
-            if not boundary:
-                raise ValueError("a node is unreachable from the source")
-            eid = boundary[int(rng.integers(len(boundary)))]
-            seq.append((fset, eid))
-            b = g.edges[eid][1]
-            fset |= 1 << b
-            for e, a in into[b]:
-                if (fset >> a) & 1:
-                    del boundary[bisect_left(boundary, e)]
-            for e, h in out[b]:
-                if not (fset >> h) & 1:
-                    insort(boundary, e)
-        seqs.append(tuple(seq))
+    with _bounded_indices(rng) as index:
+        for _ in range(count):
+            fset = g.source_mask
+            boundary = list(start)
+            seq = []
+            while fset != full:
+                if not boundary:
+                    raise ValueError("a node is unreachable from the source")
+                eid = boundary[index(len(boundary))]
+                seq.append((fset, eid))
+                b = g.edges[eid][1]
+                fset |= 1 << b
+                for e, a in into[b]:
+                    if (fset >> a) & 1:
+                        del boundary[bisect_left(boundary, e)]
+                for e, h in out[b]:
+                    if not (fset >> h) & 1:
+                        insort(boundary, e)
+            seqs.append(tuple(seq))
     return seqs
 
 
@@ -302,11 +355,14 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
                 raise ConstructionError(
                     f"eps={eps} makes the tree allocation negative at step {j}")
             acc[eid][fset] = acc[eid].get(fset, 0.0) + p
-    bprime = len(extra_sequences)
-    for seq in extra_sequences:
-        for j, (fset, eid) in enumerate(seq, start=1):
-            p = eps * j / (2 * n * n * bprime)
-            acc[eid][fset] = acc[eid].get(fset, 0.0) + p
+    if extra_sequences:
+        # Every sequence has n - 1 positions, and position j adds the same
+        # float in each of them.
+        bprime = len(extra_sequences)
+        extra_p = [eps * j / (2 * n * n * bprime) for j in range(1, n)]
+        for seq in extra_sequences:
+            for (fset, eid), p in zip(seq, extra_p):
+                acc[eid][fset] = acc[eid].get(fset, 0.0) + p
     entries = []
     for eid in range(g.m):
         total = sum(acc[eid].values())

@@ -19,6 +19,11 @@ scalar calls it replaces would make:
   stream once set-up has sampled its sequences from it, one uniform per event
   whose edge has a non-empty table entry.
 
+Set-up's sequence sampling also takes its words from the policy stream in
+blocks (``policies.sample_reachable_sequences``) and then resets that stream
+to exactly the words it used, so the uniforms start where scalar
+``integers(k)`` calls would have left it.
+
 numpy's block forms yield the same values as repeated scalar ``integers(k)``
 and ``random()`` calls, so the block size is not observable.
 """

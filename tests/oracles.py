@@ -20,6 +20,10 @@ pair or set wherever the ranked differential is positive.
 ``assign_class`` draws one class label per scalar call, the stream the
 engine draws in blocks.
 
+``slotted_capacity_lp`` gives the slotted model's exact capacity from a
+linear program over the activation family (scipy, tests only); the library
+has no slotted capacity of its own to compare it with.
+
 The last three, ``replay_max_weight``, ``replay_randomized`` and
 ``replay_in_order`` (multiclass and static-tree), replay whole runs from the
 documented RNG and loop protocol with those slow forms and scalar draws, so
@@ -193,6 +197,58 @@ def pairwise_conflicts(g):
                 conflict[e] |= 1 << f
                 conflict[f] |= 1 << e
     return conflict
+
+
+def slotted_capacity_lp(g, fam):
+    """Exact slotted broadcast capacity: the largest lam such that some convex
+    combination x of the family's members gives edge rates that carry lam
+    units of flow from the source to every sink, one flow per sink sharing
+    those rates (by Edmonds' branching theorem, the broadcast capacity of the
+    averaged graph). One LP, solved by scipy's HiGHS; scipy is a test-only
+    dependency, imported here so the other oracles do without it.
+
+    Variables: the member weights x, lam, then f[t][e] per sink and edge.
+    """
+    from scipy.optimize import linprog
+
+    members, m = len(fam.masks), g.m
+    sinks = [t for t in range(g.n) if t != g.source]
+    lam_var = members
+    size = members + 1 + len(sinks) * m
+
+    def flow(k, e):
+        return members + 1 + k * m + e
+
+    a_ub, b_ub = [], []
+    for k in range(len(sinks)):
+        for e in range(m):  # f[t][e] <= sum of x over the members holding e
+            row = [0.0] * size
+            row[flow(k, e)] = 1.0
+            for i, mask in enumerate(fam.masks):
+                if (mask >> e) & 1:
+                    row[i] = -1.0
+            a_ub.append(row)
+            b_ub.append(0.0)
+    a_eq = [[1.0] * members + [0.0] * (size - members)]
+    b_eq = [1.0]
+    for k, t in enumerate(sinks):
+        for v in range(g.n):  # out - in = lam at the source, -lam at t
+            row = [0.0] * size
+            for e, (a, b) in enumerate(g.edges):
+                if a == v:
+                    row[flow(k, e)] += 1.0
+                if b == v:
+                    row[flow(k, e)] -= 1.0
+            row[lam_var] = -1.0 if v == g.source else 1.0 if v == t else 0.0
+            a_eq.append(row)
+            b_eq.append(0.0)
+    cost = [0.0] * size
+    cost[lam_var] = -1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
+                  b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"capacity LP failed: {res.message}")
+    return -res.fun
 
 
 def count_exactly_at(state, gset):

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
+from bcastsim.cli import resolve_graph
+from bcastsim.fixtures import path_graph
 from bcastsim.policies import (MultiClassState, RandomizedTable,
-                               _multiclass_best,
+                               _bounded_indices, _multiclass_best,
                                build_randomized_table, default_eps, edge_weight,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide, randomized_decide,
@@ -421,14 +423,70 @@ class TestSampledSequences:
         with pytest.raises(ValueError):
             sample_reachable_sequences(g, 1, np.random.default_rng(0))
 
+    @staticmethod
+    def _assert_matches_oracle(g, count, seed):
+        """Same sequences as the scalar oracle, and the same generator state
+        afterwards. One scalar ``integers(5)`` first leaves PCG64 holding a
+        buffered half-word, which the block draws must carry in and out;
+        ``random()`` would read a fresh 64-bit output and miss it."""
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, ref):
+            rng.integers(5)
+        assert (sample_reachable_sequences(g, count, ours)
+                == rescanning_sample_sequences(g, count, ref))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.integers(7) == ref.integers(7)
+
     @settings(max_examples=80, deadline=2000)
     @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
            count=st.integers(0, 12))
     def test_matches_rescanning_oracle(self, g, seed, count):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert (sample_reachable_sequences(g, count, ours)
-                == rescanning_sample_sequences(g, count, ref))
-        assert ours.random() == ref.random()
+        self._assert_matches_oracle(g, count, seed)
+
+    @pytest.mark.parametrize("spec,count", [
+        ("random(25,200,1)", 800),  # ~19,000 words: many blocks
+        ("diamond4", 40),
+        ("random(12,30,3)", 0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_rescanning_oracle_fixed(self, spec, count, seed):
+        self._assert_matches_oracle(resolve_graph(spec), count, seed)
+
+    def test_single_edge_boundaries_draw_no_word(self):
+        rng = np.random.default_rng(4)
+        rng.integers(5)
+        before = rng.bit_generator.state
+        seqs = sample_reachable_sequences(path_graph(5), 30, rng)
+        assert seqs == [tuple((2 ** (i + 1) - 1, i) for i in range(4))] * 30
+        assert rng.bit_generator.state == before
+
+    def test_unreachable_node_leaves_scalar_state(self):
+        g = Digraph(4, [(0, 1), (0, 2), (1, 2), (3, 1)], 0)
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(ValueError):
+            sample_reachable_sequences(g, 2, ours)
+        with pytest.raises(ValueError):
+            rescanning_sample_sequences(g, 2, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class TestBoundedIndices:
+    """``_bounded_indices`` replays numpy's bounded rule for ``integers(k)``.
+    Near k = 2**31 a large share of words is rejected and redrawn, which
+    sampled boundaries (k <= 200) almost never see. The even k make a
+    threshold one too high (or ``<=`` for ``<``) reject whole residue
+    classes; k = 1 must take no word."""
+
+    @pytest.mark.parametrize("k", [1, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 31,
+                                   3 * 2 ** 30, 200])
+    def test_equals_scalar_integers(self, k):
+        ours, ref = np.random.default_rng(k % 1009), np.random.default_rng(k % 1009)
+        for rng in (ours, ref):
+            rng.integers(5)
+        with _bounded_indices(ours) as index:
+            drawn = [index(k) for _ in range(2000)]
+        assert drawn == [int(ref.integers(k)) for _ in range(2000)]
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_one_class_per_packet_matches_max_weight(d4):
