@@ -7,8 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CapabilityError, ParseError
 from .graph import Digraph
@@ -17,15 +18,16 @@ from .graph import Digraph
 # maximal matchings grows exponentially with the edge count.
 MAX_FAMILY_MEMBERS = 1 << 18
 
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class ActivationFamily:
     """Feasible simultaneous activations, each a bitmask over edge ids.
 
     The empty activation is always a member (idling is feasible) and members
-    are unique. ``holds[e]`` is a bitset over member indices: bit i is set
-    when member i activates edge e. ``width`` is the most edges any member
-    activates. Both are built on first use.
+    are unique. ``holders[e]`` is an int64 array of the indices of the
+    members that activate edge e, ascending; it is built on first use.
     """
 
     edge_count: int
@@ -44,19 +46,14 @@ class ActivationFamily:
             raise ValueError("the empty activation must be a member")
 
     @cached_property
-    def holds(self) -> tuple[int, ...]:
-        holds = [0] * self.edge_count
+    def holders(self) -> tuple[np.ndarray, ...]:
+        holders: list[list[int]] = [[] for _ in range(self.edge_count)]
         for i, mask in enumerate(self.masks):
-            bit = 1 << i
             while mask:
                 low = mask & -mask
-                holds[low.bit_length() - 1] |= bit
+                holders[low.bit_length() - 1].append(i)
                 mask ^= low
-        return tuple(holds)
-
-    @cached_property
-    def width(self) -> int:
-        return max(mask.bit_count() for mask in self.masks)
+        return tuple(np.array(h, dtype=np.int64) for h in holders)
 
 
 def make_family(edge_count: int, masks: Sequence[int]) -> ActivationFamily:
@@ -164,49 +161,18 @@ def choose_activation(weights: Sequence[int], fam: ActivationFamily) -> int:
     are floored at zero, so idling an activated edge is never penalized. Ties
     keep the earliest member in family order.
 
-    An exact branch-and-bound instead of a scan of every member. The positive
-    edges are decided one at a time, heaviest first, include before exclude;
-    ``alive`` is the bitset (over ``fam.holds``) of the members that hold
-    every included edge and no excluded one. A member can hold at most
-    ``room`` more edges, so a branch is pruned when its total plus the
-    ``room`` heaviest undecided weights falls below the best total, or only
-    equals it while its lowest alive index is not below the best one. At a
-    leaf every alive member has the same total and the lowest index wins,
-    which is the scan's own tie-break. The answer is a function of the
-    weights and the family alone, so ``run`` memoises it per slotted run.
+    Each positive weight is added to the totals of the members that hold its
+    edge, and ``argmax`` returns the first largest total. The totals are
+    int64 while no member's total can pass 2**63 - 1, and Python ints
+    otherwise, so every weight is summed exactly. The answer is a function
+    of the weights and the family alone, so ``run`` memoises it per slotted
+    run.
     """
-    pos = [e for e, w in enumerate(weights) if w > 0]
-    if not pos:
-        return fam.masks[0]
-    pos.sort(key=weights.__getitem__, reverse=True)
-    k = len(pos)
-    width = fam.width
-    # prefix[j]: the j heaviest positive weights summed; padded so that
-    # prefix[i + room] - prefix[i] is the room heaviest from position i.
-    prefix = [0, *accumulate(map(weights.__getitem__, pos))]
-    prefix.extend([prefix[-1]] * width)
-    holds = fam.holds
-    best_total, best_idx = -1, 0
-    # (next position in pos, alive members, total so far, room for edges)
-    stack = [(0, (1 << len(fam.masks)) - 1, 0, width)]
-    while stack:
-        i, alive, total, room = stack.pop()
-        bound = total + prefix[i + room] - prefix[i]
-        if bound < best_total or (
-                bound == best_total
-                and (alive & -alive).bit_length() - 1 >= best_idx):
-            continue
-        while i < k and room:
-            e = pos[i]
-            inc = alive & holds[e]
-            i += 1
-            if inc:
-                if inc != alive:
-                    stack.append((i, alive ^ inc, total, room))
-                alive = inc
-                total += weights[e]
-                room -= 1
-        idx = (alive & -alive).bit_length() - 1
-        if total > best_total or (total == best_total and idx < best_idx):
-            best_total, best_idx = total, idx
-    return fam.masks[best_idx]
+    positive = [(e, w) for e, w in enumerate(weights) if w > 0]
+    # A member holds at most edge_count edges.
+    small = all(w <= _INT64_MAX // fam.edge_count for _, w in positive)
+    totals = np.zeros(len(fam.masks), dtype=np.int64 if small else object)
+    holders = fam.holders
+    for e, w in positive:
+        totals[holders[e]] += w
+    return fam.masks[int(totals.argmax())]

@@ -284,6 +284,16 @@ class TestLoopReplay:
         res = run(cfg, g, fam)
         assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
 
+    @pytest.mark.parametrize("lam", [5e17, 1e18])
+    def test_huge_rate_slotted_run_matches_the_replay(self, d4, lam):
+        """Edge weights pass 2**63 - 1 within a few slots, so the activation
+        totals must stay exact past int64."""
+        fam = primary_interference_family(d4)
+        cfg = SimConfig(lam=lam, horizon=40, seed=3, time_model="slotted-wireless",
+                        sample_every=10)
+        res = run(cfg, d4, fam)
+        assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, d4, fam)
+
     @pytest.mark.parametrize("spec, lam", [
         ("diamond4", 1.6), ("random(6,10,1)", 0.85), ("random(6,10,5)", 0.85)])
     def test_randomized_outputs_match_the_replay(self, spec, lam):

@@ -42,12 +42,11 @@ class TestFamilyType:
         assert wireline_family(3).masks == (0, 0b111)
         assert wireline_family(0).masks == (0,)
 
-    def test_holds_and_width(self):
+    def test_holders(self):
         fam = ActivationFamily(3, (0b011, 0, 0b100))
-        assert fam.holds == (0b001, 0b001, 0b100)
-        assert fam.width == 2
-        assert wireline_family(0).holds == ()
-        assert wireline_family(0).width == 0
+        assert [h.tolist() for h in fam.holders] == [[0], [0], [2]]
+        assert all(h.dtype == np.int64 for h in fam.holders)
+        assert wireline_family(0).holders == ()
 
 
 class TestPrimaryInterference:
@@ -210,13 +209,29 @@ def families(draw):
     return parse_activation_family("# drawn\n" + "\n".join(lines) + "\n", m)
 
 
+def weight_lists(m):
+    """Small weights mixed with ones from just under to twice the largest
+    weight that keeps every member's total inside int64, so that totals of
+    either type occur and int64 totals would overflow."""
+    edge = ((1 << 63) - 1) // max(m, 1)
+    return st.lists(st.one_of(WEIGHTS, st.integers(edge - 2, 2 * edge)),
+                    min_size=m, max_size=m)
+
+
 class TestChooseActivationMatchesScan:
     @settings(max_examples=500, deadline=2000)
     @given(fam=families(), data=st.data())
     def test_any_family(self, fam, data):
-        weights = data.draw(st.lists(WEIGHTS, min_size=fam.edge_count,
-                                     max_size=fam.edge_count))
+        weights = data.draw(weight_lists(fam.edge_count))
         assert choose_activation(weights, fam) == scanning_choose_activation(weights, fam)
+
+    def test_totals_at_the_int64_limit(self):
+        """At the bound the full member's total fits in int64; one above it
+        the total passes 2**63 - 1, and the full member must still win."""
+        fam = make_family(3, [0b001, 0b111])
+        bound = ((1 << 63) - 1) // 3
+        assert choose_activation([bound] * 3, fam) == 0b111
+        assert choose_activation([bound + 1] * 3, fam) == 0b111
 
     @settings(max_examples=200, deadline=2000)
     @given(g=small_graphs(7, max_m=10), data=st.data())
