@@ -7,7 +7,7 @@ turns the same candidate rules into the per-edge weights of the slotted model.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -190,19 +190,31 @@ def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:
     raise TypeError(f"no edge weight rule for {type(state).__name__}")
 
 
-def static_tree_decide(state: MultiClassState, trees: Sequence[Arborescence],
-                       eid: int) -> int | None:
-    """Class owning the active edge, if its next in-order packet for the head
-    is present at the tail. Classes are bound to edge-disjoint trees, so at
-    most one class can own an edge."""
-    i, j = state.graph.edges[eid]
+def tree_owners(g: Digraph, trees: Sequence[Arborescence]) -> list[int]:
+    """``owner[eid]``: the class ``c`` whose tree ``trees[c]`` holds the
+    edge, or -1 for an edge on no tree. Classes are bound to edge-disjoint
+    trees, so at most one class can own an edge."""
+    owner = [-1] * g.m
     for c, tree in enumerate(trees):
-        if eid in tree.edge_set:
-            row = state.highest[c]
-            p = row[j] + 1
-            if p <= row[state.graph.source] and row[i] >= p:
-                return c
-            return None
+        for eid in tree.edge_ids:
+            owner[eid] = c
+    return owner
+
+
+def static_tree_decide(state: MultiClassState, owner: Sequence[int],
+                       eid: int) -> int | None:
+    """Class owning the active edge (``owner`` from ``tree_owners``), if its
+    next in-order packet for the head is present at the tail; None to idle,
+    also on an edge no tree holds."""
+    c = owner[eid]
+    if c < 0:
+        return None
+    g = state.graph
+    i, j = g.edges[eid]
+    row = state.highest[c]
+    p = row[j] + 1
+    if p <= row[g.source] and row[i] >= p:
+        return c
     return None
 
 
@@ -291,39 +303,52 @@ def sample_reachable_sequences(g: Digraph, count: int,
     """Sample growth sequences by repeatedly crossing a uniformly chosen
     out-boundary edge. Requires every node reachable from the source.
 
-    The out-boundary is kept as an ascending list of edge ids: when node b
-    joins the set, the edges into b leave it and b's edges to nodes outside
-    the set enter it. Each step picks ``boundary[int(rng.integers(k))]`` for a
-    boundary of k edges, with the words of those scalar calls drawn in blocks
-    (``_bounded_indices``), so the sequences and the generator state
-    afterwards, on the unreachable-node error too, equal the scalar calls'.
+    The out-boundary is an edge-id bitmask ``bnd``. ``inmask[v]`` and
+    ``outmask[v]`` hold the edges into and out of node v, and ``entered``
+    is the OR of ``inmask`` over the set, i.e. the edges whose head is
+    already in it. When node b joins, ``bnd = (bnd & ~inmask[b]) |
+    (outmask[b] & ~entered)``. A boundary of k edges picks its j-th lowest
+    set bit for ``j = int(rng.integers(k))``, which is ``boundary[j]`` of the
+    ascending edge-id list; it is found by clearing the j lowest set bits or
+    the k - 1 - j highest, whichever is fewer. The words of those scalar
+    calls are drawn in blocks (``_bounded_indices``), so the sequences and
+    the generator state afterwards, on the unreachable-node error too, equal
+    the scalar calls'.
     """
     full = g.full_mask
-    into: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    heads = [b for _, b in g.edges]
+    inmask = [0] * g.n
+    outmask = [0] * g.n
     for eid, (a, b) in enumerate(g.edges):
-        out[a].append((eid, b))
-        into[b].append((eid, a))
-    start = out_edges(g, g.source_mask)
+        outmask[a] |= 1 << eid
+        inmask[b] |= 1 << eid
+    start = sum(1 << eid for eid in out_edges(g, g.source_mask))
     seqs = []
     with _bounded_indices(rng) as index:
         for _ in range(count):
             fset = g.source_mask
-            boundary = list(start)
+            entered = inmask[g.source]
+            bnd = start
             seq = []
             while fset != full:
-                if not boundary:
+                if not bnd:
                     raise ValueError("a node is unreachable from the source")
-                eid = boundary[index(len(boundary))]
+                k = bnd.bit_count()
+                j = index(k)
+                x = bnd
+                if 2 * j < k:
+                    for _ in range(j):
+                        x &= x - 1
+                    eid = (x & -x).bit_length() - 1
+                else:
+                    for _ in range(k - 1 - j):
+                        x ^= 1 << (x.bit_length() - 1)
+                    eid = x.bit_length() - 1
                 seq.append((fset, eid))
-                b = g.edges[eid][1]
+                b = heads[eid]
                 fset |= 1 << b
-                for e, a in into[b]:
-                    if (fset >> a) & 1:
-                        del boundary[bisect_left(boundary, e)]
-                for e, h in out[b]:
-                    if not (fset >> h) & 1:
-                        insort(boundary, e)
+                entered |= inmask[b]
+                bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)
             seqs.append(tuple(seq))
     return seqs
 

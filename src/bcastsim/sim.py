@@ -43,7 +43,7 @@ from .policies import (MultiClassState, RandomizedTable,
                        build_randomized_table, default_eps, edge_weight,
                        max_weight_decide, multiclass_apply, multiclass_decide,
                        randomized_decide, sample_reachable_sequences,
-                       static_tree_decide)
+                       static_tree_decide, tree_owners)
 from .queues import VirtualQueueState
 from .wireless import ActivationFamily, choose_activation
 
@@ -252,8 +252,10 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             if c is not None:
                 multiclass_apply(state, c, eid)
     else:
+        owner = tree_owners(g, trees)
+
         def step(eid: int):
-            c = static_tree_decide(state, trees, eid)
+            c = static_tree_decide(state, owner, eid)
             if c is not None:
                 multiclass_apply(state, c, eid)
     return state, queues, admit, step, table

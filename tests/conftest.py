@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bcastsim import random_digraph
+from bcastsim import Digraph, random_digraph
 from bcastsim.fixtures import diamond4
 
 # Diamond edge ids in fixture order: source r=0, then a=1, b=2, c=3.
@@ -38,3 +38,14 @@ def small_graphs(draw, max_n=6, max_m=None, min_n=2):
         top = max(n - 1, min(top, max_m))
     m = draw(st.integers(n - 1, top))
     return random_digraph(n, m, draw(st.integers(0, 2 ** 16)))
+
+
+@st.composite
+def any_digraphs(draw, max_n=7):
+    """A ``Digraph`` over any set of directed pairs, in any order, with any
+    source: unlike ``random_digraph`` it may hold both directions of a pair
+    and nodes unreachable from the source."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Digraph(n, edges, draw(st.integers(0, n - 1)))

@@ -12,11 +12,12 @@ from bcastsim.policies import (MultiClassState, RandomizedTable,
                                build_randomized_table, default_eps, edge_weight,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide, randomized_decide,
-                               sample_reachable_sequences, static_tree_decide)
+                               sample_reachable_sequences, static_tree_decide,
+                               tree_owners)
 from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
-                      RC_SET, small_graphs)
+                      RC_SET, any_digraphs, small_graphs)
 from oracles import (PacketLedger, assign_class, count_exactly_at,
                      linear_cdf_decide, packet_set, ranking_best_transition,
                      rebuilding_multiclass_best, rescanning_sample_sequences,
@@ -225,6 +226,7 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
     the in-flight lists equal the ledger's sets, and the multiclass choice on
     every edge equals the one that rebuilds each head-of-line set."""
     trees = tree_packing(g)
+    owner = tree_owners(g, trees)
     state = MultiClassState(g, classes if policy == "multiclass" else len(trees))
     ledger = PacketLedger(g)
     for kind, pick in moves:
@@ -237,7 +239,7 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
             if policy == "multiclass":
                 c = multiclass_decide(state, eid)
             else:
-                c = static_tree_decide(state, trees, eid)
+                c = static_tree_decide(state, owner, eid)
             if c is not None:
                 j = g.edges[eid][1]
                 ledger.move(c, state.highest[c][j] + 1, j)
@@ -254,33 +256,40 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
 
 
 class TestStaticTree:
+    def test_owner_table(self, d4):
+        owner = tree_owners(d4, [BLUE, RED])
+        assert [owner[e] for e in (RA, AB, BC, RB, RC, CA)] == [0, 0, 0, 1, 1, 1]
+        assert owner.count(-1) == d4.m - 6
+
     def test_edge_owned_by_blue_tree(self, d4):
         state = mc_state(d4, [[3, 2, 1, 0], [3, 0, 1, 1]])
-        assert static_tree_decide(state, [BLUE, RED], AB) == 0
+        assert static_tree_decide(state, tree_owners(d4, [BLUE, RED]), AB) == 0
 
     def test_ineligible_owner_idles_instead_of_borrowing(self, d4):
         # Class 0 owns ab but its head packet is not at a yet.
         state = mc_state(d4, [[3, 0, 0, 0], [3, 3, 3, 3]])
-        assert static_tree_decide(state, [BLUE, RED], AB) is None
+        assert static_tree_decide(state, tree_owners(d4, [BLUE, RED]), AB) is None
 
     def test_edge_on_no_tree(self):
         g = Digraph(3, [(0, 1), (0, 2), (1, 2)], 0)
         trees = tree_packing(g)
         assert broadcast_capacity(g) == 1
         unused = [e for e in range(g.m) if e not in trees[0].edge_set]
+        owner = tree_owners(g, trees)
         state = mc_state(g, [[2, 0, 0]])
         for eid in unused:
-            assert static_tree_decide(state, trees, eid) is None
+            assert static_tree_decide(state, owner, eid) is None
 
     def test_only_forwards_over_own_tree(self, d4):
         state = MultiClassState(d4, 2)
         rng = np.random.default_rng(11)
         trees = [BLUE, RED]
+        owner = tree_owners(d4, trees)
         for _ in range(600):
             if rng.random() < 0.4:
                 state.admit_packet(assign_class(rng, 2))
             eid = int(rng.integers(d4.m))
-            c = static_tree_decide(state, trees, eid)
+            c = static_tree_decide(state, owner, eid)
             if c is not None:
                 assert eid in trees[c].edge_set
                 multiclass_apply(state, c, eid)
@@ -425,23 +434,37 @@ class TestSampledSequences:
 
     @staticmethod
     def _assert_matches_oracle(g, count, seed):
-        """Same sequences as the scalar oracle, and the same generator state
-        afterwards. One scalar ``integers(5)`` first leaves PCG64 holding a
-        buffered half-word, which the block draws must carry in and out;
-        ``random()`` would read a fresh 64-bit output and miss it."""
+        """Same sequences as the scalar oracle, or the same unreachable-node
+        error, and the same generator state afterwards. One scalar
+        ``integers(5)`` first leaves PCG64 holding a buffered half-word,
+        which the block draws must carry in and out; ``random()`` would read
+        a fresh 64-bit output and miss it."""
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for rng in (ours, ref):
+        outcomes = []
+        for sample, rng in ((sample_reachable_sequences, ours),
+                            (rescanning_sample_sequences, ref)):
             rng.integers(5)
-        assert (sample_reachable_sequences(g, count, ours)
-                == rescanning_sample_sequences(g, count, ref))
+            try:
+                outcomes.append(sample(g, count, rng))
+            except ValueError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
         assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.integers(7) == ref.integers(7)
 
-    @settings(max_examples=80, deadline=2000)
-    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
-           count=st.integers(0, 12))
+    @settings(max_examples=150, deadline=2000)
+    @given(g=st.one_of(small_graphs(7), any_digraphs(7)),
+           seed=st.integers(0, 2 ** 16), count=st.integers(0, 12))
     def test_matches_rescanning_oracle(self, g, seed, count):
+        """``any_digraphs`` adds antiparallel pairs, where a joining node's
+        out-edge can point back into the set, and unreachable nodes."""
         self._assert_matches_oracle(g, count, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_rescanning_oracle_complete_bidirectional(self, seed):
+        # 132 edges: the boundary mask spans more than two 64-bit words.
+        g = Digraph(12, [(a, b) for a in range(12) for b in range(12) if a != b], 0)
+        self._assert_matches_oracle(g, 60, seed)
 
     @pytest.mark.parametrize("spec,count", [
         ("random(25,200,1)", 800),  # ~19,000 words: many blocks
