@@ -250,17 +250,26 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
     return 1 / (4 * n)
 
 
-# 32-bit words per block drawn by ``_bounded_indices``; like sim's uniform and
-# label blocks, the size is not observable.
-_WORD_BLOCK = 1024
+# Values per block drawn by ``_blocks``. numpy's block forms of ``poisson``,
+# ``integers`` and ``random`` consume a generator as repeated scalar calls
+# would, so the size is not observable.
+_BLOCK_DRAWS = 1024
 _WORD_MASK = 0xFFFF_FFFF
+
+
+def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
+    """The values of repeated scalar ``draw(*args, **kwargs)`` calls, one at
+    a time, taken from blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``;
+    a block is drawn only when the previous one is used up."""
+    return chain.from_iterable(iter(
+        lambda: draw(*args, size=_BLOCK_DRAWS, **kwargs).tolist(), None))
 
 
 @contextmanager
 def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]:
     """Yield ``index(k)``, which returns what ``int(rng.integers(k))`` would,
-    taking its 32-bit words from blocks of ``rng.integers(0, 2**32,
-    size=_WORD_BLOCK, dtype=np.uint32)``.
+    taking its 32-bit words from ``_blocks(rng.integers, 0, 2**32,
+    dtype=np.uint32)``.
 
     numpy's bounded rule for ``k <= 2**32`` (Lemire 2019): ``k == 1`` takes no
     word; otherwise ``x = w * k`` for the next word ``w``, and while the low 32
@@ -271,10 +280,7 @@ def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]
     it where the scalar calls would, PCG64's buffered half-word included.
     """
     saved = rng.bit_generator.state
-    words = chain.from_iterable(iter(
-        lambda: rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32).tolist(),
-        None))
-    next_word = words.__next__
+    next_word = _blocks(rng.integers, 0, 1 << 32, dtype=np.uint32).__next__
     used = 0
 
     def index(k: int) -> int:

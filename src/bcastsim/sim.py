@@ -8,38 +8,32 @@ slot has and what one event does.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
-identical arrival sample paths regardless of the policy under test. Every
-per-event value is drawn in blocks and used one at a time, in the order the
-scalar calls it replaces would make:
+identical arrival sample paths regardless of the policy under test.
 
-* arrivals, then (mini-slot) active edges, per chunk of ``_CHUNK_SLOTS`` slots;
-* class labels (multiclass, static-tree): ``integers(k, size=_BLOCK_DRAWS)``
-  from the class stream, one label per admitted packet in arrival order;
-* policy uniforms (randomized): ``random(_BLOCK_DRAWS)`` from the policy
-  stream once set-up has sampled its sequences from it, one uniform per event
-  whose edge has a non-empty table entry.
-
-Set-up's sequence sampling also takes its words from the policy stream in
-blocks (``policies.sample_reachable_sequences``) and then resets that stream
-to exactly the words it used, so the uniforms start where scalar
-``integers(k)`` calls would have left it.
-
-numpy's block forms yield the same values as repeated scalar ``integers(k)``
-and ``random()`` calls, so the block size is not observable.
+One draw rule covers every stream: values come from blocks of one size
+(``policies._blocks``) and are used one at a time, in the order scalar calls
+would make. Each event takes one Poisson arrival count and, in mini-slot
+mode, one uniform active edge; each admitted packet of an in-order policy
+takes one class label; each randomized event over a non-empty table entry
+takes one policy uniform. Set-up's sequence sampling takes its 32-bit words
+from the policy stream the same way and then resets that stream to exactly
+the words it used, so the uniforms start where scalar ``integers(k)`` calls
+would have left it. numpy's block forms consume a generator as the scalar
+calls do, so the block size is not observable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, SchedulingError
 from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
-from .policies import (MultiClassState, RandomizedTable,
+from .policies import (MultiClassState, RandomizedTable, _blocks,
                        build_randomized_table, default_eps, edge_weight,
                        max_weight_decide, multiclass_apply, multiclass_decide,
                        randomized_decide, sample_reachable_sequences,
@@ -70,9 +64,6 @@ MAX_EXTRA_SEQUENCES = 10_000
 # next key goes in. A count item costs ~160 bytes and a weight ~11, so a full
 # memo stays near 10 MB.
 MEMO_KEY_LIMIT = 1 << 16
-
-_CHUNK_SLOTS = 1024
-_BLOCK_DRAWS = 1024
 
 
 @dataclass(frozen=True)
@@ -196,12 +187,6 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
     return (last.min_received - base.min_received) / (last.slot - base.slot)
 
 
-def _blocks(draw):
-    """The values of repeated ``draw()`` calls, one at a time: a block is
-    drawn only when the previous one is used up."""
-    return chain.from_iterable(iter(draw, None))
-
-
 def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     """The configured policy's state, the VirtualQueueState counting its
     packets (the state itself, or the multiclass mirror), ``admit(count)``,
@@ -219,8 +204,7 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     else:
         state = MultiClassState(g, len(trees) if policy == "static-tree" else config.classes)
         queues = state.mirror
-        k = state.k
-        labels = _blocks(lambda: cls_rng.integers(k, size=_BLOCK_DRAWS).tolist())
+        labels = _blocks(cls_rng.integers, state.k)
 
         def admit(count: int):
             for c in islice(labels, count):
@@ -240,7 +224,7 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             bprime = 4 * g.m
         extra = sample_reachable_sequences(g, bprime, pol_rng)
         table = build_randomized_table(g, trees, extra, eps)
-        uniform = _blocks(lambda: pol_rng.random(_BLOCK_DRAWS).tolist()).__next__
+        uniform = _blocks(pol_rng.random).__next__
 
         def step(eid: int):
             fset = randomized_decide(table, state, eid, uniform)
@@ -276,12 +260,10 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     Under stable load the keys recur. The memo is cleared before the next
     key would take its summed key size past ``MEMO_KEY_LIMIT``.
 
-    Draws come per chunk of ``_CHUNK_SLOTS`` slots: arrivals, then
-    (mini-slot) active edges. Each admitted packet of an in-order policy
-    takes the next class label, and each randomized event over a non-empty
-    table entry the next policy uniform; both come in blocks, as the module
-    docstring says. The state is sampled at slot 0, every ``sample_every``
-    slots and at the horizon. Fully deterministic given the seed.
+    Every random value is used one at a time, in the order scalar calls
+    would make, from blocks of one size (the module docstring's draw rule).
+    The state is sampled at slot 0, every ``sample_every`` slots and at the
+    horizon. Fully deterministic given the seed.
     """
     errors = config.validation_errors(g, fam)
     if errors:
@@ -359,22 +341,17 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
                 step(low.bit_length() - 1)
                 smask ^= low
 
+    arrivals = _blocks(arr_rng.poisson, config.lam / per_slot)
+    edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)
+    events = zip(arrivals, edges)
     record(0)
-    slot = 0
-    while slot < config.horizon:
-        chunk = min(_CHUNK_SLOTS, config.horizon - slot)
-        arrivals = arr_rng.poisson(config.lam / per_slot, size=chunk * per_slot).tolist()
-        edges = (act_rng.integers(0, m, size=chunk * m).tolist() if mini_slot
-                 else repeat(None))
-        events = zip(arrivals, edges)
-        for _ in range(chunk):
-            for a, e in islice(events, per_slot):
-                if a:
-                    admit(a)
-                event(e)
-            slot += 1
-            if slot % config.sample_every == 0 or slot == config.horizon:
-                record(slot)
+    for slot in range(1, config.horizon + 1):
+        for a, e in islice(events, per_slot):
+            if a:
+                admit(a)
+            event(e)
+        if slot % config.sample_every == 0 or slot == config.horizon:
+            record(slot)
 
     result = RunResult(config, g.n, tuple(samples), 0.0, table)
     return replace(result, rate=broadcast_rate(result))

@@ -17,8 +17,8 @@ differentials included. The fast forms must give the same trees,
 sequences, decisions and activations, and the same (class, differential)
 pair or set wherever the ranked differential is positive.
 
-``assign_class`` draws one class label per scalar call, the stream the
-engine draws in blocks.
+``assign_class`` draws one class label per scalar call; the engine draws
+the same stream in blocks.
 
 ``slotted_capacity_lp`` gives the slotted model's exact capacity from a
 linear program over the activation family (scipy, tests only); the library
@@ -26,8 +26,10 @@ has no slotted capacity of its own to compare it with.
 
 The last three, ``replay_max_weight``, ``replay_randomized`` and
 ``replay_in_order`` (multiclass and static-tree), replay whole runs from the
-documented RNG and loop protocol with those slow forms and scalar draws, so
-the engine's event loop and its block draws are checked against their
+documented RNG and loop protocol with those slow forms, one scalar call per
+random value: each arrival count, active edge, class label and policy
+uniform. So the engine's event loop, and its rule that every stream is drawn
+in blocks yet used as the scalar calls would, are checked against their
 description.
 """
 from collections import Counter
@@ -569,17 +571,16 @@ class _LedgerQueues:
 
 
 def _replay(config, g, fam, queues, move, weight=None):
-    """Drive a run by the documented loop protocol: ``(run_csv,
-    received_csv, rate)``.
+    """Drive a run by the documented loop protocol with scalar draws:
+    ``(run_csv, received_csv, rate)``.
 
-    Draws come per chunk of up to 1024 slots: the chunk's Poisson arrivals,
-    one per event, then in mini-slot mode one uniform active edge per event.
-    A mini-slot slot is ``m`` events at rate lam/m, each admitting its
-    arrivals (``queues.admit``) and then calling ``move`` on its edge. A
-    slotted slot is one event at rate lam: admit, ``weight`` every edge on
-    the state after admission, activate the heaviest member of ``fam``, then
-    ``move`` over its edges in ascending id order, each on the state its
-    predecessors left. The state is sampled at slot 0, every
+    Every event draws one scalar Poisson arrival count from the arrival
+    stream and admits it (``queues.admit``). A mini-slot slot is ``m`` events
+    at rate lam/m, each then drawing one scalar uniform active edge from the
+    activation stream and calling ``move`` on it. A slotted slot is one event
+    at rate lam: admit, ``weight`` every edge on the state after admission,
+    activate the heaviest member of ``fam``, then ``move`` over its edges in
+    ascending id order, each on the state its predecessors left. The state is sampled at slot 0, every
     ``sample_every`` slots and at the horizon; the rate is the slope of the
     minimum received count from the last sample at or before the burn-in (a
     tenth of the horizon unless set).
@@ -591,32 +592,22 @@ def _replay(config, g, fam, queues, move, weight=None):
         admitted, delivered, backlog, received = queues.sample()
         rows.append((slot, admitted, delivered, min(received), backlog, received))
 
+    mini_slot = config.time_model == "mini-slot"
+    per_slot = g.m if mini_slot else 1
     sample(0)
-    slot = 0
-    while slot < config.horizon:
-        chunk = min(1024, config.horizon - slot)
-        if config.time_model == "mini-slot":
-            arrivals = arr_rng.poisson(config.lam / g.m, size=chunk * g.m)
-            active = act_rng.integers(0, g.m, size=chunk * g.m)
-            for t in range(chunk):
-                for i in range(t * g.m, (t + 1) * g.m):
-                    queues.admit(int(arrivals[i]))
-                    move(int(active[i]))
-                slot += 1
-                if slot % config.sample_every == 0 or slot == config.horizon:
-                    sample(slot)
-        else:
-            arrivals = arr_rng.poisson(config.lam, size=chunk)
-            for t in range(chunk):
-                queues.admit(int(arrivals[t]))
+    for slot in range(1, config.horizon + 1):
+        for _ in range(per_slot):
+            queues.admit(int(arr_rng.poisson(config.lam / per_slot)))
+            if mini_slot:
+                move(int(act_rng.integers(0, g.m)))
+            else:
                 weights = [weight(eid) for eid in range(g.m)]
                 chosen = scanning_choose_activation(weights, fam)
                 for eid in range(g.m):
                     if chosen >> eid & 1:
                         move(eid)
-                slot += 1
-                if slot % config.sample_every == 0 or slot == config.horizon:
-                    sample(slot)
+        if slot % config.sample_every == 0 or slot == config.horizon:
+            sample(slot)
 
     run_lines = ["slot,admitted,delivered,min_received,backlog"]
     run_lines += [",".join(map(str, row[:5])) for row in rows]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       broadcast_capacity, broadcast_rate, parse_graph,
                       random_digraph, run, sweep_k)
-from bcastsim import graph, sim
+from bcastsim import graph, policies, sim
 from bcastsim.graph import Digraph, reaches_all
 from bcastsim.sim import (MAX_ARRIVAL_RATE, MAX_IN_ORDER_RATE, TIME_MODELS,
                           _entered_all, received_csv, run_csv, sweep_csv)
@@ -253,9 +253,9 @@ class TestRandomDigraph:
 
 
 class TestLoopReplay:
-    """``run`` against a slow replay of the documented max-weight protocol:
-    more than one draw chunk, and a sample cadence that does not divide the
-    horizon."""
+    """``run`` against a slow replay of the documented protocol with scalar
+    draws: many draw blocks per stream, and a sample cadence that does not
+    divide the horizon."""
 
     @pytest.mark.parametrize("spec, lam_mini, lam_slotted, burn_in", [
         ("diamond4", 1.9, 0.6, None),
@@ -377,9 +377,12 @@ def test_any_small_run_matches_its_replay(case):
 
 
 class TestBlockDraws:
-    """``run`` draws policy uniforms and class labels in blocks and uses them
-    one at a time; that gives the scalar calls' values only while numpy's
-    block and scalar forms consume a generator alike."""
+    """``run`` draws every random stream in blocks of ``policies._BLOCK_DRAWS``
+    values and uses them one at a time: arrival counts, active edges, class
+    labels, policy uniforms and the sampler's words. That gives the scalar
+    calls' values only while numpy's block and scalar forms consume a
+    generator alike, which these tests check draw by draw and by the
+    generator state after three blocks."""
 
     @staticmethod
     def _pair(seed):
@@ -391,18 +394,57 @@ class TestBlockDraws:
             [rng.integers(5) for _ in range(3)]
         return gens
 
+    def _assert_blocks_equal_scalars(self, seed, size, draw, *args):
+        block, scalar = self._pair(seed)
+        drawn = [x for _ in range(3)
+                 for x in getattr(block, draw)(*args, size=size).tolist()]
+        assert drawn == [getattr(scalar, draw)(*args) for _ in range(3 * size)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
     @pytest.mark.parametrize("size", [1, 3, 7, 257, 1024])
     def test_random_blocks_equal_scalar_calls(self, size):
-        block, scalar = self._pair(size)
-        drawn = [u for _ in range(3) for u in block.random(size).tolist()]
-        assert drawn == [scalar.random() for _ in range(3 * size)]
+        self._assert_blocks_equal_scalars(size, size, "random")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 1000])
     @pytest.mark.parametrize("size", [1, 3, 7, 257])
     def test_integer_blocks_equal_scalar_calls(self, k, size):
-        block, scalar = self._pair(k * size)
-        drawn = [c for _ in range(3) for c in block.integers(k, size=size).tolist()]
-        assert drawn == [int(scalar.integers(k)) for _ in range(3 * size)]
+        self._assert_blocks_equal_scalars(k * size, size, "integers", k)
+
+    @pytest.mark.parametrize("m", [1, 2, 70])
+    @pytest.mark.parametrize("size", [1, 7, 257])
+    def test_edge_blocks_equal_scalar_calls(self, m, size):
+        self._assert_blocks_equal_scalars(m * size, size, "integers", 0, m)
+
+    # 0 draws nothing; numpy samples below 10 by inversion, from 10 on by
+    # transformed rejection.
+    @pytest.mark.parametrize("lam", [0.0, 0.04, 9.99, 10.0, 37.5])
+    @pytest.mark.parametrize("size", [1, 7, 257])
+    def test_poisson_blocks_equal_scalar_calls(self, lam, size):
+        self._assert_blocks_equal_scalars(size, size, "poisson", lam)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_run_outputs_do_not_depend_on_the_block_size(self, d4, monkeypatch, block):
+        fam = primary_interference_family(d4)
+        cases = [(SimConfig(lam=1.6, horizon=300, seed=5, policy=policy,
+                            classes=3, sample_every=40), None)
+                 for policy in sim.POLICIES]
+        cases += [(SimConfig(lam=0.6, horizon=300, seed=5, policy=policy,
+                             time_model="slotted-wireless", classes=3,
+                             sample_every=40), fam)
+                  for policy in ("max-weight", "multiclass")]
+
+        def outputs():
+            out = []
+            for cfg, f in cases:
+                res = run(cfg, d4, f)
+                table = res.rand_table
+                out.append((run_csv(res), received_csv(res),
+                            "\n".join(table.csv_rows()) if table else None))
+            return out
+
+        default = outputs()
+        monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
+        assert outputs() == default
 
 
 class TestSweep:

