@@ -1,8 +1,10 @@
 """Scheduling policies: max-weight, in-order multi-class, static tree, randomized.
 
-All decide functions are pure given their state and return what to send over
-the active edge (or None to idle); the caller applies the move. ``edge_weight``
-turns the same candidate rules into the per-edge weights of the slotted model.
+Every policy's packets sit in ``VirtualQueueState`` replication-set queues;
+``MultiClassState`` adds each class's in-order indices. All decide functions
+are pure given their state and return what to send over the active edge (or
+None to idle); the caller applies the move. ``edge_weight`` turns the same
+candidate rules into the per-edge weights of the slotted model.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def max_weight_decide(state: VirtualQueueState, eid: int) -> int | None:
     return best
 
 
-class MultiClassState:
-    """In-order delivery state for k packet classes.
+class MultiClassState(VirtualQueueState):
+    """In-order delivery state for k packet classes, on max-weight's queues.
 
     ``highest[c][i]`` is the highest in-order packet index of class ``c``
     received by node ``i``; the source entry is the class's arrival count.
@@ -60,37 +62,36 @@ class MultiClassState:
     packet not yet held by every node, oldest first, so packet ``p`` sits at
     position ``p - 1 - highest[c][source]`` (counted from the end) and the
     moves read a head-of-line set without a pass over the nodes.
-    A mirrored VirtualQueueState tracks how many packets (of any class) sit at
-    each exact replication set. The mirror is maintained move-by-move, which
-    makes the weight lookups O(1) instead of O(k*n); ``histogram`` rebuilds
-    it from the indices alone so a run can check the two agree.
+    The inherited ``counts`` and ``delivered`` tally the packets of every
+    class by exact replication set, move by move, which makes the weight
+    lookups O(1) instead of O(k*n); ``histogram`` and ``received_count``
+    read the indices alone so a run can check the two agree.
     """
 
-    __slots__ = ("graph", "k", "highest", "inflight", "mirror")
+    __slots__ = ("k", "highest", "inflight")
 
     def __init__(self, graph: Digraph, k: int):
         if k < 1:
             raise ValueError("need at least one class")
-        self.graph = graph
+        super().__init__(graph)
         self.k = k
         self.highest = [[0] * graph.n for _ in range(k)]
         self.inflight: list[list[int]] = [[] for _ in range(k)]
-        self.mirror = VirtualQueueState(graph)
 
     def admit_packet(self, c: int):
         self.highest[c][self.graph.source] += 1
         self.inflight[c].append(self.graph.source_mask)
-        self.mirror.admit(1)
+        self.admit(1)
 
     def received_count(self, node: int) -> int:
         return sum(row[node] for row in self.highest)
 
     def histogram(self) -> tuple[dict[int, int], int]:
-        """The mirror's (counts, delivered), rebuilt from the indices in
-        O(k*n log n): per class, walk the nodes from the highest index down;
-        each index level holds (level - next lower level) packets at the
-        nodes whose index is at least that level, and the lowest level's
-        packets are delivered everywhere."""
+        """(counts, delivered) rebuilt from the indices in O(k*n log n):
+        per class, walk the nodes from the highest index down; each index
+        level holds (level - next lower level) packets at the nodes whose
+        index is at least that level, and the lowest level's packets are
+        delivered everywhere."""
         counts: dict[int, int] = {}
         delivered = 0
         for row in self.highest:
@@ -104,21 +105,21 @@ class MultiClassState:
         return counts, delivered
 
 
-def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None:
-    """Best (class, differential) among eligible head-of-line packets for the
-    active edge, keeping only a strictly positive differential, ties to the
-    lowest class; None when no class has one.
+def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
+    """Class whose head-of-line packet the multi-class policy sends over the
+    active edge: of the eligible classes, the one with the largest strictly
+    positive differential, ties to the lowest class; None to idle.
 
     A class is eligible when its next in-order packet for the edge's head
     exists, is already present at the edge's tail and has an in-flight set.
     A differential is at most the head-of-line count, so a smaller count is
-    skipped. The mirror's ``counts`` never holds the full set, so completing
-    a packet reads 0 there.
+    skipped. ``counts`` never holds the full set, so completing a packet
+    reads 0 there.
     """
     g = state.graph
     i, j = g.edges[eid]
     jbit = 1 << j
-    counts = state.mirror.counts
+    counts = state.counts
     inflight = state.inflight
     src = g.source
     best = None
@@ -139,16 +140,7 @@ def _multiclass_best(state: MultiClassState, eid: int) -> tuple[int, int] | None
         if w > best_w:
             best_w = w
             best = c
-    if best is None:
-        return None
-    return best, best_w
-
-
-def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
-    """Class whose head-of-line packet the multi-class policy sends over the
-    active edge, or None to idle when no eligible class has positive weight."""
-    best = _multiclass_best(state, eid)
-    return best[0] if best is not None else None
+    return best
 
 
 def multiclass_apply(state: MultiClassState, c: int, eid: int):
@@ -166,28 +158,32 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
     if pos < -len(sets):
         raise SchedulingError(f"class {c} packet {p} has no in-flight set")
     fset = sets[pos]
-    state.mirror.transmit(fset, eid)
+    state.transmit(fset, eid)
     row[j] = p
     sets[pos] = fset | 1 << j
     if sets[pos] == g.full_mask:
         del sets[pos]  # in-order delivery: the completed packet is the oldest
 
 
-def edge_weight(state: VirtualQueueState | MultiClassState, eid: int) -> int:
-    """Largest backlog differential attainable on the edge under the state's
-    candidate rule (nonempty queues for the virtual-queue policy, eligible
-    head-of-line packets for the multi-class one), or 0 when none is
-    positive."""
-    if isinstance(state, VirtualQueueState):
+def edge_weight(state: VirtualQueueState, eid: int) -> int:
+    """Differential of the move the state's policy makes over the edge
+    (``max_weight_decide``'s set, or the head-of-line set of the class
+    ``multiclass_decide`` picks), or 0 when it idles; both keep only a
+    strictly positive differential."""
+    if isinstance(state, MultiClassState):
+        c = multiclass_decide(state, eid)
+        if c is None:
+            return 0
+        row = state.highest[c]
+        fset = state.inflight[c][row[state.graph.edges[eid][1]] - row[state.graph.source]]
+    elif isinstance(state, VirtualQueueState):
         fset = max_weight_decide(state, eid)
         if fset is None:
             return 0
-        counts = state.counts
-        return counts[fset] - counts.get(fset | 1 << state.graph.edges[eid][1], 0)
-    if isinstance(state, MultiClassState):
-        best = _multiclass_best(state, eid)
-        return best[1] if best is not None else 0
-    raise TypeError(f"no edge weight rule for {type(state).__name__}")
+    else:
+        raise TypeError(f"no edge weight rule for {type(state).__name__}")
+    counts = state.counts
+    return counts[fset] - counts.get(fset | 1 << state.graph.edges[eid][1], 0)
 
 
 def tree_owners(g: Digraph, trees: Sequence[Arborescence]) -> list[int]:

@@ -188,10 +188,10 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
 
 
 def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
-    """The configured policy's state, the VirtualQueueState counting its
-    packets (the state itself, or the multiclass mirror), ``admit(count)``,
-    ``step(eid)`` (decide the move over the active edge, then apply it unless
-    the policy idles) and the randomized table, or None."""
+    """The configured policy's state (a VirtualQueueState, or its in-order
+    subclass MultiClassState), ``admit(count)``, ``step(eid)`` (decide the
+    move over the active edge, then apply it unless the policy idles) and the
+    randomized table, or None."""
     policy = config.policy
     table = None
     if policy in ("static-tree", "randomized"):
@@ -199,11 +199,10 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
         if not trees:
             raise ValueError(f"{policy} policy needs broadcast capacity >= 1")
     if policy in ("max-weight", "randomized"):
-        state = queues = VirtualQueueState(g)
+        state = VirtualQueueState(g)
         admit = state.admit
     else:
         state = MultiClassState(g, len(trees) if policy == "static-tree" else config.classes)
-        queues = state.mirror
         labels = _blocks(cls_rng.integers, state.k)
 
         def admit(count: int):
@@ -242,7 +241,7 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             c = static_tree_decide(state, owner, eid)
             if c is not None:
                 multiclass_apply(state, c, eid)
-    return state, queues, admit, step, table
+    return state, admit, step, table
 
 
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
@@ -276,15 +275,16 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     cls_rng = np.random.default_rng(cls_seq)
     pol_rng = np.random.default_rng(pol_seq)
 
-    state, queues, admit, step, table = _set_up_policy(config, g, cls_rng, pol_rng)
+    state, admit, step, table = _set_up_policy(config, g, cls_rng, pol_rng)
+    in_order = isinstance(state, MultiClassState)
 
     samples: list[Sample] = []
     nodes = range(g.n)
 
     def record(slot: int):
         received = [state.received_count(v) for v in nodes]
-        backlog = queues.total_backlog()
-        admitted, delivered = queues.admitted, queues.delivered
+        backlog = state.total_backlog()
+        admitted, delivered = state.admitted, state.delivered
         min_received = min(received)
         if admitted != delivered + backlog:
             raise SchedulingError(
@@ -299,7 +299,7 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         if samples and any(r < p for r, p in zip(received, samples[-1].received)):
             raise SchedulingError(
                 f"a received count fell below its previous sample at slot {slot}")
-        if state is not queues and state.histogram() != (queues.counts, queues.delivered):
+        if in_order and state.histogram() != (state.counts, state.delivered):
             raise SchedulingError(
                 f"the multiclass mirror differs from the in-order indices at slot {slot}")
         samples.append(Sample(slot, admitted, delivered,
@@ -314,7 +314,7 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         # Max-weight's choice reads the counts alone, so they key it while
         # they hold at most m entries (a longer key costs more to build than
         # its hits save); otherwise, and for multiclass, the weights do.
-        counts = state.counts if isinstance(state, VirtualQueueState) else None
+        counts = None if in_order else state.counts
         memo: dict[frozenset | tuple[int, ...], int] = {}
         memo_size = 0
 

@@ -401,7 +401,7 @@ def rebuilding_multiclass_best(state, eid):
     i, j = g.edges[eid]
     jbit = 1 << j
     full = g.full_mask
-    counts = state.mirror.counts
+    counts = state.counts
     src = g.source
     best = None
     best_w = None
@@ -527,7 +527,7 @@ class _LedgerQueues:
     def view(self):
         """The state as the multiclass rules read it: ``highest[c][v]`` is
         the longest run of class-``c`` packets from index 1 that node ``v``
-        holds, and ``mirror.counts`` counts the in-flight sets."""
+        holds, and ``counts`` counts the in-flight sets."""
         if self._view is None:
             sets = self.ledger.sets
             highest = []
@@ -540,7 +540,7 @@ class _LedgerQueues:
                     row.append(p)
                 highest.append(row)
             self._view = SimpleNamespace(graph=self.graph, k=self.k, highest=highest,
-                                         mirror=SimpleNamespace(counts=self.counts))
+                                         counts=self.counts)
         return self._view
 
     def forward(self, c, eid):
@@ -580,10 +580,10 @@ def _replay(config, g, fam, queues, move, weight=None):
     activation stream and calling ``move`` on it. A slotted slot is one event
     at rate lam: admit, ``weight`` every edge on the state after admission,
     activate the heaviest member of ``fam``, then ``move`` over its edges in
-    ascending id order, each on the state its predecessors left. The state is sampled at slot 0, every
-    ``sample_every`` slots and at the horizon; the rate is the slope of the
-    minimum received count from the last sample at or before the burn-in (a
-    tenth of the horizon unless set).
+    ascending id order, each on the state its predecessors left. The state
+    is sampled at slot 0, every ``sample_every`` slots and at the horizon;
+    the rate is the slope of the minimum received count from the last sample
+    at or before the burn-in (a tenth of the horizon unless set).
     """
     arr_rng, act_rng, _, _ = _streams(config)
     rows = []

@@ -8,12 +8,11 @@ from bcastsim import (Arborescence, ConstructionError, Digraph,
 from bcastsim.cli import resolve_graph
 from bcastsim.fixtures import path_graph
 from bcastsim.policies import (MultiClassState, RandomizedTable,
-                               _bounded_indices, _multiclass_best,
-                               build_randomized_table, default_eps, edge_weight,
-                               max_weight_decide, multiclass_apply,
-                               multiclass_decide, randomized_decide,
-                               sample_reachable_sequences, static_tree_decide,
-                               tree_owners)
+                               _bounded_indices, build_randomized_table,
+                               default_eps, edge_weight, max_weight_decide,
+                               multiclass_apply, multiclass_decide,
+                               randomized_decide, sample_reachable_sequences,
+                               static_tree_decide, tree_owners)
 from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
@@ -121,16 +120,16 @@ def mc_state(g, rows):
     state.inflight = [[packet_set(state, c, p)
                        for p in range(min(row) + 1, row[g.source] + 1)]
                       for c, row in enumerate(rows)]
-    # Rebuild the mirror from the rows it must summarize.
-    state.mirror.admitted = sum(row[g.source] for row in rows)
+    # Rebuild the queue counts from the rows they must summarize.
+    state.admitted = sum(row[g.source] for row in rows)
     for gset in range(1, 1 << g.n):
         cnt = count_exactly_at(state, gset)
         if cnt:
             if gset == g.full_mask:
-                state.mirror.delivered = cnt
+                state.delivered = cnt
             else:
-                state.mirror.counts[gset] = cnt
-    assert state.histogram() == (state.mirror.counts, state.mirror.delivered)
+                state.counts[gset] = cnt
+    assert state.histogram() == (state.counts, state.delivered)
     return state
 
 
@@ -154,7 +153,7 @@ class TestMultiClassDecide:
     def test_positive_weight_required(self, d4):
         # One packet at {r,a}, another at {r,a,b}: moving over ab has weight 0.
         state = mc_state(d4, [[2, 2, 1, 0]])
-        assert state.mirror.counts == {RA_SET: 1, RAB: 1}
+        assert state.counts == {RA_SET: 1, RAB: 1}
         assert multiclass_decide(state, AB) is None
 
     def test_tie_breaks_to_lowest_class(self, d4):
@@ -164,7 +163,7 @@ class TestMultiClassDecide:
     def test_final_hop_weight_ignores_delivered(self, d4):
         # Many packets already delivered; the last hop must stay attractive.
         state = mc_state(d4, [[9, 9, 9, 8]])
-        assert state.mirror.delivered == 8
+        assert state.delivered == 8
         assert multiclass_decide(state, BC) == 0
 
 
@@ -206,10 +205,10 @@ class TestMultiClassApply:
             for gset in range(1, 1 << d4.n):
                 expect = count_exactly_at(state, gset)
                 if gset == d4.full_mask:
-                    assert state.mirror.delivered == expect
+                    assert state.delivered == expect
                 else:
-                    assert state.mirror.counts.get(gset, 0) == expect
-            assert state.histogram() == (state.mirror.counts, state.mirror.delivered)
+                    assert state.counts.get(gset, 0) == expect
+            assert state.histogram() == (state.counts, state.delivered)
 
 
 # Each op admits a packet (first entry 0) or activates an edge; the second
@@ -222,9 +221,10 @@ MOVES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16)), max_size
 @given(g=small_graphs(), classes=st.integers(1, 4), moves=MOVES)
 def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
     """After every move of either in-order policy, the histogram rebuilt from
-    the index matrix equals the incremental mirror and a per-packet ledger,
-    the in-flight lists equal the ledger's sets, and the multiclass choice on
-    every edge equals the one that rebuilds each head-of-line set."""
+    the index matrix equals the incremental queue counts and a per-packet
+    ledger, the in-flight lists equal the ledger's sets, and the multiclass
+    choice and edge weight on every edge equal the positive pair of the
+    oracle that rebuilds each head-of-line set, or (None, 0) without one."""
     trees = tree_packing(g)
     owner = tree_owners(g, trees)
     state = MultiClassState(g, classes if policy == "multiclass" else len(trees))
@@ -245,14 +245,14 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
                 ledger.move(c, state.highest[c][j] + 1, j)
                 multiclass_apply(state, c, eid)
         counts, delivered = state.histogram()
-        assert (counts, delivered) == (state.mirror.counts, state.mirror.delivered)
+        assert (counts, delivered) == (state.counts, state.delivered)
         assert counts == ledger.histogram()
         assert delivered == ledger.delivered()
         assert state.inflight == [ledger.in_flight(c) for c in range(state.k)]
         for e in range(g.m):
             ranked = rebuilding_multiclass_best(state, e)
-            expected = ranked if ranked is not None and ranked[1] > 0 else None
-            assert _multiclass_best(state, e) == expected
+            expected = ranked if ranked is not None and ranked[1] > 0 else (None, 0)
+            assert (multiclass_decide(state, e), edge_weight(state, e)) == expected
 
 
 class TestStaticTree:
@@ -527,22 +527,22 @@ def test_one_class_per_packet_matches_max_weight(d4):
             state.admit_packet(state.k - 1)
         eid = int(rng.integers(d4.m))
         c = multiclass_decide(state, eid)
-        fset = max_weight_decide(state.mirror, eid)
+        fset = max_weight_decide(state, eid)
         if c is None:
             assert fset is None
         else:
             assert fset is not None
             # The head-of-line packet of the chosen class must have the
-            # max-weight differential in the mirror (a full set reads 0).
+            # max-weight differential in the queue counts (a full set reads 0).
             j = d4.edges[eid][1]
             p = state.highest[c][j] + 1
             chosen = packet_set(state, c, p)
             assert state.inflight[c][p - 1 - state.highest[c][d4.source]] == chosen
             nxt = chosen | 1 << j
-            counts = state.mirror.counts
+            counts = state.counts
             w = counts.get(chosen, 0) - (
                 0 if nxt == d4.full_mask else counts.get(nxt, 0))
-            assert w == edge_weight(state.mirror, eid)
+            assert w == counts[fset] - counts.get(fset | 1 << j, 0)
             multiclass_apply(state, c, eid)
 
 

@@ -539,38 +539,38 @@ def test_multiclass_per_node_delivery_never_exceeds_admissions(d4):
 
 
 
-def _undeliver(g, state, queues):
+def _undeliver(g, state):
     # Moving 20 delivered packets back to the source drops every other
     # node's count by 20; one slot of m=6 moves cannot make that up.
-    if queues.delivered >= 20:
-        queues.counts[g.source_mask] = (
-            queues.counts.get(g.source_mask, 0) + queues.delivered)
-        queues.delivered = 0
+    if state.delivered >= 20:
+        state.counts[g.source_mask] = (
+            state.counts.get(g.source_mask, 0) + state.delivered)
+        state.delivered = 0
 
 
-def _over_deliver(g, state, queues):
-    queues.admitted += 100
-    queues.delivered += 100
+def _over_deliver(g, state):
+    state.admitted += 100
+    state.delivered += 100
 
 
-def _over_receive(g, state, queues):
+def _over_receive(g, state):
     state.highest[0][g.source] += 1
 
 
-def _shift_in_mirror(g, state, queues):
-    # Move one delivered packet back to the source's set in the mirror only.
-    # Conservation and every received count (read from the in-order indices)
-    # still hold; only the mirror check can see it.
-    if queues.delivered:
-        queues.delivered -= 1
-        queues.counts[g.source_mask] = queues.counts.get(g.source_mask, 0) + 1
+def _shift_in_mirror(g, state):
+    # Move one delivered packet back to the source's set in the queue counts
+    # only. Conservation and every received count (read from the in-order
+    # indices) still hold; only the histogram check can see it.
+    if state.delivered:
+        state.delivered -= 1
+        state.counts[g.source_mask] = state.counts.get(g.source_mask, 0) + 1
 
 
-def _forget_in_flight_copies(g, state, queues):
+def _forget_in_flight_copies(g, state):
     # Overwrite class 0's oldest in-flight set with the source singleton.
-    # The indices and the mirror are untouched; the next move of that packet
-    # takes the wrong set out of the mirror, which then disagrees with the
-    # histogram rebuilt from the indices.
+    # The indices and the queue counts are untouched; the next move of that
+    # packet takes the wrong set out of the counts, which then disagree with
+    # the histogram rebuilt from the indices.
     sets = state.inflight[0]
     if sets:
         sets[0] = g.source_mask
@@ -589,13 +589,13 @@ def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, messag
     set_up = sim._set_up_policy
 
     def corrupted(*args):
-        state, queues, admit, step, table = set_up(*args)
+        state, admit, step, table = set_up(*args)
 
         def bad_step(eid):
             step(eid)
-            corrupt(d4, state, queues)
+            corrupt(d4, state)
 
-        return state, queues, admit, bad_step, table
+        return state, admit, bad_step, table
 
     monkeypatch.setattr(sim, "_set_up_policy", corrupted)
     cfg = SimConfig(lam=1.5, horizon=200, seed=3, sample_every=1, policy=policy,

@@ -364,5 +364,4 @@ def test_forwarding_on_activation_preserves_conservation(d4):
                 c = multiclass_decide(state, e)
                 if c is not None:
                     multiclass_apply(state, c, e)
-        mirror = state.mirror
-        assert mirror.admitted == mirror.delivered + mirror.total_backlog()
+        assert state.admitted == state.delivered + state.total_backlog()
