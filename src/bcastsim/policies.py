@@ -13,8 +13,8 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,23 +65,31 @@ class MultiClassState(VirtualQueueState):
     The inherited ``counts`` and ``delivered`` tally the packets of every
     class by exact replication set, move by move, which makes the weight
     lookups O(1) instead of O(k*n); ``histogram`` and ``received_count``
-    read the indices alone so a run can check the two agree.
+    read the indices alone so a run can check the two agree. Only ``admit``,
+    which takes each packet's class from ``labels``, and ``multiclass_apply``
+    write the state; its ``transmit`` refuses.
     """
 
-    __slots__ = ("k", "highest", "inflight")
+    __slots__ = ("highest", "inflight", "labels")
 
-    def __init__(self, graph: Digraph, k: int):
+    def __init__(self, graph: Digraph, k: int, labels: Iterable[int]):
         if k < 1:
             raise ValueError("need at least one class")
         super().__init__(graph)
-        self.k = k
         self.highest = [[0] * graph.n for _ in range(k)]
         self.inflight: list[list[int]] = [[] for _ in range(k)]
+        self.labels = iter(labels)
 
-    def admit_packet(self, c: int):
-        self.highest[c][self.graph.source] += 1
-        self.inflight[c].append(self.graph.source_mask)
-        self.admit(1)
+    def admit(self, count: int):
+        """Admit ``count`` packets at the source, one per next label; ValueError if < 0."""
+        src = self.graph.source
+        for c in islice(self.labels, count):
+            self.highest[c][src] += 1
+            self.inflight[c].append(self.graph.source_mask)
+            VirtualQueueState.admit(self, 1)
+
+    def transmit(self, fset: int, eid: int):
+        raise SchedulingError("an in-order state moves packets only by multiclass_apply")
 
     def received_count(self, node: int) -> int:
         return sum(row[node] for row in self.highest)
@@ -144,7 +152,8 @@ def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
 
 
 def multiclass_apply(state: MultiClassState, c: int, eid: int):
-    """Deliver class ``c``'s next in-order packet to the edge's head."""
+    """Deliver class ``c``'s next in-order packet to the edge's head: the
+    in-order state's one move, its counts moved by the base ``transmit``."""
     g = state.graph
     i, j = g.edges[eid]
     row = state.highest[c]
@@ -158,7 +167,7 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
     if pos < -len(sets):
         raise SchedulingError(f"class {c} packet {p} has no in-flight set")
     fset = sets[pos]
-    state.transmit(fset, eid)
+    VirtualQueueState.transmit(state, fset, eid)
     row[j] = p
     sets[pos] = fset | 1 << j
     if sets[pos] == g.full_mask:

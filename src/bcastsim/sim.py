@@ -1,10 +1,10 @@
 """The simulation engine, metrics, random graphs and sweeps.
 
 ``run`` has one event loop for both time models. It drives every policy the
-same way: ``_set_up_policy`` returns the policy's state, an ``admit(count)``
-function and a per-policy ``step(eid)`` function that decides the move over
-the active edge and applies it. The time model sets only how many events a
-slot has and what one event does.
+same way: ``_set_up_policy`` returns the policy's state, whose
+``admit(count)`` takes the arrivals, and a per-policy ``step(eid)`` function
+that decides the move over the active edge and applies it. The time model
+sets only how many events a slot has and what one event does.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
@@ -189,9 +189,9 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
 
 def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     """The configured policy's state (a VirtualQueueState, or its in-order
-    subclass MultiClassState), ``admit(count)``, ``step(eid)`` (decide the
-    move over the active edge, then apply it unless the policy idles) and the
-    randomized table, or None."""
+    subclass MultiClassState, which draws each packet's class label from
+    ``cls_rng``), ``step(eid)`` (decide the move over the active edge, then
+    apply it unless the policy idles) and the randomized table, or None."""
     policy = config.policy
     table = None
     if policy in ("static-tree", "randomized"):
@@ -200,15 +200,9 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             raise ValueError(f"{policy} policy needs broadcast capacity >= 1")
     if policy in ("max-weight", "randomized"):
         state = VirtualQueueState(g)
-        admit = state.admit
     else:
-        state = MultiClassState(g, len(trees) if policy == "static-tree" else config.classes)
-        labels = _blocks(cls_rng.integers, state.k)
-
-        def admit(count: int):
-            for c in islice(labels, count):
-                state.admit_packet(c)
-
+        k = len(trees) if policy == "static-tree" else config.classes
+        state = MultiClassState(g, k, _blocks(cls_rng.integers, k))
     if policy == "max-weight":
         def step(eid: int):
             fset = max_weight_decide(state, eid)
@@ -241,14 +235,14 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             c = static_tree_decide(state, owner, eid)
             if c is not None:
                 multiclass_apply(state, c, eid)
-    return state, admit, step, table
+    return state, step, table
 
 
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
     """Simulate one run and return its sampled time series.
 
-    One event loop drives the policy through ``admit`` and ``step``; each
-    event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
+    One event loop drives the policy through ``state.admit`` and ``step``;
+    each event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
     activation whose edges step in ascending id order. The run memoises
@@ -275,7 +269,8 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     cls_rng = np.random.default_rng(cls_seq)
     pol_rng = np.random.default_rng(pol_seq)
 
-    state, admit, step, table = _set_up_policy(config, g, cls_rng, pol_rng)
+    state, step, table = _set_up_policy(config, g, cls_rng, pol_rng)
+    admit = state.admit
     in_order = isinstance(state, MultiClassState)
 
     samples: list[Sample] = []
@@ -301,7 +296,7 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
                 f"a received count fell below its previous sample at slot {slot}")
         if in_order and state.histogram() != (state.counts, state.delivered):
             raise SchedulingError(
-                f"the multiclass mirror differs from the in-order indices at slot {slot}")
+                f"the queue counts differ from the in-order indices at slot {slot}")
         samples.append(Sample(slot, admitted, delivered,
                               min_received, tuple(received), backlog))
 

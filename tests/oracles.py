@@ -20,6 +20,10 @@ pair or set wherever the ranked differential is positive.
 ``assign_class`` draws one class label per scalar call; the engine draws
 the same stream in blocks.
 
+``exact_randomized_table`` states the randomized table's probability rule
+in exact ``Fraction`` arithmetic, so the engine's float table is checked
+against the rule rather than against a stored hash.
+
 ``slotted_capacity_lp`` gives the slotted model's exact capacity from a
 linear program over the activation family (scipy, tests only); the library
 has no slotted capacity of its own to compare it with.
@@ -33,11 +37,13 @@ in blocks yet used as the scalar calls would, are checked against their
 description.
 """
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
-from bcastsim.graph import Arborescence, broadcast_capacity, max_flow, out_edges
+from bcastsim.graph import (Arborescence, broadcast_capacity, max_flow, out_edges,
+                            sequence_from_arborescence)
 from bcastsim.policies import build_randomized_table, default_eps
 
 
@@ -357,6 +363,34 @@ def rescanning_sample_sequences(g, count, rng):
     return seqs
 
 
+def exact_randomized_table(g, trees, extra_sequences, eps):
+    """The randomized table as one exact ``{node set: Fraction}`` dict per
+    edge: position j (1-based) of each tree's canonical growth sequence adds
+    1 - eps*(n-j)/n to its (set, edge) pair, and position j of each of the
+    B' extra sequences adds eps*j/(2*n^2*B'), with ``eps`` taken exactly.
+    Raises ValueError on a negative tree probability or a per-edge total
+    above 1."""
+    n = g.n
+    eps = Fraction(eps)
+    table = [{} for _ in range(g.m)]
+    weighted = []
+    for tree in trees:
+        for j, pair in enumerate(sequence_from_arborescence(g, tree), start=1):
+            p = 1 - eps * (n - j) / n
+            if p < 0:
+                raise ValueError(f"negative tree probability at position {j}")
+            weighted.append((pair, p))
+    for seq in extra_sequences:
+        for j, pair in enumerate(seq, start=1):
+            weighted.append((pair, eps * j / (2 * n * n * len(extra_sequences))))
+    for (fset, eid), p in weighted:
+        table[eid][fset] = table[eid].get(fset, 0) + p
+    for eid, entry in enumerate(table):
+        if sum(entry.values()) > 1:
+            raise ValueError(f"edge {eid} carries total probability above 1")
+    return table
+
+
 def linear_cdf_decide(table, state, eid, rng):
     """Randomized decide by walking the edge's entry and summing its
     probabilities until the sum exceeds one uniform draw."""
@@ -405,8 +439,7 @@ def rebuilding_multiclass_best(state, eid):
     src = g.source
     best = None
     best_w = None
-    for c in range(state.k):
-        row = state.highest[c]
+    for c, row in enumerate(state.highest):
         p = row[j] + 1
         if p > row[src] or row[i] < p:
             continue
@@ -458,6 +491,13 @@ def assign_class(rng, k):
     return int(rng.integers(k))
 
 
+def admit_class(state, c):
+    """Admit one packet of class ``c`` to an in-order state, through its
+    ``admit`` with a one-label stream."""
+    state.labels = iter((c,))
+    state.admit(1)
+
+
 def _streams(config):
     """The run's four generators: arrivals, active edges, class labels,
     policy."""
@@ -506,7 +546,6 @@ class _LedgerQueues:
 
     def __init__(self, g, k, cls_rng):
         self.graph = g
-        self.k = k
         self.cls_rng = cls_rng
         self.ledger = PacketLedger(g)
         self.arrived = [0] * k
@@ -517,7 +556,7 @@ class _LedgerQueues:
     def admit(self, a):
         src = self.graph.source_mask
         for _ in range(a):
-            c = assign_class(self.cls_rng, self.k)
+            c = assign_class(self.cls_rng, len(self.arrived))
             self.arrived[c] += 1
             self.ledger.admit(c, self.arrived[c])
             self.counts[src] = self.counts.get(src, 0) + 1
@@ -531,7 +570,7 @@ class _LedgerQueues:
         if self._view is None:
             sets = self.ledger.sets
             highest = []
-            for c in range(self.k):
+            for c in range(len(self.arrived)):
                 row = []
                 for v in range(self.graph.n):
                     p = self.done[c]
@@ -539,7 +578,7 @@ class _LedgerQueues:
                         p += 1
                     row.append(p)
                 highest.append(row)
-            self._view = SimpleNamespace(graph=self.graph, k=self.k, highest=highest,
+            self._view = SimpleNamespace(graph=self.graph, highest=highest,
                                          counts=self.counts)
         return self._view
 

@@ -18,7 +18,7 @@ from bcastsim.queues import VirtualQueueState
 from bcastsim.wireless import (choose_activation, primary_interference_family,
                                wireline_family)
 
-from oracles import (PacketLedger, assign_class, brute_min_cut,
+from oracles import (PacketLedger, admit_class, assign_class, brute_min_cut,
                      count_exactly_at, independent_arborescence_check)
 
 D4 = diamond4()
@@ -167,12 +167,12 @@ def test_criterion_08_conservation_and_counting_formula():
     full = D4.full_mask
     for seed in range(20):
         rng = np.random.default_rng(39_000 + seed)
-        state = MultiClassState(D4, 3)
+        state = MultiClassState(D4, 3, iter(()))
         ledger = PacketLedger(D4)
         for _ in range(900):
             for _ in range(int(rng.poisson(0.3))):
                 c = assign_class(rng, 3)
-                state.admit_packet(c)
+                admit_class(state, c)
                 ledger.admit(c, state.highest[c][D4.source])
             eid = int(rng.integers(D4.m))
             c = multiclass_decide(state, eid)

@@ -17,10 +17,11 @@ from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET, any_digraphs, small_graphs)
-from oracles import (PacketLedger, assign_class, count_exactly_at,
-                     linear_cdf_decide, packet_set, ranking_best_transition,
-                     rebuilding_multiclass_best, rescanning_sample_sequences,
-                     validate_reachable_sequence)
+from oracles import (PacketLedger, admit_class, assign_class,
+                     count_exactly_at, exact_randomized_table,
+                     linear_cdf_decide, packet_set,
+                     ranking_best_transition, rebuilding_multiclass_best,
+                     rescanning_sample_sequences, validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -115,7 +116,7 @@ def mc_state(g, rows):
     """State with the given index rows; each row's source entry is its
     class's arrival count. The in-flight lists hold the oracle's set of every
     packet some node still lacks."""
-    state = MultiClassState(g, len(rows))
+    state = MultiClassState(g, len(rows), iter(()))
     state.highest = [list(row) for row in rows]
     state.inflight = [[packet_set(state, c, p)
                        for p in range(min(row) + 1, row[g.source] + 1)]
@@ -193,11 +194,11 @@ class TestMultiClassApply:
             multiclass_apply(state, 0, AB)
 
     def test_mirror_stays_in_step(self, d4):
-        state = MultiClassState(d4, 2)
+        state = MultiClassState(d4, 2, iter(()))
         rng = np.random.default_rng(3)
         for _ in range(400):
             if rng.random() < 0.3:
-                state.admit_packet(assign_class(rng, 2))
+                admit_class(state, assign_class(rng, 2))
             eid = int(rng.integers(d4.m))
             c = multiclass_decide(state, eid)
             if c is not None:
@@ -209,6 +210,38 @@ class TestMultiClassApply:
                 else:
                     assert state.counts.get(gset, 0) == expect
             assert state.histogram() == (state.counts, state.delivered)
+
+
+class TestMultiClassWritePath:
+    """``admit`` and ``multiclass_apply`` are the only writers of an in-order
+    state, and neither lets the queue counts leave the indices behind."""
+
+    def test_admit_takes_the_next_labels(self, d4):
+        state = MultiClassState(d4, 2, iter([0, 1, 1]))
+        state.admit(3)
+        assert state.counts == {R_: 3}
+        assert state.admitted == 3
+        assert [row[d4.source] for row in state.highest] == [1, 2]
+        assert state.inflight == [[R_], [R_, R_]]
+        assert state.histogram() == (state.counts, state.delivered)
+
+    def test_transmit_refused(self, d4):
+        state = MultiClassState(d4, 2, iter([0, 1, 1]))
+        state.admit(3)
+        before = (dict(state.counts), [list(r) for r in state.highest],
+                  [list(s) for s in state.inflight])
+        with pytest.raises(SchedulingError):
+            state.transmit(R_, RA)
+        assert (state.counts, state.highest, state.inflight) == before
+        assert state.delivered == 0
+
+    def test_negative_admit_takes_no_label(self, d4):
+        state = MultiClassState(d4, 2, iter([1, 0]))
+        with pytest.raises(ValueError):
+            state.admit(-1)
+        assert state.admitted == 0 and state.counts == {}
+        state.admit(1)
+        assert [row[d4.source] for row in state.highest] == [0, 1]
 
 
 # Each op admits a packet (first entry 0) or activates an edge; the second
@@ -227,12 +260,13 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
     oracle that rebuilds each head-of-line set, or (None, 0) without one."""
     trees = tree_packing(g)
     owner = tree_owners(g, trees)
-    state = MultiClassState(g, classes if policy == "multiclass" else len(trees))
+    state = MultiClassState(g, classes if policy == "multiclass" else len(trees),
+                            iter(()))
     ledger = PacketLedger(g)
     for kind, pick in moves:
         if kind == 0:
-            c = pick % state.k
-            state.admit_packet(c)
+            c = pick % len(state.highest)
+            admit_class(state, c)
             ledger.admit(c, state.highest[c][g.source])
         else:
             eid = pick % g.m
@@ -248,7 +282,7 @@ def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
         assert (counts, delivered) == (state.counts, state.delivered)
         assert counts == ledger.histogram()
         assert delivered == ledger.delivered()
-        assert state.inflight == [ledger.in_flight(c) for c in range(state.k)]
+        assert state.inflight == [ledger.in_flight(c) for c in range(len(state.highest))]
         for e in range(g.m):
             ranked = rebuilding_multiclass_best(state, e)
             expected = ranked if ranked is not None and ranked[1] > 0 else (None, 0)
@@ -281,13 +315,13 @@ class TestStaticTree:
             assert static_tree_decide(state, owner, eid) is None
 
     def test_only_forwards_over_own_tree(self, d4):
-        state = MultiClassState(d4, 2)
+        state = MultiClassState(d4, 2, iter(()))
         rng = np.random.default_rng(11)
         trees = [BLUE, RED]
         owner = tree_owners(d4, trees)
         for _ in range(600):
             if rng.random() < 0.4:
-                state.admit_packet(assign_class(rng, 2))
+                admit_class(state, assign_class(rng, 2))
             eid = int(rng.integers(d4.m))
             c = static_tree_decide(state, owner, eid)
             if c is not None:
@@ -334,6 +368,67 @@ class TestRandomizedTable:
     def test_default_eps(self):
         assert default_eps(2, 1.9, 4) == pytest.approx(0.05)
         assert default_eps(2, 2.4, 4) == pytest.approx(1 / 16)
+        # Half the slack strictly below capacity; 1/(4n) from capacity up.
+        assert default_eps(2, 0.0, 4) == 1.0
+        assert default_eps(3, 2.5, 6) == 0.25
+        assert default_eps(2, 2.0, 4) == 1 / 16
+        assert default_eps(2, 1e9, 5) == 1 / 20
+        assert default_eps(1, float(np.nextafter(1.0, 0.0)), 3) > 0
+
+
+def _assert_matches_exact_rule(g, trees, extra, eps):
+    """The engine's table holds the exact rule's pairs, in set order, with
+    each probability and running sum equal to it within float rounding; or
+    the engine refuses the table exactly where the rule does. Returns the
+    table, or None on a refusal."""
+    try:
+        exact = exact_randomized_table(g, trees, extra, eps)
+    except ValueError:
+        with pytest.raises(ConstructionError):
+            build_randomized_table(g, trees, extra, eps)
+        return None
+    table = build_randomized_table(g, trees, extra, eps)
+    for eid, entry in enumerate(table.entries):
+        want = sorted(exact[eid].items())
+        assert [fset for fset, _ in entry] == [fset for fset, _ in want]
+        running = 0
+        for (_, p), (_, q), c in zip(entry, want, table.cum[eid]):
+            running += q
+            assert abs(p - q) <= 1e-12
+            assert abs(c - running) <= 1e-12
+    return table
+
+
+class TestRandomizedTableRule:
+    """``build_randomized_table`` against the exact-arithmetic oracle."""
+
+    def test_diamond_with_extra_sequences(self, d4):
+        extra = sample_reachable_sequences(d4, 24, np.random.default_rng(2))
+        assert _assert_matches_exact_rule(d4, [BLUE, RED], extra, 0.1)
+
+    def test_refusals(self, d4):
+        # A negative tree probability, and one edge shared by two trees.
+        assert _assert_matches_exact_rule(d4, [BLUE, RED], [], 2.0) is None
+        assert _assert_matches_exact_rule(d4, [BLUE, BLUE], [], 0.1) is None
+
+    # Below capacity, at it (the 1/(4n) margin) and the rnd-setup-25 load.
+    @pytest.mark.parametrize("spec,lam", [("random(12,30,3)", 0.5),
+                                          ("random(12,30,3)", 1.0),
+                                          ("random(25,200,1)", 3.0)])
+    def test_fixed_graphs_at_default_eps(self, spec, lam):
+        g = resolve_graph(spec)
+        trees = tree_packing(g)
+        extra = sample_reachable_sequences(g, 4 * g.m, np.random.default_rng(1))
+        assert _assert_matches_exact_rule(g, trees, extra,
+                                          default_eps(len(trees), lam, g.n))
+
+    @settings(max_examples=80, deadline=4000)
+    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
+           count=st.integers(0, 40),
+           eps=st.floats(1e-6, 1.0) | st.sampled_from([1e-9, 0.5, 1.0]))
+    def test_drawn_graphs(self, g, seed, count, eps):
+        extra = sample_reachable_sequences(g, count, np.random.default_rng(seed))
+        _assert_matches_exact_rule(g, tree_packing(g), extra, eps)
 
 
 class _Draws:
@@ -516,15 +611,14 @@ def test_one_class_per_packet_matches_max_weight(d4):
     """With every packet in its own class, the multi-class rule and the
     virtual-queue max-weight rule pick actions of identical weight on every
     mini-slot (not necessarily identical packets)."""
-    state = MultiClassState(d4, 1)  # class 0 stays empty
+    state = MultiClassState(d4, 1, iter(()))  # class 0 stays empty
     rng = np.random.default_rng(123)
     for _ in range(2500):
         if rng.random() < 0.3:
             # Open a fresh class for the arriving packet.
             state.highest.append([0] * d4.n)
             state.inflight.append([])
-            state.k += 1
-            state.admit_packet(state.k - 1)
+            admit_class(state, len(state.highest) - 1)
         eid = int(rng.integers(d4.m))
         c = multiclass_decide(state, eid)
         fset = max_weight_decide(state, eid)

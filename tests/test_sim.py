@@ -580,8 +580,8 @@ def _forget_in_flight_copies(g, state):
     ("max-weight", _undeliver, "fell below its previous sample"),
     ("multiclass", _over_deliver, "exceeds min_received"),
     ("multiclass", _over_receive, "exceeds admitted"),
-    ("multiclass", _shift_in_mirror, "mirror differs"),
-    ("multiclass", _forget_in_flight_copies, "mirror differs"),
+    ("multiclass", _shift_in_mirror, "queue counts differ"),
+    ("multiclass", _forget_in_flight_copies, "queue counts differ"),
 ])
 def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, message):
     """Each sample checks the invariants: apply ``corrupt`` after every step
@@ -589,13 +589,13 @@ def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, messag
     set_up = sim._set_up_policy
 
     def corrupted(*args):
-        state, admit, step, table = set_up(*args)
+        state, step, table = set_up(*args)
 
         def bad_step(eid):
             step(eid)
             corrupt(d4, state)
 
-        return state, admit, bad_step, table
+        return state, bad_step, table
 
     monkeypatch.setattr(sim, "_set_up_policy", corrupted)
     cfg = SimConfig(lam=1.5, horizon=200, seed=3, sample_every=1, policy=policy,

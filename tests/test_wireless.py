@@ -14,8 +14,8 @@ from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
                                primary_interference_family, wireline_family)
 
 from conftest import R_, RA, RA_SET, RB, small_graphs
-from oracles import (assign_class, brute_matchings, pairwise_conflicts,
-                     scanning_choose_activation)
+from oracles import (admit_class, assign_class, brute_matchings,
+                     pairwise_conflicts, scanning_choose_activation)
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)], 0)
 TWO_DISJOINT = Digraph(4, [(0, 1), (2, 3)], 0)
@@ -352,11 +352,11 @@ class TestActivationMemo:
 
 def test_forwarding_on_activation_preserves_conservation(d4):
     fam = primary_interference_family(d4)
-    state = MultiClassState(d4, 2)
+    state = MultiClassState(d4, 2, iter(()))
     rng = np.random.default_rng(21)
     for _ in range(300):
         for _ in range(int(rng.poisson(1.0))):
-            state.admit_packet(assign_class(rng, 2))
+            admit_class(state, assign_class(rng, 2))
         weights = [edge_weight(state, e) for e in range(d4.m)]
         smask = choose_activation(weights, fam)
         for e in range(d4.m):
