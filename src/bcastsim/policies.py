@@ -81,12 +81,18 @@ class MultiClassState(VirtualQueueState):
         self.labels = iter(labels)
 
     def admit(self, count: int):
-        """Admit ``count`` packets at the source, one per next label; ValueError if < 0."""
+        """Admit ``count`` packets at the source, one per next label;
+        ValueError if ``count`` < 0, before any label is taken, or if the
+        labels run out, after admitting one packet per label there was."""
         src = self.graph.source
+        before = self.admitted
         for c in islice(self.labels, count):
             self.highest[c][src] += 1
             self.inflight[c].append(self.graph.source_mask)
             VirtualQueueState.admit(self, 1)
+        if self.admitted - before != count:
+            raise ValueError(f"the class labels ran out: admitted "
+                             f"{self.admitted - before} of {count} packets")
 
     def transmit(self, fset: int, eid: int):
         raise SchedulingError("an in-order state moves packets only by multiclass_apply")

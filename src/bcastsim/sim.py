@@ -4,7 +4,10 @@
 same way: ``_set_up_policy`` returns the policy's state, whose
 ``admit(count)`` takes the arrivals, and a per-policy ``step(eid)`` function
 that decides the move over the active edge and applies it. The time model
-sets only how many events a slot has and what one event does.
+sets only how many events a slot has and what one event does. A slotted
+max-weight slot's moves are a function of the queue counts, so a slot whose
+counts were seen before replays the moves stored then through
+``state.transmit`` instead of deciding them again.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
@@ -59,10 +62,12 @@ MAX_IN_ORDER_RATE = 1e4
 MAX_CLASSES = 1000
 MAX_EXTRA_SEQUENCES = 10_000
 
-# The most key entries the slotted activation memo holds, summed over its keys
-# (queue-count items or weights); a memo that is full is cleared before the
-# next key goes in. A count item costs ~160 bytes and a weight ~11, so a full
-# memo stays near 10 MB.
+# The most items the slotted memo holds, summed over its entries: each
+# count-keyed entry counts its queue-count items plus its stored moves, each
+# weight-keyed entry its weights. A memo that is full is cleared before the
+# next entry goes in. A count item costs ~160 bytes, a move (a 2-tuple whose
+# node set is shared with the key) ~64 and a weight ~11, so a full memo stays
+# near 10 MB.
 MEMO_KEY_LIMIT = 1 << 16
 
 
@@ -191,7 +196,8 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     """The configured policy's state (a VirtualQueueState, or its in-order
     subclass MultiClassState, which draws each packet's class label from
     ``cls_rng``), ``step(eid)`` (decide the move over the active edge, then
-    apply it unless the policy idles) and the randomized table, or None."""
+    apply it unless the policy idles; max-weight's returns the node set it
+    moved, or None) and the randomized table, or None."""
     policy = config.policy
     table = None
     if policy in ("static-tree", "randomized"):
@@ -208,6 +214,7 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             fset = max_weight_decide(state, eid)
             if fset is not None:
                 state.transmit(fset, eid)
+            return fset
     elif policy == "randomized":
         eps = config.eps
         if eps is None:
@@ -246,12 +253,18 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
     activation whose edges step in ascending id order. The run memoises
-    that activation. Max-weight's is a function of the queue counts alone,
-    so while they hold at most ``m`` entries they are the key, and a
-    repeated count state skips the ``m`` edge weights and the search. Longer
-    count states, and every multiclass slot, are keyed by the weight vector.
-    Under stable load the keys recur. The memo is cleared before the next
-    key would take its summed key size past ``MEMO_KEY_LIMIT``.
+    each slot. Max-weight's decides and ``transmit`` read the queue counts
+    alone, so the slot's moves are a function of them: while the counts hold
+    at most ``m`` entries they are the key, the entry is the tuple of
+    ``(fset, eid)`` moves the slot made, and a repeated count state replays
+    those moves through ``state.transmit`` (whose checks still run), which
+    skips the ``m`` edge weights, the search and every per-edge decide.
+    Longer count states, and every multiclass slot, are keyed by the weight
+    vector, which does not fix the counts or the in-order indices, so those
+    entries hold only the activation and a hit steps its edges. Under stable
+    load the keys recur. The memo is cleared before the next entry would
+    take its summed size (key items plus stored moves) past
+    ``MEMO_KEY_LIMIT``.
 
     Every random value is used one at a time, in the order scalar calls
     would make, from blocks of one size (the module docstring's draw rule).
@@ -306,35 +319,56 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         per_slot, event = m, step
     else:
         per_slot = 1
-        # Max-weight's choice reads the counts alone, so they key it while
-        # they hold at most m entries (a longer key costs more to build than
-        # its hits save); otherwise, and for multiclass, the weights do.
+        # Max-weight's moves read the counts alone, so they key the slot's
+        # moves while they hold at most m entries (a longer key costs more to
+        # build than its hits save); otherwise, and for multiclass, the
+        # weights key the activation.
         counts = None if in_order else state.counts
-        memo: dict[frozenset | tuple[int, ...], int] = {}
+        transmit = state.transmit
+        memo: dict[frozenset | tuple[int, ...], int | tuple[tuple[int, int], ...]] = {}
         memo_size = 0
 
         def weigh():
             return [edge_weight(state, e) for e in range(m)]
 
-        def event(_):
+        def store(key, value, size: int):
             nonlocal memo_size
-            if counts is not None and len(counts) <= m:
-                weights = None
-                key = frozenset(counts.items())
-            else:
-                weights = weigh()
-                key = tuple(weights)
-            smask = memo.get(key)
-            if smask is None:
-                if memo_size + len(key) > MEMO_KEY_LIMIT:
-                    memo.clear()
-                    memo_size = 0
-                memo_size += len(key)
-                smask = memo[key] = choose_activation(weights or weigh(), fam)
+            if memo_size + size > MEMO_KEY_LIMIT:
+                memo.clear()
+                memo_size = 0
+            memo_size += size
+            memo[key] = value
+
+        def act(smask: int) -> tuple[tuple[int, int], ...]:
+            """Step the activation's edges in ascending id order; return
+            max-weight's ``(fset, eid)`` moves."""
+            moves = []
             while smask:
                 low = smask & -smask
-                step(low.bit_length() - 1)
+                eid = low.bit_length() - 1
+                fset = step(eid)
+                if fset is not None:
+                    moves.append((fset, eid))
                 smask ^= low
+            return tuple(moves)
+
+        def event(_):
+            if counts is not None and len(counts) <= m:
+                key = frozenset(counts.items())
+                moves = memo.get(key)
+                if moves is None:
+                    moves = act(choose_activation(weigh(), fam))
+                    store(key, moves, len(key) + len(moves))
+                else:
+                    for fset, eid in moves:
+                        transmit(fset, eid)
+            else:
+                key = tuple(weigh())
+                smask = memo.get(key)
+                if smask is None:
+                    smask = choose_activation(key, fam)
+                    store(key, smask, len(key))
+                act(smask)
 
     arrivals = _blocks(arr_rng.poisson, config.lam / per_slot)
     edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)

@@ -235,6 +235,18 @@ class TestMultiClassWritePath:
         assert (state.counts, state.highest, state.inflight) == before
         assert state.delivered == 0
 
+    def test_running_out_of_labels_raises(self, d4):
+        """A finite label stream that ends early admits one packet per label
+        and says how many, instead of admitting fewer than asked silently."""
+        state = MultiClassState(d4, 2, iter([0]))
+        with pytest.raises(ValueError, match="admitted 1 of 3 packets"):
+            state.admit(3)
+        assert state.admitted == 1 and state.counts == {R_: 1}
+        assert state.histogram() == (state.counts, state.delivered)
+        state.admit(0)
+        with pytest.raises(ValueError, match="admitted 0 of 1 packets"):
+            state.admit(1)
+
     def test_negative_admit_takes_no_label(self, d4):
         state = MultiClassState(d4, 2, iter([1, 0]))
         with pytest.raises(ValueError):

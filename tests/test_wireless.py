@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from bcastsim import CapabilityError, Digraph, ParseError, sim, wireless
 from bcastsim.cli import build_activation, resolve_graph
-from bcastsim.policies import (MultiClassState, edge_weight, multiclass_apply,
-                               multiclass_decide)
+from bcastsim.policies import (MultiClassState, edge_weight, max_weight_decide,
+                               multiclass_apply, multiclass_decide)
 from bcastsim.queues import VirtualQueueState
 from bcastsim.sim import SimConfig, received_csv, run, run_csv
 from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
@@ -15,7 +15,7 @@ from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
 
 from conftest import R_, RA, RA_SET, RB, small_graphs
 from oracles import (admit_class, assign_class, brute_matchings,
-                     pairwise_conflicts, scanning_choose_activation)
+                     pairwise_conflicts, replay_max_weight, scanning_choose_activation)
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)], 0)
 TWO_DISJOINT = Digraph(4, [(0, 1), (2, 3)], 0)
@@ -316,6 +316,43 @@ class TestActivationMemo:
         small_outputs, small_searched = self._counted_run(cfg, g, fam, monkeypatch)
         assert small_outputs == outputs
         assert len(small_searched) > len(searched)
+
+    def test_a_hit_replays_the_moves(self, monkeypatch):
+        """A count-keyed hit replays the moves its miss made: the per-edge
+        decides run on the miss slots only, one per activated edge, every
+        move still passes through ``transmit`` (each adds one node to one
+        packet's set, so they number the received counts' sum less the
+        admissions), and the outputs equal the replay that searches each
+        slot afresh."""
+        g = resolve_graph("random(6,10,1)")
+        fam = primary_interference_family(g)
+        cfg = SimConfig(lam=0.3, horizon=1500, seed=5, time_model="slotted-wireless",
+                        sample_every=100)
+        activated, decides, moves = [], [], []
+        transmit = VirtualQueueState.transmit
+
+        def counted_activation(weights, fam):
+            activated.append(choose_activation(weights, fam))
+            return activated[-1]
+
+        def counted_decide(state, eid):
+            decides.append(eid)
+            return max_weight_decide(state, eid)
+
+        def counted_transmit(state, fset, eid):
+            moves.append(eid)
+            transmit(state, fset, eid)
+
+        monkeypatch.setattr(sim, "choose_activation", counted_activation)
+        monkeypatch.setattr(sim, "max_weight_decide", counted_decide)
+        monkeypatch.setattr(VirtualQueueState, "transmit", counted_transmit)
+        res = run(cfg, g, fam)
+        assert len(activated) < cfg.horizon / 2  # most slots hit
+        # The counts never outgrow m here, so every slot is count-keyed.
+        assert len(decides) == sum(smask.bit_count() for smask in activated)
+        last = res.samples[-1]
+        assert len(moves) == sum(last.received) - last.admitted > len(decides)
+        assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
 
     def test_a_full_memo_is_cleared(self, monkeypatch):
         """A multiclass key is the weight vector, whose every slot passes
