@@ -5,9 +5,9 @@ same way: ``_set_up_policy`` returns the policy's state, whose
 ``admit(count)`` takes the arrivals, and a per-policy ``step(eid)`` function
 that decides the move over the active edge and applies it. The time model
 sets only how many events a slot has and what one event does. A slotted
-max-weight slot's moves are a function of the queue counts, so a slot whose
-counts were seen before replays the moves stored then through
-``state.transmit`` instead of deciding them again.
+slot's moves are a function of the part of the state its decides read, so a
+slot whose key was seen before replays the moves stored then instead of
+deciding them again.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice, repeat
 from typing import Sequence
 
@@ -62,12 +63,12 @@ MAX_IN_ORDER_RATE = 1e4
 MAX_CLASSES = 1000
 MAX_EXTRA_SEQUENCES = 10_000
 
-# The most items the slotted memo holds, summed over its entries: each
-# count-keyed entry counts its queue-count items plus its stored moves, each
-# weight-keyed entry its weights. A memo that is full is cleared before the
-# next entry goes in. A count item costs ~160 bytes, a move (a 2-tuple whose
-# node set is shared with the key) ~64 and a weight ~11, so a full memo stays
-# near 10 MB.
+# The most items the slotted memo holds, summed over its entries: each entry
+# counts its key's items (queue-count pairs, or in-flight sets plus one per
+# class) plus its stored moves. A memo that is full is cleared before the next
+# entry goes in. Measured by tracemalloc (CPython 3.11), an item costs ~140
+# bytes in a count-keyed memo and 30-50 in an in-flight-keyed one, moves
+# included, so a full memo stays near 10 MB.
 MEMO_KEY_LIMIT = 1 << 16
 
 
@@ -195,9 +196,9 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
 def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     """The configured policy's state (a VirtualQueueState, or its in-order
     subclass MultiClassState, which draws each packet's class label from
-    ``cls_rng``), ``step(eid)`` (decide the move over the active edge, then
-    apply it unless the policy idles; max-weight's returns the node set it
-    moved, or None) and the randomized table, or None."""
+    ``cls_rng``), ``step(eid)`` (decide the move over the active edge, apply
+    it unless the policy idles, and return it: a node set or a class, or
+    None) and the randomized table, or None."""
     policy = config.policy
     table = None
     if policy in ("static-tree", "randomized"):
@@ -230,11 +231,13 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             fset = randomized_decide(table, state, eid, uniform)
             if fset is not None:
                 state.transmit(fset, eid)
+            return fset
     elif policy == "multiclass":
         def step(eid: int):
             c = multiclass_decide(state, eid)
             if c is not None:
                 multiclass_apply(state, c, eid)
+            return c
     else:
         owner = tree_owners(g, trees)
 
@@ -242,6 +245,7 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             c = static_tree_decide(state, owner, eid)
             if c is not None:
                 multiclass_apply(state, c, eid)
+            return c
     return state, step, table
 
 
@@ -252,19 +256,23 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     each event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
-    activation whose edges step in ascending id order. The run memoises
-    each slot. Max-weight's decides and ``transmit`` read the queue counts
-    alone, so the slot's moves are a function of them: while the counts hold
-    at most ``m`` entries they are the key, the entry is the tuple of
-    ``(fset, eid)`` moves the slot made, and a repeated count state replays
-    those moves through ``state.transmit`` (whose checks still run), which
-    skips the ``m`` edge weights, the search and every per-edge decide.
-    Longer count states, and every multiclass slot, are keyed by the weight
-    vector, which does not fix the counts or the in-order indices, so those
-    entries hold only the activation and a hit steps its edges. Under stable
-    load the keys recur. The memo is cleared before the next entry would
-    take its summed size (key items plus stored moves) past
-    ``MEMO_KEY_LIMIT``.
+    activation whose edges step in ascending id order.
+
+    The run memoises each slot's moves, the ``(move, eid)`` pairs its steps
+    returned, by the part of the state its decides read: max-weight's by the
+    queue counts, the in-order policy's by the in-flight sets while they
+    hold at most ``m`` packets (a longer state, whose key grows with the
+    backlog, is decided afresh and not stored). Under in-order delivery node
+    v lacks exactly the last ``row[src] - row[v]`` in-flight packets of its
+    class, so the sets fix every class's indices up to a shift, and the
+    counts, their tally; ``multiclass_decide``, ``edge_weight`` and
+    ``multiclass_apply`` read only those differences, the sets and the
+    counts, and break ties by class index, not dict order. A hit replays the
+    moves through the family's write path (``state.transmit`` or
+    ``multiclass_apply``, whose checks still run), skipping the ``m`` edge
+    weights, the search and every per-edge decide. The memo is cleared
+    before the next entry would take its summed size (key items plus moves)
+    past ``MEMO_KEY_LIMIT``.
 
     Every random value is used one at a time, in the order scalar calls
     would make, from blocks of one size (the module docstring's draw rule).
@@ -319,56 +327,47 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
         per_slot, event = m, step
     else:
         per_slot = 1
-        # Max-weight's moves read the counts alone, so they key the slot's
-        # moves while they hold at most m entries (a longer key costs more to
-        # build than its hits save); otherwise, and for multiclass, the
-        # weights key the activation.
-        counts = None if in_order else state.counts
-        transmit = state.transmit
-        memo: dict[frozenset | tuple[int, ...], int | tuple[tuple[int, int], ...]] = {}
+        if in_order:
+            def slot_key():
+                if state.admitted - state.delivered <= m:
+                    return tuple(map(tuple, state.inflight))
+
+            def key_items(key) -> int:  # the in-flight sets plus one per class
+                return len(key) + sum(map(len, key))
+
+            replay = partial(multiclass_apply, state)
+        else:
+            def slot_key():
+                return frozenset(state.counts.items())
+
+            key_items, replay = len, state.transmit
+        memo: dict[frozenset | tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]] = {}
         memo_size = 0
 
-        def weigh():
-            return [edge_weight(state, e) for e in range(m)]
-
-        def store(key, value, size: int):
-            nonlocal memo_size
-            if memo_size + size > MEMO_KEY_LIMIT:
-                memo.clear()
-                memo_size = 0
-            memo_size += size
-            memo[key] = value
-
-        def act(smask: int) -> tuple[tuple[int, int], ...]:
-            """Step the activation's edges in ascending id order; return
-            max-weight's ``(fset, eid)`` moves."""
-            moves = []
-            while smask:
-                low = smask & -smask
-                eid = low.bit_length() - 1
-                fset = step(eid)
-                if fset is not None:
-                    moves.append((fset, eid))
-                smask ^= low
-            return tuple(moves)
-
         def event(_):
-            if counts is not None and len(counts) <= m:
-                key = frozenset(counts.items())
-                moves = memo.get(key)
-                if moves is None:
-                    moves = act(choose_activation(weigh(), fam))
-                    store(key, moves, len(key) + len(moves))
-                else:
-                    for fset, eid in moves:
-                        transmit(fset, eid)
+            nonlocal memo_size
+            key = slot_key()
+            moves = memo.get(key)  # a None key is never stored
+            if moves is None:
+                smask = choose_activation([edge_weight(state, e) for e in range(m)], fam)
+                moves = []
+                while smask:  # the activated edges in ascending id order
+                    low = smask & -smask
+                    eid = low.bit_length() - 1
+                    move = step(eid)
+                    if move is not None:
+                        moves.append((move, eid))
+                    smask ^= low
+                if key is not None:
+                    size = key_items(key) + len(moves)
+                    if memo_size + size > MEMO_KEY_LIMIT:
+                        memo.clear()
+                        memo_size = 0
+                    memo_size += size
+                    memo[key] = tuple(moves)
             else:
-                key = tuple(weigh())
-                smask = memo.get(key)
-                if smask is None:
-                    smask = choose_activation(key, fam)
-                    store(key, smask, len(key))
-                act(smask)
+                for move, eid in moves:
+                    replay(move, eid)
 
     arrivals = _blocks(arr_rng.poisson, config.lam / per_slot)
     edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)

@@ -164,9 +164,7 @@ def choose_activation(weights: Sequence[int], fam: ActivationFamily) -> int:
     Each positive weight is added to the totals of the members that hold its
     edge, and ``argmax`` returns the first largest total. The totals are
     int64 while no member's total can pass 2**63 - 1, and Python ints
-    otherwise, so every weight is summed exactly. The answer is a function
-    of the weights and the family alone, so ``run`` memoises it per slotted
-    run.
+    otherwise, so every weight is summed exactly.
     """
     positive = [(e, w) for e, w in enumerate(weights) if w > 0]
     # A member holds at most edge_count edges.

@@ -150,6 +150,17 @@ class TestSimulate:
         assert "config error: the graph needs at least one edge" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("policy", ["static-tree", "randomized"])
+    def test_tree_policy_without_capacity_exits_2(self, runner, tmp_path, policy):
+        """Node 2 of the graph file is unreachable, so no tree spans it."""
+        path = write(tmp_path, "g.txt", "3 2 0\n0 1\n2 1\n")
+        cfg = write(tmp_path, "quick.ini",
+                    FIG2_QUICK.replace("policy = max-weight", f"policy = {policy}"))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--graph",
+                                      str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {policy} policy needs broadcast capacity >= 1\n"
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "1e300"])
     def test_non_finite_lambda_is_a_config_error(self, runner, tmp_path, lam):
         cfg = write(tmp_path, "quick.ini",

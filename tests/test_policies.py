@@ -193,7 +193,7 @@ class TestMultiClassApply:
         with pytest.raises(SchedulingError):
             multiclass_apply(state, 0, AB)
 
-    def test_mirror_stays_in_step(self, d4):
+    def test_counts_stay_in_step(self, d4):
         state = MultiClassState(d4, 2, iter(()))
         rng = np.random.default_rng(3)
         for _ in range(400):
@@ -264,7 +264,7 @@ MOVES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16)), max_size
 @pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
 @settings(max_examples=200, deadline=2000)
 @given(g=small_graphs(), classes=st.integers(1, 4), moves=MOVES)
-def test_histogram_matches_mirror_and_ledger(policy, g, classes, moves):
+def test_histogram_matches_counts_and_ledger(policy, g, classes, moves):
     """After every move of either in-order policy, the histogram rebuilt from
     the index matrix equals the incremental queue counts and a per-packet
     ledger, the in-flight lists equal the ledger's sets, and the multiclass

@@ -52,6 +52,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run(cfg, d4, wireline_family(d4.m))
 
+    def test_family_for_another_graph_rejected(self, d4):
+        cfg = SimConfig(lam=1, horizon=10, time_model="slotted-wireless")
+        message = f"activation family built for {d4.m + 1} edges, graph has {d4.m}"
+        assert message in cfg.validation_errors(d4, wireline_family(d4.m + 1))
+        with pytest.raises(ValueError, match=message):
+            run(cfg, d4, wireline_family(d4.m + 1))
+
+    @pytest.mark.parametrize("policy", ["static-tree", "randomized"])
+    def test_tree_policies_need_capacity(self, policy):
+        """Node 2 is unreachable from the source, so no tree spans the graph."""
+        g = Digraph(3, [(0, 1), (2, 1)], 0)
+        with pytest.raises(ValueError, match=f"{policy} policy needs broadcast capacity >= 1"):
+            run(SimConfig(lam=1, horizon=10, policy=policy), g)
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0,
                                      2 * MAX_ARRIVAL_RATE])
     def test_lambda_must_be_finite_and_non_negative(self, d4, lam):
@@ -548,6 +562,11 @@ def _undeliver(g, state):
         state.delivered = 0
 
 
+def _break_conservation(g, state):
+    # Only conservation breaks: every received count stays within admitted.
+    state.admitted += 1
+
+
 def _over_deliver(g, state):
     state.admitted += 100
     state.delivered += 100
@@ -557,7 +576,7 @@ def _over_receive(g, state):
     state.highest[0][g.source] += 1
 
 
-def _shift_in_mirror(g, state):
+def _shift_in_counts(g, state):
     # Move one delivered packet back to the source's set in the queue counts
     # only. Conservation and every received count (read from the in-order
     # indices) still hold; only the histogram check can see it.
@@ -578,9 +597,10 @@ def _forget_in_flight_copies(g, state):
 
 @pytest.mark.parametrize("policy, corrupt, message", [
     ("max-weight", _undeliver, "fell below its previous sample"),
+    ("max-weight", _break_conservation, "conservation violated"),
     ("multiclass", _over_deliver, "exceeds min_received"),
     ("multiclass", _over_receive, "exceeds admitted"),
-    ("multiclass", _shift_in_mirror, "queue counts differ"),
+    ("multiclass", _shift_in_counts, "queue counts differ"),
     ("multiclass", _forget_in_flight_copies, "queue counts differ"),
 ])
 def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, message):

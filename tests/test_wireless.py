@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastsim import CapabilityError, Digraph, ParseError, sim, wireless
+from bcastsim import CapabilityError, Digraph, ParseError, policies, sim, wireless
 from bcastsim.cli import build_activation, resolve_graph
 from bcastsim.policies import (MultiClassState, edge_weight, max_weight_decide,
                                multiclass_apply, multiclass_decide)
@@ -14,8 +14,8 @@ from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
                                primary_interference_family, wireline_family)
 
 from conftest import R_, RA, RA_SET, RB, small_graphs
-from oracles import (admit_class, assign_class, brute_matchings,
-                     pairwise_conflicts, replay_max_weight, scanning_choose_activation)
+from oracles import (admit_class, assign_class, brute_matchings, pairwise_conflicts,
+                     replay_in_order, replay_max_weight, scanning_choose_activation)
 
 TRIANGLE = Digraph(3, [(0, 1), (1, 2), (2, 0)], 0)
 TWO_DISJOINT = Digraph(4, [(0, 1), (2, 3)], 0)
@@ -257,10 +257,24 @@ def _grow(state: VirtualQueueState, target: int):
         fset |= 1 << g.edges[eid][1]
 
 
+def _grow_in_order(state: MultiClassState, c: int, target: int):
+    """Admit one packet of class ``c`` and forward it over edges into
+    ``target`` until it is held by exactly ``target``; every node of
+    ``target`` must hold the class's older packets."""
+    g = state.graph
+    admit_class(state, c)
+    fset = g.source_mask
+    while fset != target:
+        eid = next(e for e, (a, b) in enumerate(g.edges)
+                   if fset >> a & 1 and not fset >> b & 1 and target >> b & 1)
+        multiclass_apply(state, c, eid)
+        fset |= 1 << g.edges[eid][1]
+
+
 class TestActivationMemo:
-    """``run`` memoises the slotted activation: max-weight by the queue
-    counts while they hold at most m entries, otherwise and for multiclass
-    by the weight vector."""
+    """``run`` memoises each slotted slot's moves by the part of the state
+    its decides read: max-weight by the queue counts, multiclass by the
+    in-flight sets while they hold at most m packets."""
 
     @settings(max_examples=150, deadline=2000)
     @given(g=small_graphs(6), data=st.data())
@@ -289,6 +303,43 @@ class TestActivationMemo:
         assert ([edge_weight(second, e) for e in range(g.m)]
                 == [edge_weight(first, e) for e in range(g.m)])
 
+    @settings(max_examples=150, deadline=2000)
+    @given(g=small_graphs(6), classes=st.integers(1, 3), data=st.data())
+    def test_equal_in_flight_sets_give_equal_decides(self, g, classes, data):
+        """Two in-order states with equal in-flight sets, reached by different
+        histories (the second delivers extra packets everywhere first, so its
+        indices are shifted), weigh and decide every edge alike and make the
+        same slot of moves, so the in-flight sets are a sound memo key."""
+        first = MultiClassState(g, classes, iter(()))
+        for _ in range(data.draw(st.integers(0, 40))):
+            c = data.draw(st.integers(0, classes - 1))
+            row = first.highest[c]
+            movable = [e for e, (a, b) in enumerate(g.edges) if row[b] < row[a]]
+            if not movable or data.draw(st.booleans()):
+                admit_class(first, c)
+            else:
+                multiclass_apply(first, c, data.draw(st.sampled_from(movable)))
+        second = MultiClassState(g, classes, iter(()))
+        for c in range(classes):
+            for _ in range(data.draw(st.integers(1, 3))):
+                _grow_in_order(second, c, g.full_mask)
+        for c, sets in enumerate(first.inflight):
+            for fset in sets:
+                _grow_in_order(second, c, fset)
+        assert second.inflight == first.inflight
+        assert second.counts == first.counts
+        assert ([edge_weight(second, e) for e in range(g.m)]
+                == [edge_weight(first, e) for e in range(g.m)])
+        assert ([multiclass_decide(second, e) for e in range(g.m)]
+                == [multiclass_decide(first, e) for e in range(g.m)])
+        for e in range(g.m):
+            c = multiclass_decide(first, e)
+            assert multiclass_decide(second, e) == c
+            if c is not None:
+                multiclass_apply(first, c, e)
+                multiclass_apply(second, c, e)
+        assert second.inflight == first.inflight
+
     @staticmethod
     def _counted_run(cfg, g, fam, monkeypatch):
         """The run's CSVs and the weight vectors it searched (its misses)."""
@@ -304,8 +355,9 @@ class TestActivationMemo:
 
     @pytest.mark.parametrize("policy", ["max-weight", "multiclass"])
     def test_a_small_limit_leaves_a_run_unchanged(self, policy, monkeypatch):
-        """A limit of 3 holds a few max-weight keys but no second multiclass
-        key (10 weights each): the memo clears on nearly every miss."""
+        """A limit of 3 holds only the smallest keys (a multiclass key counts
+        one item per class besides its in-flight sets), so the memo clears on
+        nearly every miss; the outputs must not change."""
         g = resolve_graph("random(6,10,1)")
         fam = primary_interference_family(g)
         cfg = SimConfig(lam=0.3, horizon=1500, seed=5, time_model="slotted-wireless",
@@ -354,37 +406,115 @@ class TestActivationMemo:
         assert len(moves) == sum(last.received) - last.admitted > len(decides)
         assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, g, fam)
 
-    def test_a_full_memo_is_cleared(self, monkeypatch):
-        """A multiclass key is the weight vector, whose every slot passes
-        through ``edge_weight``; the searches must be the misses of a memo
-        cleared whenever the next key would take it past the bound."""
+    def test_an_in_order_hit_replays_the_moves(self, monkeypatch):
+        """An in-flight-keyed hit replays the moves its miss made: each
+        search weighs the m edges (one decide each) and decides each
+        activated edge once, a hit decides nothing, every move still passes
+        through ``multiclass_apply``, and the outputs equal the replay that
+        searches each slot afresh."""
         g = resolve_graph("random(6,10,1)")
         fam = primary_interference_family(g)
-        limit = 2 * g.m  # two keys fill it exactly; a third clears it
-        weighed = []
+        cfg = SimConfig(lam=0.3, horizon=1500, seed=5, time_model="slotted-wireless",
+                        policy="multiclass", classes=2, sample_every=100)
+        activated, decides, moves = [], [], []
 
-        def recorded(state, eid):
-            weighed.append(edge_weight(state, eid))
-            return weighed[-1]
+        def counted_activation(weights, fam):
+            activated.append(choose_activation(weights, fam))
+            return activated[-1]
 
-        monkeypatch.setattr(sim, "edge_weight", recorded)
-        monkeypatch.setattr(sim, "MEMO_KEY_LIMIT", limit)
-        cfg = SimConfig(lam=0.3, horizon=400, seed=5, time_model="slotted-wireless",
-                        policy="multiclass", classes=2)
-        _, searched = self._counted_run(cfg, g, fam, monkeypatch)
-        keys = [tuple(weighed[i:i + g.m]) for i in range(0, len(weighed), g.m)]
-        assert len(keys) == cfg.horizon
-        memo, size, misses = set(), 0, []
-        for key in keys:
-            if key not in memo:
-                if size + len(key) > limit:
-                    memo.clear()
-                    size = 0
-                memo.add(key)
-                size += len(key)
-                misses.append(key)
-        assert searched == misses
-        assert len(misses) > len(set(keys))  # the memo was cleared
+        def counted_decide(state, eid):
+            decides.append(eid)
+            return multiclass_decide(state, eid)
+
+        def counted_apply(state, c, eid):
+            moves.append(eid)
+            multiclass_apply(state, c, eid)
+
+        monkeypatch.setattr(sim, "choose_activation", counted_activation)
+        monkeypatch.setattr(sim, "multiclass_decide", counted_decide)
+        monkeypatch.setattr(policies, "multiclass_decide", counted_decide)
+        monkeypatch.setattr(sim, "multiclass_apply", counted_apply)
+        res = run(cfg, g, fam)
+        assert len(activated) < cfg.horizon / 2  # most slots hit
+        assert len(decides) == sum(g.m + smask.bit_count() for smask in activated)
+        last = res.samples[-1]
+        # More moves than the miss slots' steps: the hits made the rest.
+        assert (len(moves) == sum(last.received) - last.admitted
+                > sum(smask.bit_count() for smask in activated))
+        assert (run_csv(res), received_csv(res), res.rate) == replay_in_order(cfg, g, fam)
+
+    @staticmethod
+    def _keyed_run(cfg, g, fam, key_of, monkeypatch):
+        """The run's samples (one per slot), the key of every slot, read off
+        the state the slot starts from (after its admissions), and the slots
+        that searched; it undoes the test's patches."""
+        latest, keys, searched = [None], [], []
+        state_type = MultiClassState if cfg.policy == "multiclass" else VirtualQueueState
+        admit, total_backlog = state_type.admit, VirtualQueueState.total_backlog
+
+        def keyed_admit(state, count):
+            admit(state, count)
+            latest[0] = key_of(state)
+
+        def sampled_backlog(state):  # once per sample, after the slot's events
+            keys.append(latest[0])
+            latest[0] = key_of(state)
+            return total_backlog(state)
+
+        def counted(weights, fam):
+            searched.append(len(keys))  # the slot now running
+            return choose_activation(weights, fam)
+
+        monkeypatch.setattr(state_type, "admit", keyed_admit)
+        monkeypatch.setattr(VirtualQueueState, "total_backlog", sampled_backlog)
+        monkeypatch.setattr(sim, "choose_activation", counted)
+        samples = run(cfg, g, fam).samples
+        monkeypatch.undo()
+        return samples, keys[1:], searched  # the sample at slot 0 closes no slot
+
+    def test_a_full_memo_is_cleared(self, monkeypatch):
+        """With a sample every slot, each slot's moves are the received
+        counts' growth less its admissions. For both families the searches
+        must be the misses of a memo that stores every key but an in-order
+        one past m packets, sizes an entry by its key's items (count pairs,
+        or in-flight sets plus one per class) plus its moves, and is cleared
+        whenever the next entry would take it past the bound."""
+        g = resolve_graph("random(6,10,1)")
+        fam = primary_interference_family(g)
+        limit = 60
+
+        def count_key(state):
+            return frozenset(state.counts.items())
+
+        def in_flight_key(state):
+            if state.admitted - state.delivered <= g.m:
+                return tuple(map(tuple, state.inflight))
+
+        for policy, lam, key_of, items in [
+                ("max-weight", 0.3, count_key, len),
+                ("multiclass", 0.4, in_flight_key, lambda key: len(key) + sum(map(len, key)))]:
+            cfg = SimConfig(lam=lam, horizon=1000, seed=5, time_model="slotted-wireless",
+                            policy=policy, classes=2, sample_every=1)
+            monkeypatch.setattr(sim, "MEMO_KEY_LIMIT", limit)
+            samples, keys, searched = self._keyed_run(cfg, g, fam, key_of, monkeypatch)
+            assert len(keys) == cfg.horizon
+            memo, size, misses = set(), 0, []
+            for slot, (key, before, after) in enumerate(zip(keys, samples, samples[1:]), 1):
+                if key in memo:
+                    continue
+                misses.append(slot)
+                if key is not None:
+                    moves = (sum(after.received) - sum(before.received)
+                             - (after.admitted - before.admitted))
+                    if size + items(key) + moves > limit:
+                        memo.clear()
+                        size = 0
+                    memo.add(key)
+                    size += items(key) + moves
+            assert searched == misses
+            assert len(misses) > len({keys[slot - 1] for slot in misses})  # cleared
+            # Only an in-order state past m packets goes unstored.
+            assert (None in keys) == (policy == "multiclass")
 
 
 def test_forwarding_on_activation_preserves_conservation(d4):
