@@ -5,6 +5,8 @@ Every policy's packets sit in ``VirtualQueueState`` replication-set queues;
 are pure given their state and return what to send over the active edge (or
 None to idle); the caller applies the move. ``edge_weight`` turns the same
 candidate rules into the per-edge weights of the slotted model.
+``randomized_picks`` draws and resolves the randomized policy's picks a
+block of events at a time.
 """
 
 from __future__ import annotations
@@ -238,6 +240,17 @@ class RandomizedTable:
     that class across it. Residual probability means idle. ``cum[eid]`` holds
     the running sums of the entry's probabilities, added left to right, so
     the pair at position i covers the draws in [cum[eid][i-1], cum[eid][i]).
+
+    ``search`` lays the same running sums, added the same way, out as one
+    flat edge-major int64 key each,
+    ``eid * (2**53 + 1) + min(ceil(cum * 2**53), 2**53)``, so one
+    ``np.searchsorted`` finds the pairs of a whole block of events. The keys
+    are exact for the draws of ``Generator.random``, which are multiples of
+    2**-53 in [0, 1): for such a draw u, ``u * 2**53`` is an integer below
+    2**53, and ``cum > u`` holds exactly when the key's second term exceeds
+    it. The edge's offset is added as an integer, never to a float, so
+    nothing rounds, and each edge's keys and draws stay below the next
+    edge's, up to 1023 edges.
     """
 
     entries: tuple[tuple[tuple[int, float], ...], ...]
@@ -245,6 +258,30 @@ class RandomizedTable:
     @cached_property
     def cum(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(accumulate(p for _, p in entry)) for entry in self.entries)
+
+    @cached_property
+    def search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, fsets, sizes, ends): the flat keys and node sets (int64,
+        so of graphs up to 63 nodes), and per edge its pair count and the
+        index one past its last pair."""
+        if len(self.entries) * _KEY_STRIDE > 1 << 63:
+            raise ValueError(f"a table search holds at most 1023 edges, "
+                             f"got {len(self.entries)}")
+        sizes = np.array([len(entry) for entry in self.entries], dtype=np.int64)
+        count = int(sizes.sum())
+        # In place, so no more than two arrays of the keys' size are alive.
+        scaled = np.fromiter(chain.from_iterable(
+            accumulate(p for _, p in entry) for entry in self.entries),
+            dtype=np.float64, count=count)
+        scaled *= _DRAW_SCALE
+        np.ceil(scaled, out=scaled)
+        np.minimum(scaled, _DRAW_SCALE, out=scaled)
+        keys = scaled.astype(np.int64)
+        del scaled
+        keys += np.repeat(np.arange(len(sizes), dtype=np.int64) * _KEY_STRIDE, sizes)
+        fsets = np.fromiter((fset for entry in self.entries for fset, _ in entry),
+                            dtype=np.int64, count=count)
+        return keys, fsets, sizes, np.cumsum(sizes)
 
     def csv_rows(self) -> Iterator[str]:
         yield "edge,bits,probability"
@@ -261,19 +298,29 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
     return 1 / (4 * n)
 
 
-# Values per block drawn by ``_blocks``. numpy's block forms of ``poisson``,
-# ``integers`` and ``random`` consume a generator as repeated scalar calls
-# would, so the size is not observable.
+# Values per block drawn by ``_block_arrays``. numpy's block forms of
+# ``poisson``, ``integers`` and ``random`` consume a generator as repeated
+# scalar calls would, so the size is not observable.
 _BLOCK_DRAWS = 1024
 _WORD_MASK = 0xFFFF_FFFF
+# A draw of ``Generator.random`` times this is an integer; the table search
+# keys of consecutive edges are this plus one apart.
+_DRAW_SCALE = float(1 << 53)
+_KEY_STRIDE = (1 << 53) + 1
+
+
+def _block_arrays(draw: Callable, *args, **kwargs) -> Iterator[np.ndarray]:
+    """Blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``, each drawn
+    only when the previous one is used up."""
+    while True:
+        yield draw(*args, size=_BLOCK_DRAWS, **kwargs)
 
 
 def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
     """The values of repeated scalar ``draw(*args, **kwargs)`` calls, one at
-    a time, taken from blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``;
-    a block is drawn only when the previous one is used up."""
-    return chain.from_iterable(iter(
-        lambda: draw(*args, size=_BLOCK_DRAWS, **kwargs).tolist(), None))
+    a time, taken from ``_block_arrays``."""
+    return chain.from_iterable(map(np.ndarray.tolist,
+                                   _block_arrays(draw, *args, **kwargs)))
 
 
 @contextmanager
@@ -421,10 +468,13 @@ def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
     when the sampled queue is empty (the policy never substitutes a class, as
     that would change its stationary behavior).
 
-    One call ``uniform()`` gives a draw u in [0, 1) (``Generator.random``,
-    or the next value of a block of them); u picks the first pair whose
-    running sum in ``table.cum`` exceeds u, found by bisection. An empty
-    entry idles without a draw.
+    One call ``uniform()`` gives a draw u in [0, 1); u picks the first pair
+    whose running sum in ``table.cum`` exceeds u, found by bisection. An
+    empty entry idles without a draw. The engine picks a block at a time
+    through ``randomized_picks`` instead; this one-event form stays only
+    because the benchmark tracer swaps ``sim.randomized_decide`` by name,
+    and it moves to ``tests/oracles.py`` or goes once the tracer's seams
+    move (ROADMAP item 1).
     """
     entry = table.entries[eid]
     if not entry:
@@ -436,3 +486,40 @@ def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
     if state.counts.get(fset, 0) > 0:
         return fset
     return None
+
+
+def randomized_picks(table: RandomizedTable, g: Digraph,
+                     edge_blocks: Iterable[np.ndarray],
+                     rng: np.random.Generator) -> Iterator[tuple[int, int] | None]:
+    """The randomized policy's pick for each active edge of ``edge_blocks``
+    (int arrays of edge ids), in order: the pair's node set and the set it
+    grows to over the edge, or None to idle on an empty entry or the
+    residual mass. The pick reads no queue; the caller idles when the set's
+    queue is empty, as ``randomized_decide`` does.
+
+    A block's events over a non-empty entry take one uniform each, in event
+    order, from one ``rng.random(size=count)``, which leaves the generator
+    where ``count`` scalar draws would; a block with no such event draws
+    none. One ``np.searchsorted`` over ``table.search``'s exact keys then
+    finds, for every event, the pair ``bisect_right(table.cum[eid], u)``
+    would.
+    """
+    keys, fsets, sizes, ends = table.search
+    head_bits = np.array([1 << b for _, b in g.edges], dtype=np.int64)
+
+    def block_picks(block: np.ndarray) -> list[tuple[int, int] | None]:
+        live = np.flatnonzero(sizes[block])
+        eids = block[live]
+        draws = rng.random(size=len(live))
+        pos = np.searchsorted(
+            keys, eids * _KEY_STRIDE + (draws * _DRAW_SCALE).astype(np.int64),
+            side="right")
+        hit = pos < ends[eids]
+        fset = fsets[pos[hit]]
+        picks = np.full(len(block), None, dtype=object)
+        picks[live[hit]] = np.fromiter(
+            zip(fset.tolist(), (fset | head_bits[eids[hit]]).tolist()),
+            dtype=object, count=len(fset))
+        return picks.tolist()
+
+    return chain.from_iterable(map(block_picks, edge_blocks))

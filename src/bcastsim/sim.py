@@ -13,16 +13,18 @@ Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
 identical arrival sample paths regardless of the policy under test.
 
-One draw rule covers every stream: values come from blocks of one size
-(``policies._blocks``) and are used one at a time, in the order scalar calls
-would make. Each event takes one Poisson arrival count and, in mini-slot
-mode, one uniform active edge; each admitted packet of an in-order policy
-takes one class label; each randomized event over a non-empty table entry
-takes one policy uniform. Set-up's sequence sampling takes its 32-bit words
-from the policy stream the same way and then resets that stream to exactly
-the words it used, so the uniforms start where scalar ``integers(k)`` calls
-would have left it. numpy's block forms consume a generator as the scalar
-calls do, so the block size is not observable.
+One draw rule covers every stream: values come from numpy's block forms
+and are used one at a time, in the order scalar calls would make. Each event
+takes one Poisson arrival count and, in mini-slot mode, one uniform active
+edge; each admitted packet of an in-order policy takes one class label;
+these come from blocks of one size (``policies._blocks``). The randomized
+policy's uniforms are drawn per block of active edges, one per event over a
+non-empty table entry, in event order (``policies.randomized_picks``).
+Set-up's sequence sampling takes its 32-bit words from the policy stream in
+blocks too and then resets that stream to exactly the words it used, so the
+uniforms start where scalar ``integers(k)`` calls would have left it.
+numpy's block forms consume a generator as the scalar calls do, so the block
+size is not observable.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ import numpy as np
 
 from .errors import CapabilityError, SchedulingError
 from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
-from .policies import (MultiClassState, RandomizedTable, _blocks,
+from .policies import (MultiClassState, RandomizedTable, _block_arrays, _blocks,
                        build_randomized_table, default_eps, edge_weight,
                        max_weight_decide, multiclass_apply, multiclass_decide,
-                       randomized_decide, sample_reachable_sequences,
+                       randomized_picks, sample_reachable_sequences,
                        static_tree_decide, tree_owners)
+# Unused here: the benchmark tracer swaps it by name (ROADMAP item 1).
+from .policies import randomized_decide  # noqa: F401
 from .queues import VirtualQueueState
 from .wireless import ActivationFamily, choose_activation
 
@@ -198,7 +202,10 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
     subclass MultiClassState, which draws each packet's class label from
     ``cls_rng``), ``step(eid)`` (decide the move over the active edge, apply
     it unless the policy idles, and return it: a node set or a class, or
-    None) and the randomized table, or None."""
+    None) and the randomized table, or None. The randomized ``step`` takes
+    the edge's pick from ``randomized_picks`` in place of the edge, and
+    moves the packet itself: a pair comes from a growth sequence, so its
+    edge leaves its set, and only the queue's count needs a check."""
     policy = config.policy
     table = None
     if policy in ("static-tree", "randomized"):
@@ -225,12 +232,23 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             bprime = 4 * g.m
         extra = sample_reachable_sequences(g, bprime, pol_rng)
         table = build_randomized_table(g, trees, extra, eps)
-        uniform = _blocks(pol_rng.random).__next__
+        counts, full = state.counts, g.full_mask
 
-        def step(eid: int):
-            fset = randomized_decide(table, state, eid, uniform)
-            if fset is not None:
-                state.transmit(fset, eid)
+        def step(pick: tuple[int, int] | None):
+            if pick is None:
+                return None
+            fset, nxt = pick
+            have = counts.get(fset, 0)
+            if have < 1:
+                return None
+            if have == 1:
+                del counts[fset]
+            else:
+                counts[fset] = have - 1
+            if nxt == full:
+                state.delivered += 1
+            else:
+                counts[nxt] = counts.get(nxt, 0) + 1
             return fset
     elif policy == "multiclass":
         def step(eid: int):
@@ -256,7 +274,9 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     each event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
-    activation whose edges step in ascending id order.
+    activation whose edges step in ascending id order. The randomized
+    policy's events take their edges' picks, resolved a block of active
+    edges at a time by ``randomized_picks``, instead of the edges.
 
     The run memoises each slot's moves, the ``(move, eid)`` pairs its steps
     returned, by the part of the state its decides read: max-weight's by the
@@ -370,7 +390,13 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
                     replay(move, eid)
 
     arrivals = _blocks(arr_rng.poisson, config.lam / per_slot)
-    edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)
+    if not mini_slot:
+        edges = repeat(None)
+    elif table is None:
+        edges = _blocks(act_rng.integers, 0, m)
+    else:
+        edges = randomized_picks(table, g, _block_arrays(act_rng.integers, 0, m),
+                                 pol_rng)
     events = zip(arrivals, edges)
     record(0)
     for slot in range(1, config.horizon + 1):

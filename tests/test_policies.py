@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from bcastsim.policies import (MultiClassState, RandomizedTable,
                                _bounded_indices, build_randomized_table,
                                default_eps, edge_weight, max_weight_decide,
                                multiclass_apply, multiclass_decide,
-                               randomized_decide, sample_reachable_sequences,
-                               static_tree_decide, tree_owners)
+                               randomized_decide, randomized_picks,
+                               sample_reachable_sequences, static_tree_decide,
+                               tree_owners)
 from bcastsim.queues import VirtualQueueState
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
@@ -444,17 +447,71 @@ class TestRandomizedTableRule:
 
 
 class _Draws:
-    """Stand-in generator whose ``random()`` returns preset draws in turn."""
+    """Stand-in generator whose ``random()`` returns preset draws in turn,
+    and ``random(size=k)`` the next ``k`` of them; ``taken`` counts them."""
 
     def __init__(self, draws):
         self._draws = iter(draws)
+        self.taken = 0
 
-    def random(self):
-        return next(self._draws)
+    def random(self, size=None):
+        if size is None:
+            self.taken += 1
+            return next(self._draws)
+        block = np.array([next(self._draws) for _ in range(size)], dtype=float)
+        self.taken += size
+        return block
 
 
 # Probabilities that make zero-width pairs and repeated running sums likely.
 PROBS = st.sampled_from([0.0, 0.1, 0.125, 0.2, 1 / 3]) | st.floats(0, 0.25)
+
+# ``Generator.random`` draws are the multiples of 2**-53 in [0, 1).
+GRID = 2 ** 53
+
+
+def _grid_draws(sums, extra=()):
+    """Draws a generator can make: 0, the largest, the grid points nearest
+    each of ``extra``, and at, just below and just above each running sum
+    (the first grid point at or above it, and its neighbours)."""
+    points = {0, GRID - 1}
+    points.update(int(x * GRID) for x in extra)
+    for c in sums:
+        k = math.ceil(c * GRID)
+        points.update((k - 1, k, k + 1))
+    return [k / GRID for k in sorted(points) if 0 <= k < GRID]
+
+
+def _holding_every_set(g, table):
+    state = VirtualQueueState(g)
+    state.counts.update({fset: 1 for entry in table.entries for fset, _ in entry})
+    return state
+
+
+def _sent(pick, state):
+    """The set the randomized step moves on ``pick``: none when the pick
+    idles or the set's queue is empty."""
+    if pick is not None and state.counts.get(pick[0], 0) >= 1:
+        return pick[0]
+    return None
+
+
+def _assert_picks_match_linear_cdf(g, table, state, eids, draws, blocks):
+    """``randomized_picks`` over ``eids``, cut into ``blocks``, against
+    ``linear_cdf_decide``: the same pair on a state holding every set, the
+    same move on ``state``, the grown set, and the same draws taken."""
+    ours = _Draws(draws)
+    edge_blocks = np.split(np.array(eids, dtype=np.int64), np.cumsum(blocks)[:-1])
+    picks = list(randomized_picks(table, g, edge_blocks, ours))
+    assert len(picks) == len(eids)
+    every, exact, ref = _holding_every_set(g, table), _Draws(draws), _Draws(draws)
+    for eid, pick in zip(eids, picks):
+        chosen = None if pick is None else pick[0]
+        assert chosen == linear_cdf_decide(table, every, eid, exact)
+        assert _sent(pick, state) == linear_cdf_decide(table, state, eid, ref)
+        if pick is not None:
+            assert pick[1] == pick[0] | 1 << g.edges[eid][1]
+    assert ours.taken == exact.taken == ref.taken
 
 
 class TestRandomizedDecide:
@@ -488,8 +545,12 @@ class TestRandomizedDecide:
         assert abs(hits - draws * expect) < 4 * sigma
 
     @settings(max_examples=60, deadline=2000)
-    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16))
-    def test_matches_linear_cdf_on_built_tables(self, g, seed):
+    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
+           blocks=st.lists(st.integers(0, 9), max_size=8))
+    def test_matches_linear_cdf_on_built_tables(self, g, seed, blocks):
+        """The block picker on built tables, whose entries may be empty, over
+        blocks of any size (an empty one too), then the rest in one block;
+        it takes the uniforms the scalar decides would, and no more."""
         trees = tree_packing(g)
         rng = np.random.default_rng(seed)
         extra = sample_reachable_sequences(g, 2 * g.m, rng)
@@ -499,11 +560,13 @@ class TestRandomizedDecide:
         for entry in table.entries:
             for fset, _ in entry:
                 state.counts[fset] = int(rng.integers(2))
+        eids = list(range(g.m)) * 8
+        cuts = np.cumsum(blocks, dtype=np.int64)
+        edge_blocks = np.split(np.array(eids, dtype=np.int64), cuts[cuts <= len(eids)])
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(8):
-            for eid in range(g.m):
-                assert (randomized_decide(table, state, eid, ours.random)
-                        == linear_cdf_decide(table, state, eid, ref))
+        picks = list(randomized_picks(table, g, edge_blocks, ours))
+        for eid, pick in zip(eids, picks, strict=True):
+            assert _sent(pick, state) == linear_cdf_decide(table, state, eid, ref)
         assert ours.random() == ref.random()
 
     @settings(max_examples=150, deadline=2000)
@@ -511,20 +574,57 @@ class TestRandomizedDecide:
            extra=st.lists(st.floats(0, 1, exclude_max=True), max_size=4))
     def test_matches_linear_cdf_at_every_boundary(self, probs, held, extra):
         """Draws at, just below and just above every running sum, including
-        zero-width pairs and the residual (idle) mass."""
+        zero-width pairs and the residual (idle) mass, in one block and one
+        event a block; an empty entry draws nothing."""
         entry = tuple((1 << i, p) for i, p in enumerate(probs))
         table = RandomizedTable((entry,))
-        state = VirtualQueueState(Digraph(2, [(0, 1)], 0))
+        g = Digraph(2, [(0, 1)], 0)
+        state = VirtualQueueState(g)
         state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
         if not entry:
-            assert randomized_decide(table, state, 0, _Draws([]).random) is None
+            none = _Draws([])
+            blocks = [np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64)]
+            assert list(randomized_picks(table, g, blocks, none)) == [None] * 3
+            assert none.taken == 0
             return
-        draws = list(extra) + [0.0]
-        for c in table.cum[0]:
-            draws += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
-        for u in draws:
-            assert (randomized_decide(table, state, 0, _Draws([u]).random)
-                    == linear_cdf_decide(table, state, 0, _Draws([u])))
+        draws = _grid_draws(table.cum[0], extra)
+        for blocks in ([len(draws)], [1] * len(draws)):
+            _assert_picks_match_linear_cdf(g, table, state, [0] * len(draws),
+                                           draws, blocks)
+
+    def test_widest_table_keys_stay_exact(self):
+        """600 entries, the most edges a 25-node simple digraph has: running
+        sums ending at exactly 1.0 and at 1 + 1e-9, zero-width pairs and
+        empty entries. The int64 keys neither overflow nor misorder."""
+        g = Digraph(25, [(a, b) for a in range(25) for b in range(25) if a != b], 0)
+        shapes = ((0.25, 0.25, 0.5), (0.5, 0.5 + 1e-9), (), (0.1, 0.0, 0.3),
+                  (1.0,), (1 / 3, 1 / 3, 1 / 3 + 1e-9))
+        entries = []
+        for eid, (a, b) in enumerate(g.edges):
+            others = [v for v in range(25) if v not in (a, b)]
+            probs = shapes[eid % len(shapes)]
+            entries.append(tuple((1 << a | 1 << others[j], p)
+                                 for j, p in enumerate(probs)))
+        table = RandomizedTable(tuple(entries))
+        keys = table.search[0]
+        assert len(keys) == sum(map(len, entries))
+        assert (np.diff(keys) >= 0).all() and keys[0] >= 0
+        eids, draws = [], []
+        for eid in range(g.m):
+            grid = _grid_draws(table.cum[eid])
+            eids += [eid] * len(grid)
+            draws += grid
+        order = np.random.default_rng(0).permutation(len(eids))
+        eids = [eids[i] for i in order]
+        draws = [draws[i] for i in order]
+        blocks = [1024] * (len(eids) // 1024) + [len(eids) % 1024]
+        _assert_picks_match_linear_cdf(g, table, _holding_every_set(g, table),
+                                       eids, draws, blocks)
+
+    def test_search_refuses_more_edges_than_its_keys_hold(self):
+        assert len(RandomizedTable(((),) * 1023).search[0]) == 0
+        with pytest.raises(ValueError, match="at most 1023 edges"):
+            RandomizedTable(((),) * 1024).search
 
 
 class TestSampledSequences:

@@ -419,6 +419,15 @@ class TestBlockDraws:
     def test_random_blocks_equal_scalar_calls(self, size):
         self._assert_blocks_equal_scalars(size, size, "random")
 
+    def test_random_blocks_of_mixed_sizes_equal_scalar_calls(self):
+        """The randomized picker draws one block per block of events, sized
+        by the events over a non-empty entry, so the sizes vary."""
+        sizes = (0, 1, 7, 1024, 0, 7)
+        block, scalar = self._pair(11)
+        drawn = [x for size in sizes for x in block.random(size=size).tolist()]
+        assert drawn == [scalar.random() for _ in range(sum(sizes))]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 1000])
     @pytest.mark.parametrize("size", [1, 3, 7, 257])
     def test_integer_blocks_equal_scalar_calls(self, k, size):
@@ -446,11 +455,17 @@ class TestBlockDraws:
                              time_model="slotted-wireless", classes=3,
                              sample_every=40), fam)
                   for policy in ("max-weight", "multiclass")]
+        cases = [(cfg, d4, f) for cfg, f in cases]
+        # An edge into the source leaves no growth set, so its table entry
+        # is empty and its events draw no uniform.
+        back = Digraph(d4.n, d4.edges + ((1, 0),), d4.source)
+        cases.append((SimConfig(lam=1.6, horizon=300, seed=5, policy="randomized",
+                                extra_sequences=1, sample_every=40), back, None))
 
         def outputs():
             out = []
-            for cfg, f in cases:
-                res = run(cfg, d4, f)
+            for cfg, g, f in cases:
+                res = run(cfg, g, f)
                 table = res.rand_table
                 out.append((run_csv(res), received_csv(res),
                             "\n".join(table.csv_rows()) if table else None))
