@@ -244,8 +244,6 @@ def simulate(config_path, graph_spec, out_dir, seed):
         if errs := exp.sim.graph_errors(g):
             raise ConfigError(errs)
         fam = build_activation(exp.activation, g) if exp.activation else None
-        if errs := exp.sim.validation_errors(g, fam):
-            raise ConfigError(errs)
         out_dir.mkdir(parents=True, exist_ok=True)
         for s in exp.seeds:
             result = run(replace(exp.sim, seed=s), g, fam)
@@ -276,8 +274,7 @@ def sweep(config_path, graph_spec, out_dir, seed):
         if exp.sim.time_model != "mini-slot":
             raise ConfigError(["sweep runs in mini-slot mode"])
         g = resolve_graph(exp.graph_spec)
-        errs = exp.sim.validation_errors(g)
-        if errs:
+        if errs := exp.sim.graph_errors(g):
             raise ConfigError(errs)
         out_dir.mkdir(parents=True, exist_ok=True)
         rows = sweep_k(g, exp.sim.lam, exp.k_values, exp.sim.horizon,

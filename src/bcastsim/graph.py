@@ -83,12 +83,12 @@ def parse_graph(text: str) -> Digraph:
         n, m, r = (int(p) for p in parts)
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer header field") from None
-    if n < 1:
-        raise ParseError(f"line {lineno}: node count must be positive")
+    try:
+        Digraph(n, (), r)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
     if m < 0:
         raise ParseError(f"line {lineno}: negative edge count")
-    if not 0 <= r < n:
-        raise ParseError(f"line {lineno}: source {r} out of range")
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: list[tuple[int, int]] = []

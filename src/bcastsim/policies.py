@@ -11,7 +11,6 @@ block of events at a time.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -237,27 +236,22 @@ class RandomizedTable:
 
     ``entries[eid]`` lists (node-set mask, probability) pairs: given that the
     edge is the active one, the probability of attempting to move a packet of
-    that class across it. Residual probability means idle. ``cum[eid]`` holds
-    the running sums of the entry's probabilities, added left to right, so
-    the pair at position i covers the draws in [cum[eid][i-1], cum[eid][i]).
+    that class across it. Residual probability means idle. A draw u in
+    [0, 1) picks the first pair whose running sum of the entry's
+    probabilities, added left to right, exceeds u, and idles when none does.
 
-    ``search`` lays the same running sums, added the same way, out as one
-    flat edge-major int64 key each,
-    ``eid * (2**53 + 1) + min(ceil(cum * 2**53), 2**53)``, so one
+    ``search`` holds those running sums as one flat edge-major int64 key
+    each, ``eid * (2**53 + 1) + min(ceil(sum * 2**53), 2**53)``, so one
     ``np.searchsorted`` finds the pairs of a whole block of events. The keys
     are exact for the draws of ``Generator.random``, which are multiples of
     2**-53 in [0, 1): for such a draw u, ``u * 2**53`` is an integer below
-    2**53, and ``cum > u`` holds exactly when the key's second term exceeds
+    2**53, and ``sum > u`` holds exactly when the key's second term exceeds
     it. The edge's offset is added as an integer, never to a float, so
     nothing rounds, and each edge's keys and draws stay below the next
     edge's, up to 1023 edges.
     """
 
     entries: tuple[tuple[tuple[int, float], ...], ...]
-
-    @cached_property
-    def cum(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(accumulate(p for _, p in entry)) for entry in self.entries)
 
     @cached_property
     def search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -463,28 +457,19 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
 
 
 def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
-                      eid: int, uniform: Callable[[], float]) -> int | None:
-    """Sample a node set from the edge's entry; idle on the residual mass or
-    when the sampled queue is empty (the policy never substitutes a class, as
-    that would change its stationary behavior).
+                      eid: int, rng: np.random.Generator) -> int | None:
+    """Node set the randomized policy sends over the active edge: one event
+    of ``randomized_picks``, which draws one ``rng.random()`` over a
+    non-empty entry and none over an empty one; None to idle on the residual
+    mass or when the picked set's queue is empty (the policy never
+    substitutes a class, as that would change its stationary behavior).
 
-    One call ``uniform()`` gives a draw u in [0, 1); u picks the first pair
-    whose running sum in ``table.cum`` exceeds u, found by bisection. An
-    empty entry idles without a draw. The engine picks a block at a time
-    through ``randomized_picks`` instead; this one-event form stays only
-    because the benchmark tracer swaps ``sim.randomized_decide`` by name,
-    and it moves to ``tests/oracles.py`` or goes once the tracer's seams
-    move (ROADMAP item 1).
+    The engine picks a block of events at a time instead; the benchmark
+    tracer swaps ``sim.randomized_decide`` by name (ROADMAP item 1).
     """
-    entry = table.entries[eid]
-    if not entry:
-        return None
-    i = bisect_right(table.cum[eid], uniform())
-    if i == len(entry):
-        return None
-    fset = entry[i][0]
-    if state.counts.get(fset, 0) > 0:
-        return fset
+    pick = next(randomized_picks(table, state.graph, [np.array([eid])], rng))
+    if pick is not None and state.counts.get(pick[0], 0) > 0:
+        return pick[0]
     return None
 
 
@@ -495,14 +480,14 @@ def randomized_picks(table: RandomizedTable, g: Digraph,
     (int arrays of edge ids), in order: the pair's node set and the set it
     grows to over the edge, or None to idle on an empty entry or the
     residual mass. The pick reads no queue; the caller idles when the set's
-    queue is empty, as ``randomized_decide`` does.
+    queue is empty.
 
     A block's events over a non-empty entry take one uniform each, in event
     order, from one ``rng.random(size=count)``, which leaves the generator
     where ``count`` scalar draws would; a block with no such event draws
     none. One ``np.searchsorted`` over ``table.search``'s exact keys then
-    finds, for every event, the pair ``bisect_right(table.cum[eid], u)``
-    would.
+    finds, for every event, the pair whose running sum first exceeds its
+    draw.
     """
     keys, fsets, sizes, ends = table.search
     head_bits = np.array([1 << b for _, b in g.edges], dtype=np.int64)

@@ -322,6 +322,18 @@ horizon = 0
         assert f"config error: {message}" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_runtime_error_exits_1(self, runner, tmp_path, monkeypatch):
+        # A decide that names the full set makes the move refuse mid-run.
+        monkeypatch.setattr("bcastsim.sim.max_weight_decide",
+                            lambda state, eid: state.graph.full_mask)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config",
+                                      "presets/zero-arrivals.ini",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "error: edge 5 does not leave node set 0xf\n"
+        assert not list(out.glob("*.csv"))
+
     def test_missing_config_exits_2(self, runner):
         result = runner.invoke(main, ["simulate", "--config", "missing.ini"])
         assert result.exit_code == 2

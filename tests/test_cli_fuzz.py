@@ -195,7 +195,7 @@ def test_huge_node_count_stops_at_validation(runner, tmp_path):
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("header", "node count must be at most 1000, got 1000000"),
+    ("header", "line 1: node count must be at most 1000, got 1000000"),
     ("path1001", "node count must be at most 1000, got 1001"),
     ("star1000000", "node count must be at most 1000, got 1000000"),
     ("random(1001,1000,1)", "need 2 <= n <= 1000 nodes, got n=1001"),

@@ -72,6 +72,11 @@ class TestParse:
         with pytest.raises(ParseError, match="source"):
             parse_graph("2 1 5\n0 1\n")
 
+    def test_node_count_over_the_cap_names_the_header_line(self):
+        with pytest.raises(ParseError,
+                           match="line 1: node count must be at most 1000"):
+            parse_graph("1001 0 0\n")
+
     def test_round_trip(self):
         for g in small_random_graphs(12):
             again = parse_graph(f"{g.n} {g.m} {g.source}\n"

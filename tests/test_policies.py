@@ -1,4 +1,4 @@
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -391,9 +391,21 @@ class TestRandomizedTable:
         assert default_eps(1, float(np.nextafter(1.0, 0.0)), 3) > 0
 
 
+# ``Generator.random`` draws are the multiples of 2**-53 in [0, 1).
+GRID = 2 ** 53
+
+
+def _search_sums(table, eid):
+    """The edge's running sums as ``table.search`` keys them, in units of
+    2**-53: each key less the edge's offset ``eid * (2**53 + 1)``."""
+    keys, _, sizes, ends = table.search
+    return [int(k) - eid * (GRID + 1) for k in keys[ends[eid] - sizes[eid]:ends[eid]]]
+
+
 def _assert_matches_exact_rule(g, trees, extra, eps):
     """The engine's table holds the exact rule's pairs, in set order, with
-    each probability and running sum equal to it within float rounding; or
+    each probability equal to it within float rounding and each running sum
+    the search keys within float rounding plus the keys' 2**-53 grid; or
     the engine refuses the table exactly where the rule does. Returns the
     table, or None on a refusal."""
     try:
@@ -407,10 +419,11 @@ def _assert_matches_exact_rule(g, trees, extra, eps):
         want = sorted(exact[eid].items())
         assert [fset for fset, _ in entry] == [fset for fset, _ in want]
         running = 0
-        for (_, p), (_, q), c in zip(entry, want, table.cum[eid]):
+        for (_, p), (_, q), k in zip(entry, want, _search_sums(table, eid),
+                                     strict=True):
             running += q
             assert abs(p - q) <= 1e-12
-            assert abs(c - running) <= 1e-12
+            assert abs(Fraction(k, GRID) - running) <= 1e-12 + 2 ** -53
     return table
 
 
@@ -466,18 +479,14 @@ class _Draws:
 # Probabilities that make zero-width pairs and repeated running sums likely.
 PROBS = st.sampled_from([0.0, 0.1, 0.125, 0.2, 1 / 3]) | st.floats(0, 0.25)
 
-# ``Generator.random`` draws are the multiples of 2**-53 in [0, 1).
-GRID = 2 ** 53
-
 
 def _grid_draws(sums, extra=()):
     """Draws a generator can make: 0, the largest, the grid points nearest
-    each of ``extra``, and at, just below and just above each running sum
-    (the first grid point at or above it, and its neighbours)."""
+    each of ``extra``, and at, just below and just above each of ``sums``
+    (``_search_sums``: the first grid point at or above each running sum)."""
     points = {0, GRID - 1}
     points.update(int(x * GRID) for x in extra)
-    for c in sums:
-        k = math.ceil(c * GRID)
+    for k in sums:
         points.update((k - 1, k, k + 1))
     return [k / GRID for k in sorted(points) if 0 <= k < GRID]
 
@@ -522,13 +531,13 @@ class TestRandomizedDecide:
         rng = np.random.default_rng(0)
         # Edge ca appears in no blue-tree pair, so its entry is empty.
         assert table.entries[CA] == ()
-        assert randomized_decide(table, state, CA, rng.random) is None
+        assert randomized_decide(table, state, CA, rng) is None
 
     def test_empty_queue_idles(self, d4):
         table = build_randomized_table(d4, [BLUE, RED], [], 0.1)
         state = VirtualQueueState(d4)  # nothing admitted
         rng = np.random.default_rng(0)
-        assert all(randomized_decide(table, state, e, rng.random) is None
+        assert all(randomized_decide(table, state, e, rng) is None
                    for e in range(d4.m) for _ in range(20))
 
     def test_sampling_matches_table_mass(self, d4):
@@ -538,11 +547,36 @@ class TestRandomizedDecide:
         state.admit(10 ** 6)
         rng = np.random.default_rng(42)
         draws = 20000
-        hits = sum(randomized_decide(table, state, RA, rng.random) == R_
+        hits = sum(randomized_decide(table, state, RA, rng) == R_
                    for _ in range(draws))
         expect = 1 - 3 * eps / 4
         sigma = (draws * expect * (1 - expect)) ** 0.5
         assert abs(hits - draws * expect) < 4 * sigma
+
+    @settings(max_examples=60, deadline=2000)
+    @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
+           count=st.integers(0, 8))
+    def test_one_event_matches_linear_cdf_on_built_tables(self, g, seed, count):
+        """The one-event decide on built tables, whose entries may be empty:
+        the linear walk's set, with the generator left where one scalar
+        ``random()`` leaves it, and untouched over an empty entry."""
+        trees = tree_packing(g)
+        rng = np.random.default_rng(seed)
+        extra = sample_reachable_sequences(g, count, rng)
+        table = build_randomized_table(
+            g, trees, extra, default_eps(len(trees), len(trees) / 2, g.n))
+        state = VirtualQueueState(g)
+        for entry in table.entries:
+            for fset, _ in entry:
+                state.counts[fset] = int(rng.integers(2))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for eid in list(range(g.m)) * 4:
+            before = ours.bit_generator.state
+            assert (randomized_decide(table, state, eid, ours)
+                    == linear_cdf_decide(table, state, eid, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+            if not table.entries[eid]:
+                assert ours.bit_generator.state == before
 
     @settings(max_examples=60, deadline=2000)
     @given(g=small_graphs(7), seed=st.integers(0, 2 ** 16),
@@ -587,7 +621,7 @@ class TestRandomizedDecide:
             assert list(randomized_picks(table, g, blocks, none)) == [None] * 3
             assert none.taken == 0
             return
-        draws = _grid_draws(table.cum[0], extra)
+        draws = _grid_draws(_search_sums(table, 0), extra)
         for blocks in ([len(draws)], [1] * len(draws)):
             _assert_picks_match_linear_cdf(g, table, state, [0] * len(draws),
                                            draws, blocks)
@@ -611,7 +645,7 @@ class TestRandomizedDecide:
         assert (np.diff(keys) >= 0).all() and keys[0] >= 0
         eids, draws = [], []
         for eid in range(g.m):
-            grid = _grid_draws(table.cum[eid])
+            grid = _grid_draws(_search_sums(table, eid))
             eids += [eid] * len(grid)
             draws += grid
         order = np.random.default_rng(0).permutation(len(eids))
