@@ -3,8 +3,12 @@
 Every policy's packets sit in ``VirtualQueueState`` replication-set queues;
 ``MultiClassState`` adds each class's in-order indices. All decide functions
 are pure given their state and return what to send over the active edge (or
-None to idle); the caller applies the move. ``edge_weight`` turns the same
-candidate rules into the per-edge weights of the slotted model.
+None to idle); the caller applies the move. ``in_order_rules`` binds the
+in-order family's one decide (multiclass or static-tree) and its one
+checked write path, ``apply``, to a state once; ``multiclass_decide``,
+``static_tree_decide`` and ``multiclass_apply`` are each one call of those
+rules. ``edge_weight`` turns the same decides into the per-edge weights of
+the slotted model.
 ``randomized_picks`` draws and resolves the randomized policy's picks a
 block of events at a time.
 """
@@ -67,8 +71,8 @@ class MultiClassState(VirtualQueueState):
     class by exact replication set, move by move, which makes the weight
     lookups O(1) instead of O(k*n); ``histogram`` and ``received_count``
     read the indices alone so a run can check the two agree. Only ``admit``,
-    which takes each packet's class from ``labels``, and ``multiclass_apply``
-    write the state; its ``transmit`` refuses.
+    which takes each packet's class from ``labels``, and the ``apply`` of
+    ``in_order_rules`` write the state; its ``transmit`` refuses.
     """
 
     __slots__ = ("highest", "inflight", "labels")
@@ -86,14 +90,15 @@ class MultiClassState(VirtualQueueState):
         ValueError if ``count`` < 0, before any label is taken, or if the
         labels run out, after admitting one packet per label there was."""
         src = self.graph.source
-        before = self.admitted
+        labelled = 0
         for c in islice(self.labels, count):
             self.highest[c][src] += 1
             self.inflight[c].append(self.graph.source_mask)
-            VirtualQueueState.admit(self, 1)
-        if self.admitted - before != count:
+            labelled += 1
+        VirtualQueueState.admit(self, labelled)
+        if labelled != count:
             raise ValueError(f"the class labels ran out: admitted "
-                             f"{self.admitted - before} of {count} packets")
+                             f"{labelled} of {count} packets")
 
     def transmit(self, fset: int, eid: int):
         raise SchedulingError("an in-order state moves packets only by multiclass_apply")
@@ -120,74 +125,129 @@ class MultiClassState(VirtualQueueState):
         return counts, delivered
 
 
-def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
-    """Class whose head-of-line packet the multi-class policy sends over the
-    active edge: of the eligible classes, the one with the largest strictly
-    positive differential, ties to the lowest class; None to idle.
+def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
+                   ) -> tuple[Callable[[int], int | None], Callable[[int, int], None]]:
+    """The in-order policy's two rules bound to ``state``: ``(decide,
+    apply)``, closures over its index rows, in-flight sets and queue counts
+    and over per-edge tail, head and head-bit tables. A run binds them once;
+    they see every write to a class's row and in-flight list and to the
+    counts, but not a class added or an attribute replaced after binding.
 
-    A class is eligible when its next in-order packet for the edge's head
-    exists, is already present at the edge's tail and has an in-flight set.
-    A differential is at most the head-of-line count, so a smaller count is
-    skipped. ``counts`` never holds the full set, so completing a packet
-    reads 0 there.
+    ``decide(eid)`` is the class whose head-of-line packet goes over the
+    active edge, or None to idle. Multiclass (``owner`` None): of the
+    eligible classes, the one with the largest strictly positive
+    differential, ties to the lowest class. A class is eligible when its
+    next in-order packet for the edge's head exists, is already present at
+    the edge's tail and has an in-flight set. A differential is at most the
+    head-of-line count, so a smaller count is skipped; ``counts`` never
+    holds the full set, so completing a packet reads 0 there. Static-tree
+    (``owner`` from ``tree_owners``): the class owning the edge, if its next
+    in-order packet for the head is present at the tail; None also on an
+    edge no tree holds.
+
+    ``apply(c, eid)`` delivers class ``c``'s next in-order packet to the
+    edge's head: the in-order state's one move. It raises SchedulingError,
+    before any write, when the packet does not exist yet, is absent at the
+    tail or has no in-flight set, when the edge does not leave its set, or
+    when that set's queue is empty.
     """
     g = state.graph
-    i, j = g.edges[eid]
-    jbit = 1 << j
-    counts = state.counts
-    inflight = state.inflight
-    src = g.source
-    best = None
-    best_w = 0
-    for c, row in enumerate(state.highest):
-        hj = row[j]
-        if row[i] <= hj:
-            continue
-        pos = hj - row[src]  # packet hj + 1's position; < 0 once it arrived
+    highest, inflight, counts = state.highest, state.inflight, state.counts
+    src, full = g.source, g.full_mask
+    tails = [a for a, _ in g.edges]
+    heads = [b for _, b in g.edges]
+    head_bits = [1 << b for b in heads]
+
+    if owner is None:
+        classes = list(zip(range(len(highest)), highest, inflight))
+
+        def decide(eid: int) -> int | None:
+            i = tails[eid]
+            j = heads[eid]
+            jbit = head_bits[eid]
+            best = None
+            best_w = 0
+            for c, row, sets in classes:
+                hj = row[j]
+                if row[i] <= hj:
+                    continue
+                pos = hj - row[src]  # packet hj + 1's position; < 0 once it arrived
+                if not -len(sets) <= pos < 0:
+                    continue
+                fset = sets[pos]
+                q = counts.get(fset, 0)
+                if q <= best_w:
+                    continue
+                w = q - counts.get(fset | jbit, 0)
+                if w > best_w:
+                    best_w = w
+                    best = c
+            return best
+    else:
+        def decide(eid: int) -> int | None:
+            c = owner[eid]
+            if c < 0:
+                return None
+            row = highest[c]
+            p = row[heads[eid]] + 1
+            if p <= row[src] and row[tails[eid]] >= p:
+                return c
+            return None
+
+    def apply(c: int, eid: int):
+        i = tails[eid]
+        j = heads[eid]
+        row = highest[c]
+        p = row[j] + 1
+        if p > row[src]:
+            raise SchedulingError(f"class {c} has no packet {p} yet")
+        if row[i] < p:
+            raise SchedulingError(f"class {c} packet {p} is absent at node {i}")
         sets = inflight[c]
-        if not -len(sets) <= pos < 0:
-            continue
+        pos = p - 1 - row[src]
+        if pos < -len(sets):
+            raise SchedulingError(f"class {c} packet {p} has no in-flight set")
         fset = sets[pos]
-        q = counts.get(fset, 0)
-        if q <= best_w:
-            continue
-        w = q - counts.get(fset | jbit, 0)
-        if w > best_w:
-            best_w = w
-            best = c
-    return best
+        if not (fset >> i) & 1 or (fset >> j) & 1:
+            raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")
+        have = counts.get(fset, 0)
+        if have < 1:
+            raise SchedulingError(f"transmit from empty queue {fset:#x}")
+        if have == 1:
+            del counts[fset]
+        else:
+            counts[fset] = have - 1
+        row[j] = p
+        nxt = fset | head_bits[eid]
+        if nxt == full:
+            state.delivered += 1
+            del sets[pos]  # in-order delivery: the completed packet is the oldest
+        else:
+            counts[nxt] = counts.get(nxt, 0) + 1
+            sets[pos] = nxt
+
+    return decide, apply
+
+
+def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
+    """The multiclass ``decide`` of ``in_order_rules``, bound for one call."""
+    return in_order_rules(state)[0](eid)
 
 
 def multiclass_apply(state: MultiClassState, c: int, eid: int):
-    """Deliver class ``c``'s next in-order packet to the edge's head: the
-    in-order state's one move, its counts moved by the base ``transmit``."""
-    g = state.graph
-    i, j = g.edges[eid]
-    row = state.highest[c]
-    p = row[j] + 1
-    if p > row[g.source]:
-        raise SchedulingError(f"class {c} has no packet {p} yet")
-    if row[i] < p:
-        raise SchedulingError(f"class {c} packet {p} is absent at node {i}")
-    sets = state.inflight[c]
-    pos = p - 1 - row[g.source]
-    if pos < -len(sets):
-        raise SchedulingError(f"class {c} packet {p} has no in-flight set")
-    fset = sets[pos]
-    VirtualQueueState.transmit(state, fset, eid)
-    row[j] = p
-    sets[pos] = fset | 1 << j
-    if sets[pos] == g.full_mask:
-        del sets[pos]  # in-order delivery: the completed packet is the oldest
+    """The ``apply`` of ``in_order_rules``, bound for one call."""
+    in_order_rules(state)[1](c, eid)
 
 
-def edge_weight(state: VirtualQueueState, eid: int) -> int:
+def edge_weight(state: VirtualQueueState, eid: int,
+                decide: Callable[[int], int | None] | None = None) -> int:
     """Differential of the move the state's policy makes over the edge
-    (``max_weight_decide``'s set, or the head-of-line set of the class
-    ``multiclass_decide`` picks), or 0 when it idles; both keep only a
-    strictly positive differential."""
+    (``max_weight_decide``'s set, or the head-of-line set of the class the
+    in-order ``decide`` picks: the one given, bound to ``state``, else the
+    multiclass rule bound for this call), or 0 when it idles; both keep only
+    a strictly positive differential."""
     if isinstance(state, MultiClassState):
-        c = multiclass_decide(state, eid)
+        c = (decide or in_order_rules(state)[0])(eid)
         if c is None:
             return 0
         row = state.highest[c]
@@ -215,19 +275,8 @@ def tree_owners(g: Digraph, trees: Sequence[Arborescence]) -> list[int]:
 
 def static_tree_decide(state: MultiClassState, owner: Sequence[int],
                        eid: int) -> int | None:
-    """Class owning the active edge (``owner`` from ``tree_owners``), if its
-    next in-order packet for the head is present at the tail; None to idle,
-    also on an edge no tree holds."""
-    c = owner[eid]
-    if c < 0:
-        return None
-    g = state.graph
-    i, j = g.edges[eid]
-    row = state.highest[c]
-    p = row[j] + 1
-    if p <= row[g.source] and row[i] >= p:
-        return c
-    return None
+    """The static-tree ``decide`` of ``in_order_rules``, bound for one call."""
+    return in_order_rules(state, owner)[0](eid)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 ``run`` has one event loop for both time models. It drives every policy the
 same way: ``_set_up_policy`` returns the policy's state, whose
 ``admit(count)`` takes the arrivals, and a per-policy ``step(eid)`` function
-that decides the move over the active edge and applies it. The time model
+that decides the move over the active edge and applies it. The in-order
+policies bind their one decide and their one checked write path
+(``policies.in_order_rules``) there, once per run; the step, the slotted
+weights and the memo replays all go through those two. The time model
 sets only how many events a slot has and what one event does. A slotted
 slot's moves are a function of the part of the state its decides read, so a
 slot whose key was seen before replays the moves stored then instead of
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, repeat
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,11 +44,11 @@ from .errors import CapabilityError, SchedulingError
 from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
 from .policies import (MultiClassState, RandomizedTable, _block_arrays, _blocks,
                        build_randomized_table, default_eps, edge_weight,
-                       max_weight_decide, multiclass_apply, multiclass_decide,
-                       randomized_picks, sample_reachable_sequences,
-                       static_tree_decide, tree_owners)
-# Unused here: the benchmark tracer swaps it by name (ROADMAP item 1).
-from .policies import randomized_decide  # noqa: F401
+                       in_order_rules, max_weight_decide, randomized_picks,
+                       sample_reachable_sequences, tree_owners)
+# Unused here: the benchmark tracer swaps them by name (ROADMAP item 1).
+from .policies import (multiclass_apply, multiclass_decide,  # noqa: F401
+                       randomized_decide, static_tree_decide)
 from .queues import VirtualQueueState
 from .wireless import ActivationFamily, choose_activation
 
@@ -197,17 +200,36 @@ def broadcast_rate(result: RunResult, burn_in: int | None = None) -> float:
     return (last.min_received - base.min_received) / (last.slot - base.slot)
 
 
-def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
-    """The configured policy's state (a VirtualQueueState, or its in-order
-    subclass MultiClassState, which draws each packet's class label from
-    ``cls_rng``), ``step(eid)`` (decide the move over the active edge, apply
-    it unless the policy idles, and return it: a node set or a class, or
-    None) and the randomized table, or None. The randomized ``step`` takes
-    the edge's pick from ``randomized_picks`` in place of the edge, and
-    moves the packet itself: a pair comes from a growth sequence, so its
-    edge leaves its set, and only the queue's count needs a check."""
+class _Policy(NamedTuple):
+    """What ``_set_up_policy`` builds for one run (see there)."""
+
+    state: VirtualQueueState
+    step: Callable
+    weight: Callable[[int], int] | None
+    replay: Callable[[int, int], None] | None
+    table: RandomizedTable | None
+
+
+def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
+    """The configured policy, built once per run: its state (a
+    VirtualQueueState, or its in-order subclass MultiClassState, which draws
+    each packet's class label from ``cls_rng``); ``step(eid)``, which
+    decides the move over the active edge, applies it unless the policy
+    idles and returns it (a node set or a class, or None); for the slotted
+    families, ``weight(eid)``, the edge's weight (``edge_weight``), and
+    ``replay(move, eid)``, the write path a memo hit replays a move
+    through; and the randomized table, or None.
+
+    The in-order policies bind ``in_order_rules`` here, once: their
+    ``step`` is the bound ``apply`` after the bound ``decide``, their slotted
+    weights read that ``decide`` and their replays go through that
+    ``apply``, so every in-order move passes one set of checks. The
+    randomized ``step`` takes the edge's pick from ``randomized_picks`` in
+    place of the edge, and moves the packet itself: a pair comes from a
+    growth sequence, so its edge leaves its set, and only the queue's count
+    needs a check."""
     policy = config.policy
-    table = None
+    table = weight = replay = None
     if policy in ("static-tree", "randomized"):
         trees = tree_packing(g)
         if not trees:
@@ -223,6 +245,8 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             if fset is not None:
                 state.transmit(fset, eid)
             return fset
+
+        weight, replay = partial(edge_weight, state), state.transmit
     elif policy == "randomized":
         eps = config.eps
         if eps is None:
@@ -250,28 +274,26 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng):
             else:
                 counts[nxt] = counts.get(nxt, 0) + 1
             return fset
-    elif policy == "multiclass":
-        def step(eid: int):
-            c = multiclass_decide(state, eid)
-            if c is not None:
-                multiclass_apply(state, c, eid)
-            return c
     else:
-        owner = tree_owners(g, trees)
+        owner = tree_owners(g, trees) if policy == "static-tree" else None
+        decide, apply = in_order_rules(state, owner)
 
         def step(eid: int):
-            c = static_tree_decide(state, owner, eid)
+            c = decide(eid)
             if c is not None:
-                multiclass_apply(state, c, eid)
+                apply(c, eid)
             return c
-    return state, step, table
+
+        weight, replay = partial(edge_weight, state, decide=decide), apply
+    return _Policy(state, step, weight, replay, table)
 
 
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
     """Simulate one run and return its sampled time series.
 
-    One event loop drives the policy through ``state.admit`` and ``step``;
-    each event admits its arrivals, then acts. Mini-slot: ``m`` events per slot,
+    One event loop drives the policy that ``_set_up_policy`` builds
+    through ``state.admit`` and ``step``; each event admits its arrivals,
+    then acts. Mini-slot: ``m`` events per slot,
     each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
     one event per slot, with Poisson(lam) arrivals and a max-weight feasible
     activation whose edges step in ascending id order. The randomized
@@ -285,12 +307,12 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     backlog, is decided afresh and not stored). Under in-order delivery node
     v lacks exactly the last ``row[src] - row[v]`` in-flight packets of its
     class, so the sets fix every class's indices up to a shift, and the
-    counts, their tally; ``multiclass_decide``, ``edge_weight`` and
-    ``multiclass_apply`` read only those differences, the sets and the
-    counts, and break ties by class index, not dict order. A hit replays the
-    moves through the family's write path (``state.transmit`` or
-    ``multiclass_apply``, whose checks still run), skipping the ``m`` edge
-    weights, the search and every per-edge decide. The memo is cleared
+    counts, their tally; the in-order ``decide``, ``edge_weight`` and
+    ``apply`` (``in_order_rules``) read only those differences, the sets and
+    the counts, and break ties by class index, not dict order. A hit replays
+    the moves through the family's write path (``state.transmit`` or the
+    bound in-order ``apply``, whose checks still run), skipping the ``m``
+    edge weights, the search and every per-edge decide. The memo is cleared
     before the next entry would take its summed size (key items plus moves)
     past ``MEMO_KEY_LIMIT``.
 
@@ -310,7 +332,7 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     cls_rng = np.random.default_rng(cls_seq)
     pol_rng = np.random.default_rng(pol_seq)
 
-    state, step, table = _set_up_policy(config, g, cls_rng, pol_rng)
+    state, step, weight, replay, table = _set_up_policy(config, g, cls_rng, pol_rng)
     admit = state.admit
     in_order = isinstance(state, MultiClassState)
 
@@ -354,13 +376,11 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
 
             def key_items(key) -> int:  # the in-flight sets plus one per class
                 return len(key) + sum(map(len, key))
-
-            replay = partial(multiclass_apply, state)
         else:
             def slot_key():
                 return frozenset(state.counts.items())
 
-            key_items, replay = len, state.transmit
+            key_items = len
         memo: dict[frozenset | tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]] = {}
         memo_size = 0
 
@@ -369,7 +389,7 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
             key = slot_key()
             moves = memo.get(key)  # a None key is never stored
             if moves is None:
-                smask = choose_activation([edge_weight(state, e) for e in range(m)], fam)
+                smask = choose_activation([weight(e) for e in range(m)], fam)
                 moves = []
                 while smask:  # the activated edges in ascending id order
                     low = smask & -smask

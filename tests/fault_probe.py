@@ -1,0 +1,194 @@
+"""A fault probe of the test suite: break the code one small fault at a time
+and check that the tests named for each fault catch it.
+
+    python3 tests/fault_probe.py [--list] [NAME ...]
+
+Each fault is a file under the repository root, exact old texts and their
+replacements, and the pytest ids that must catch it. The probe copies
+``src/``, ``tests/``, ``presets/``, ``pyproject.toml`` and ``README.md``
+into a temporary directory,
+first runs every named test on the unbroken copy (a probe of a red suite
+proves nothing), then for each fault writes the broken file into the copy,
+runs that fault's tests with ``-x`` and puts the file back. It prints one
+line per fault, caught or missed, and exits 1 when a fault is missed or
+cannot be applied. The working tree is never written: the copy holds every
+file pytest, Hypothesis and Python would write.
+
+The file name has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Fault:
+    name: str
+    path: str
+    edits: tuple[tuple[str, str], ...]
+    tests: tuple[str, ...]
+
+
+POLICIES = "src/bcastsim/policies.py"
+SIM = "src/bcastsim/sim.py"
+GRAPH = "src/bcastsim/graph.py"
+
+# The tests that pin the in-order write path and its refusals.
+APPLY_TESTS = ("tests/test_policies.py::TestMultiClassApply",
+               "tests/test_policies.py::test_bound_apply_refuses_a_bad_move",
+               "tests/test_policies.py::test_a_replayed_bad_move_is_refused")
+DECIDE_TESTS = ("tests/test_policies.py::TestMultiClassDecide",
+                "tests/test_policies.py::test_bound_decide_matches_the_oracles",
+                "tests/test_policies.py::test_histogram_matches_counts_and_ledger",
+                "tests/test_golden.py")
+REPLAY_TESTS = ("tests/test_wireless.py::TestActivationMemo", "tests/test_sim.py",
+                "tests/test_golden.py")
+RANDOMIZED_TESTS = ("tests/test_policies.py::TestRandomizedTable",
+                    "tests/test_policies.py::TestRandomizedTableRule",
+                    "tests/test_policies.py::TestRandomizedDecide",
+                    "tests/test_sim.py", "tests/test_golden.py")
+
+
+def _drop(text: str) -> tuple[str, str]:
+    return text, ""
+
+
+FAULTS = (
+    Fault("apply: no 'has no packet yet' check", POLICIES, (_drop(
+        '        if p > row[src]:\n'
+        '            raise SchedulingError(f"class {c} has no packet {p} yet")\n'),),
+        APPLY_TESTS),
+    Fault("apply: no 'absent at the tail' check", POLICIES, (_drop(
+        '        if row[i] < p:\n'
+        '            raise SchedulingError(f"class {c} packet {p} is absent at node {i}")\n'),),
+        APPLY_TESTS),
+    Fault("apply: no 'no in-flight set' check", POLICIES, (_drop(
+        '        if pos < -len(sets):\n'
+        '            raise SchedulingError(f"class {c} packet {p} has no in-flight set")\n'),),
+        APPLY_TESTS),
+    Fault("apply: no 'edge does not leave the set' check", POLICIES, (_drop(
+        '        if not (fset >> i) & 1 or (fset >> j) & 1:\n'
+        '            raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")\n'),),
+        APPLY_TESTS),
+    Fault("apply: no 'empty queue' check", POLICIES, (_drop(
+        '        have = counts.get(fset, 0)\n'
+        '        if have < 1:\n'
+        '            raise SchedulingError(f"transmit from empty queue {fset:#x}")\n'),),
+        APPLY_TESTS),
+    Fault("decide: '<' for '<=' in the tail skip test", POLICIES, ((
+        "                if row[i] <= hj:\n", "                if row[i] < hj:\n"),),
+        DECIDE_TESTS),
+    Fault("decide: ties to the highest class", POLICIES, (
+        ("                if q <= best_w:\n", "                if q < best_w:\n"),
+        ("                w = q - counts.get(fset | jbit, 0)\n"
+         "                if w > best_w:\n",
+         "                w = q - counts.get(fset | jbit, 0)\n"
+         "                if w > best_w or w == best_w > 0:\n")),
+        DECIDE_TESTS),
+    Fault("picker: side='left' in searchsorted", POLICIES, ((
+        'side="right")', 'side="left")'),), RANDOMIZED_TESTS),
+    Fault("table search: floor for ceil", POLICIES, ((
+        "np.ceil(scaled, out=scaled)", "np.floor(scaled, out=scaled)"),),
+        RANDOMIZED_TESTS),
+    Fault("memo key drops class 0's in-flight sets", SIM, ((
+        "return tuple(map(tuple, state.inflight))",
+        "return tuple(map(tuple, state.inflight[1:]))"),), REPLAY_TESTS),
+    Fault("max-weight replay skips transmit on a hit", SIM, ((
+        "weight, replay = partial(edge_weight, state), state.transmit",
+        "weight, replay = partial(edge_weight, state), lambda fset, eid: None"),),
+        REPLAY_TESTS),
+    Fault("inline randomized move without its count check", SIM, (_drop(
+        "            if have < 1:\n"
+        "                return None\n"),), RANDOMIZED_TESTS),
+    Fault("parse_graph skips the header's Digraph check", GRAPH, (_drop(
+        "    try:\n"
+        "        Digraph(n, (), r)\n"
+        "    except ValueError as exc:\n"
+        '        raise ParseError(f"line {lineno}: {exc}") from None\n'),),
+        ("tests/test_graph.py::TestParse", "tests/test_cli.py")),
+)
+
+
+def _pytest(copy: Path, tests) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(copy / "src"))
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        code = -1
+    return code, time.perf_counter() - start
+
+
+def _broken(text: str, edits) -> str | None:
+    """``text`` with every edit applied, or None when an old text does not
+    occur exactly once."""
+    for old, new in edits:
+        if text.count(old) != 1:
+            return None
+        text = text.replace(old, new)
+    return text
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--list", action="store_true", help="list the faults and exit")
+    ap.add_argument("names", nargs="*", help="run only faults whose name holds one of these")
+    args = ap.parse_args(argv)
+    faults = [f for f in FAULTS
+              if not args.names or any(n in f.name for n in args.names)]
+    if args.list:
+        for f in faults:
+            print(f"{f.name}  [{f.path}]  {' '.join(f.tests)}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="fault-probe-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "presets"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / part, copy / part)
+        every = sorted({t for f in faults for t in f.tests})
+        code, secs = _pytest(copy, every)
+        if code != 0:
+            print(f"the unbroken copy fails its named tests (pytest exit {code}); "
+                  f"no fault was run")
+            return 1
+        print(f"unbroken copy passes {len(every)} test selections in {secs:.0f} s")
+        missed = 0
+        for f in faults:
+            target = copy / f.path
+            original = target.read_text()
+            broken = _broken(original, f.edits)
+            if broken is None:
+                print(f"STALE   {f.name}: an old text does not occur exactly once")
+                missed += 1
+                continue
+            target.write_text(broken)
+            try:
+                code, secs = _pytest(copy, f.tests)
+            finally:
+                target.write_text(original)
+            verdict = {0: "MISSED", 1: "caught", -1: "TIMEOUT"}.get(code, f"ERROR {code}")
+            missed += verdict != "caught"
+            print(f"{verdict:7} {f.name} ({secs:.0f} s)", flush=True)
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -457,6 +457,20 @@ def rebuilding_multiclass_best(state, eid):
     return best, best_w
 
 
+def scanning_tree_class(state, trees, eid):
+    """The static-tree move over the edge: the class ``c`` whose tree
+    ``trees[c]`` holds the edge, found by a scan of the trees, when its next
+    in-order packet for the head has arrived and is at the tail; else
+    None."""
+    g = state.graph
+    i, j = g.edges[eid]
+    for c, tree in enumerate(trees):
+        if eid in tree.edge_ids:
+            row = state.highest[c]
+            return c if row[j] < row[g.source] and row[i] > row[j] else None
+    return None
+
+
 def ranking_best_transition(state, eid):
     """Best (node set, backlog differential) for the active edge, or None when
     no nonempty queue has the edge on its out-boundary.
@@ -729,13 +743,9 @@ def replay_in_order(config, g, fam=None):
             queues.forward(best[0], eid)
 
     def static_tree_move(eid):
-        i, j = g.edges[eid]
-        for c, tree in enumerate(trees):
-            if eid in tree.edge_ids:
-                row = queues.view().highest[c]
-                if row[j] < queues.arrived[c] and row[i] > row[j]:
-                    queues.forward(c, eid)
-                return
+        c = scanning_tree_class(queues.view(), trees, eid)
+        if c is not None:
+            queues.forward(c, eid)
 
     def weight(eid):
         best = rebuilding_multiclass_best(queues.view(), eid)

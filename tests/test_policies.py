@@ -9,14 +9,17 @@ from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
 from bcastsim.cli import resolve_graph
 from bcastsim.fixtures import path_graph
+from bcastsim import sim
 from bcastsim.policies import (MultiClassState, RandomizedTable,
                                _bounded_indices, build_randomized_table,
-                               default_eps, edge_weight, max_weight_decide,
-                               multiclass_apply, multiclass_decide,
-                               randomized_decide, randomized_picks,
-                               sample_reachable_sequences, static_tree_decide,
-                               tree_owners)
+                               default_eps, edge_weight, in_order_rules,
+                               max_weight_decide, multiclass_apply,
+                               multiclass_decide, randomized_decide,
+                               randomized_picks, sample_reachable_sequences,
+                               static_tree_decide, tree_owners)
 from bcastsim.queues import VirtualQueueState
+from bcastsim.sim import SimConfig
+from bcastsim.wireless import wireline_family
 
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET, any_digraphs, small_graphs)
@@ -24,7 +27,8 @@ from oracles import (PacketLedger, admit_class, assign_class,
                      count_exactly_at, exact_randomized_table,
                      linear_cdf_decide, packet_set,
                      ranking_best_transition, rebuilding_multiclass_best,
-                     rescanning_sample_sequences, validate_reachable_sequence)
+                     rescanning_sample_sequences, scanning_tree_class,
+                     validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -302,6 +306,123 @@ def test_histogram_matches_counts_and_ledger(policy, g, classes, moves):
             ranked = rebuilding_multiclass_best(state, e)
             expected = ranked if ranked is not None and ranked[1] > 0 else (None, 0)
             assert (multiclass_decide(state, e), edge_weight(state, e)) == expected
+
+
+@pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
+@settings(max_examples=200, deadline=2000)
+@given(g=small_graphs(), classes=st.integers(1, 4), moves=MOVES)
+def test_bound_decide_matches_the_oracles(policy, g, classes, moves):
+    """Rules bound once, before any packet arrives, keep deciding as the
+    oracles do while the state they close over changes: after every admit
+    and every move of the bound ``apply``, the bound ``decide`` on every
+    edge equals the positive pick of ``rebuilding_multiclass_best``
+    (multiclass) or the tree scan of ``scanning_tree_class`` (static-tree)."""
+    trees = tree_packing(g)
+    static = policy == "static-tree"
+    state = MultiClassState(g, len(trees) if static else classes, iter(()))
+    decide, apply = in_order_rules(state, tree_owners(g, trees) if static else None)
+
+    def expected(eid):
+        if static:
+            return scanning_tree_class(state, trees, eid)
+        ranked = rebuilding_multiclass_best(state, eid)
+        return ranked[0] if ranked is not None and ranked[1] > 0 else None
+
+    for kind, pick in moves:
+        if kind == 0:
+            admit_class(state, pick % len(state.highest))
+        else:
+            eid = pick % g.m
+            c = decide(eid)
+            if c is not None:
+                apply(c, eid)
+        assert [decide(e) for e in range(g.m)] == [expected(e) for e in range(g.m)]
+        assert state.histogram() == (state.counts, state.delivered)
+
+
+def _no_packet(state, c, eid):
+    j = state.graph.edges[eid][1]
+    state.highest[c][j] = state.highest[c][state.graph.source]
+    return True
+
+
+def _absent_at_tail(state, c, eid):
+    i, j = state.graph.edges[eid]
+    if i == state.graph.source:  # the source holds every arrived packet
+        return False
+    state.highest[c][i] = state.highest[c][j]
+    return True
+
+
+def _no_in_flight_set(state, c, eid):
+    state.inflight[c].clear()
+    return True
+
+
+def _head_of_line_pos(state, c, eid):
+    row = state.highest[c]
+    return row[state.graph.edges[eid][1]] - row[state.graph.source]
+
+
+def _edge_inside_set(state, c, eid):
+    state.inflight[c][_head_of_line_pos(state, c, eid)] |= 1 << state.graph.edges[eid][1]
+    return True
+
+
+def _empty_queue(state, c, eid):
+    del state.counts[state.inflight[c][_head_of_line_pos(state, c, eid)]]
+    return True
+
+
+# Each corruption turns a valid move (c, eid) into a bad one, or reports that
+# it cannot for this move; the message is the apply's refusal.
+BAD_MOVES = pytest.mark.parametrize("corrupt, message", [
+    (_no_packet, r"class \d+ has no packet \d+ yet"),
+    (_absent_at_tail, r"class \d+ packet \d+ is absent at node \d+"),
+    (_no_in_flight_set, r"class \d+ packet \d+ has no in-flight set"),
+    (_edge_inside_set, r"edge \d+ does not leave node set 0x[0-9a-f]+"),
+    (_empty_queue, r"transmit from empty queue 0x[0-9a-f]+"),
+])
+
+
+@BAD_MOVES
+def test_bound_apply_refuses_a_bad_move(d4, corrupt, message):
+    """The bound ``apply`` raises each of its five refusals on a move made
+    bad, and writes nothing first."""
+    state = mc_state(d4, [[2, 1, 0, 0]])  # class 0 can send packet 1 over ab
+    apply = in_order_rules(state)[1]
+    assert corrupt(state, 0, AB)
+    before = (dict(state.counts), [list(r) for r in state.highest],
+              [list(s) for s in state.inflight], state.delivered)
+    with pytest.raises(SchedulingError, match=message):
+        apply(0, AB)
+    assert (state.counts, state.highest, state.inflight, state.delivered) == before
+
+
+@BAD_MOVES
+def test_a_replayed_bad_move_is_refused(d4, monkeypatch, corrupt, message):
+    """A slotted memo hit replays its moves through the bound ``apply``, so
+    a move made bad just before its replay raises the same refusal out of
+    ``run``."""
+    set_up = sim._set_up_policy
+    corrupted = []
+
+    def corrupting(*args):
+        built = set_up(*args)
+
+        def replay(c, eid):
+            if not corrupted and corrupt(built.state, c, eid):
+                corrupted.append((c, eid))
+            built.replay(c, eid)
+
+        return built._replace(replay=replay)
+
+    monkeypatch.setattr(sim, "_set_up_policy", corrupting)
+    cfg = SimConfig(lam=0.5, horizon=2000, seed=4, time_model="slotted-wireless",
+                    policy="multiclass", classes=2, sample_every=100)
+    with pytest.raises(SchedulingError, match=message):
+        sim.run(cfg, d4, wireline_family(d4.m))
+    assert corrupted
 
 
 class TestStaticTree:

@@ -624,13 +624,13 @@ def test_record_rejects_corrupted_state(d4, monkeypatch, policy, corrupt, messag
     set_up = sim._set_up_policy
 
     def corrupted(*args):
-        state, step, table = set_up(*args)
+        built = set_up(*args)
 
         def bad_step(eid):
-            step(eid)
-            corrupt(d4, state)
+            built.step(eid)
+            corrupt(d4, built.state)
 
-        return state, bad_step, table
+        return built._replace(step=bad_step)
 
     monkeypatch.setattr(sim, "_set_up_policy", corrupted)
     cfg = SimConfig(lam=1.5, horizon=200, seed=3, sample_every=1, policy=policy,

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastsim import CapabilityError, Digraph, ParseError, policies, sim, wireless
+from bcastsim import CapabilityError, Digraph, ParseError, sim, wireless
 from bcastsim.cli import build_activation, resolve_graph
-from bcastsim.policies import (MultiClassState, edge_weight, max_weight_decide,
-                               multiclass_apply, multiclass_decide)
+from bcastsim.policies import (MultiClassState, edge_weight, in_order_rules,
+                               max_weight_decide, multiclass_apply, multiclass_decide)
 from bcastsim.queues import VirtualQueueState
 from bcastsim.sim import SimConfig, received_csv, run, run_csv
 from bcastsim.wireless import (ActivationFamily, _conflicts, choose_activation,
@@ -410,8 +410,9 @@ class TestActivationMemo:
         """An in-flight-keyed hit replays the moves its miss made: each
         search weighs the m edges (one decide each) and decides each
         activated edge once, a hit decides nothing, every move still passes
-        through ``multiclass_apply``, and the outputs equal the replay that
-        searches each slot afresh."""
+        through the bound ``apply``, and the outputs equal the replay that
+        searches each slot afresh. The counts wrap the rules that set-up
+        binds (``in_order_rules``)."""
         g = resolve_graph("random(6,10,1)")
         fam = primary_interference_family(g)
         cfg = SimConfig(lam=0.3, horizon=1500, seed=5, time_model="slotted-wireless",
@@ -422,18 +423,21 @@ class TestActivationMemo:
             activated.append(choose_activation(weights, fam))
             return activated[-1]
 
-        def counted_decide(state, eid):
-            decides.append(eid)
-            return multiclass_decide(state, eid)
+        def counted_rules(state, owner=None):
+            decide, apply = in_order_rules(state, owner)
 
-        def counted_apply(state, c, eid):
-            moves.append(eid)
-            multiclass_apply(state, c, eid)
+            def counted_decide(eid):
+                decides.append(eid)
+                return decide(eid)
+
+            def counted_apply(c, eid):
+                moves.append(eid)
+                apply(c, eid)
+
+            return counted_decide, counted_apply
 
         monkeypatch.setattr(sim, "choose_activation", counted_activation)
-        monkeypatch.setattr(sim, "multiclass_decide", counted_decide)
-        monkeypatch.setattr(policies, "multiclass_decide", counted_decide)
-        monkeypatch.setattr(sim, "multiclass_apply", counted_apply)
+        monkeypatch.setattr(sim, "in_order_rules", counted_rules)
         res = run(cfg, g, fam)
         assert len(activated) < cfg.horizon / 2  # most slots hit
         assert len(decides) == sum(g.m + smask.bit_count() for smask in activated)
