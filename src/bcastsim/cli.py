@@ -17,8 +17,8 @@ import click
 
 from . import fixtures
 from .errors import CapabilityError, ConstructionError, ParseError
-from .graph import (Digraph, broadcast_capacity, capacity_bottleneck,
-                    is_arborescence, parse_graph, tree_packing)
+from .graph import (Digraph, capacity_bottleneck, is_arborescence,
+                    parse_graph, tree_packing)
 from .sim import (MAX_CLASSES, SimConfig, random_digraph, received_csv, run,
                   run_csv, sweep_csv, sweep_k)
 from .wireless import (parse_activation_family, primary_interference_family,
@@ -197,9 +197,7 @@ def trees(graph_spec):
     def body():
         g = resolve_graph(graph_spec)
         packing = tree_packing(g)
-        expected = broadcast_capacity(g)
-        if len(packing) != expected or any(
-                not is_arborescence(g, t.edge_ids) for t in packing):
+        if any(not is_arborescence(g, t.edge_ids) for t in packing):
             raise RuntimeError("internal error: packing failed validation")
         used: set[int] = set()
         for t in packing:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -33,22 +33,23 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], source: int):
         if n < 1:
             raise ValueError("node count must be positive")
-        if n > MAX_NODES:  # before reading edges, which may be a generator
+        if n > MAX_NODES:
             raise ValueError(f"node count must be at most {MAX_NODES}, got {n}")
-        edges = tuple((int(a), int(b)) for a, b in edges)
         if not 0 <= source < n:
             raise ValueError(f"source {source} out of range for n={n}")
-        seen = set()
+        # Checked as read, so a generator stops at the first bad edge.
+        seen: dict[tuple[int, int], None] = {}
         for a, b in edges:
+            a, b = int(a), int(b)
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
                 raise ValueError(f"self-loop at node {a}")
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
-            seen.add((a, b))
+            seen[a, b] = None
         self.n = n
-        self.edges = edges
+        self.edges = tuple(seen)
         self.source = source
         self.full_mask = (1 << n) - 1
         self.source_mask = 1 << source
@@ -61,18 +62,22 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m}, source={self.source})"
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of every line that is neither blank
+    nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_graph(text: str) -> Digraph:
     """Parse an edge-list document: header ``n m r`` then ``m`` lines ``u v``.
 
-    Blank lines and lines starting with ``#`` are ignored. Raises ParseError
-    naming the offending line number.
+    Blank lines and lines starting with ``#`` are ignored. ``Digraph`` checks
+    the graph rules; a ParseError about one line names it.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
+    rows = list(numbered_lines(text))
     if not rows:
         raise ParseError("empty graph document")
     lineno, header = rows[0]
@@ -83,33 +88,28 @@ def parse_graph(text: str) -> Digraph:
         n, m, r = (int(p) for p in parts)
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer header field") from None
-    try:
-        Digraph(n, (), r)
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
     if m < 0:
         raise ParseError(f"line {lineno}: negative edge count")
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges: list[tuple[int, int]] = []
-    seen = set()
-    for lineno, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoint") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {lineno}: node index out of range")
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop")
-        if (u, v) in seen:
-            raise ParseError(f"line {lineno}: duplicate edge ({u},{v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Digraph(n, edges, r)
+
+    def pairs():
+        nonlocal lineno
+        for lineno, line in rows[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError("expected 'u v'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError("non-integer endpoint") from None
+            yield u, v
+
+    # Digraph reads one pair at a time, so lineno is the line it read last.
+    try:
+        return Digraph(n, pairs(), r)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 def max_flow(g: Digraph, s: int, t: int, allowed: Iterable[int] | None = None,

@@ -101,7 +101,7 @@ class MultiClassState(VirtualQueueState):
                              f"{labelled} of {count} packets")
 
     def transmit(self, fset: int, eid: int):
-        raise SchedulingError("an in-order state moves packets only by multiclass_apply")
+        raise SchedulingError("an in-order state moves packets only by in_order_rules' apply")
 
     def received_count(self, node: int) -> int:
         return sum(row[node] for row in self.highest)

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, ParseError
-from .graph import Digraph
+from .graph import Digraph, numbered_lines
 
 # The most members a primary-interference family may hold; the count of
 # maximal matchings grows exponentially with the edge count.
@@ -130,10 +130,7 @@ def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:
     """One feasible set per line as space-separated edge ids; ``-`` is the
     empty set; ``#`` comments and blank lines are ignored."""
     masks: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered_lines(text):
         if line == "-":
             masks.append(0)
             continue

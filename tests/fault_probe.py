@@ -44,6 +44,7 @@ class Fault:
 POLICIES = "src/bcastsim/policies.py"
 SIM = "src/bcastsim/sim.py"
 GRAPH = "src/bcastsim/graph.py"
+CLI = "src/bcastsim/cli.py"
 
 # The tests that pin the in-order write path and its refusals.
 APPLY_TESTS = ("tests/test_policies.py::TestMultiClassApply",
@@ -59,6 +60,9 @@ RANDOMIZED_TESTS = ("tests/test_policies.py::TestRandomizedTable",
                     "tests/test_policies.py::TestRandomizedTableRule",
                     "tests/test_policies.py::TestRandomizedDecide",
                     "tests/test_sim.py", "tests/test_golden.py")
+# The tests that pin how a graph or an activation family is read.
+GRAPH_INPUT_TESTS = ("tests/test_graph.py::TestParse",
+                     "tests/test_graph.py::TestDigraphValidation")
 
 
 def _drop(text: str) -> tuple[str, str]:
@@ -112,12 +116,32 @@ FAULTS = (
     Fault("inline randomized move without its count check", SIM, (_drop(
         "            if have < 1:\n"
         "                return None\n"),), RANDOMIZED_TESTS),
-    Fault("parse_graph skips the header's Digraph check", GRAPH, (_drop(
-        "    try:\n"
-        "        Digraph(n, (), r)\n"
-        "    except ValueError as exc:\n"
-        '        raise ParseError(f"line {lineno}: {exc}") from None\n'),),
-        ("tests/test_graph.py::TestParse", "tests/test_cli.py")),
+    Fault("Digraph without its duplicate-edge check", GRAPH, (_drop(
+        "            if (a, b) in seen:\n"
+        '                raise ValueError(f"duplicate edge ({a},{b})")\n'),),
+        GRAPH_INPUT_TESTS),
+    Fault("Digraph checks the source after the edges", GRAPH, (
+        _drop("        if not 0 <= source < n:\n"
+              '            raise ValueError(f"source {source} out of range for n={n}")\n'),
+        ("        self.n = n\n",
+         "        if not 0 <= source < n:\n"
+         '            raise ValueError(f"source {source} out of range for n={n}")\n'
+         "        self.n = n\n")),
+        GRAPH_INPUT_TESTS),
+    Fault("Digraph reads every edge before checking one", GRAPH, ((
+        "        for a, b in edges:\n", "        for a, b in list(edges):\n"),),
+        GRAPH_INPUT_TESTS),
+    Fault("line reader without its '#' skip", GRAPH, ((
+        '        if line and not line.startswith("#"):\n', "        if line:\n"),),
+        GRAPH_INPUT_TESTS),
+    Fault("trees without its arborescence check", CLI, (_drop(
+        "        if any(not is_arborescence(g, t.edge_ids) for t in packing):\n"
+        '            raise RuntimeError("internal error: packing failed validation")\n'),),
+        ("tests/test_cli.py::TestTrees",)),
+    Fault("tree_packing's loop bound off by one", GRAPH, ((
+        "range(broadcast_capacity(g) - 1, -1, -1)",
+        "range(broadcast_capacity(g) - 2, -1, -1)"),),
+        ("tests/test_graph.py::TestTreePacking",)),
 )
 
 

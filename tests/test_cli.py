@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bcastsim import cli
+from bcastsim import Arborescence, cli
 from bcastsim.cli import main, resolve_graph
 from bcastsim.sim import SimConfig, run
 
@@ -80,6 +80,20 @@ class TestTrees:
         result = runner.invoke(main, ["trees", "--graph", str(path)])
         assert result.exit_code == 0
         assert "no trees" in result.output
+
+    @pytest.mark.parametrize("packing, message", [
+        # Two of path4's three edges, 0->1 and 2->3, which miss node 2.
+        ([(0, 2)], "internal error: packing failed validation"),
+        ([(0, 1, 2), (0, 1, 2)], "internal error: packing is not edge-disjoint"),
+    ], ids=["not-an-arborescence", "shared-edge"])
+    def test_a_bad_packing_exits_1(self, runner, monkeypatch, packing, message):
+        """The self-checks on the extracted trees, reached by a stand-in
+        packing: exit 1 with the message and no traceback."""
+        monkeypatch.setattr(cli, "tree_packing",
+                            lambda g: [Arborescence(ids) for ids in packing])
+        result = runner.invoke(main, ["trees", "--graph", "path4"])
+        assert result.exit_code == 1
+        assert result.output == f"error: {message}\n"
 
 
 class TestSimulate:

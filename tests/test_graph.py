@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from bcastsim import (Arborescence, Digraph, ParseError, broadcast_capacity,
 from bcastsim.fixtures import path_graph, star_graph
 from bcastsim.graph import (is_arborescence, max_flow, out_edges,
                             sequence_from_arborescence)
+from bcastsim.wireless import parse_activation_family
 
 from conftest import (AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB,
                       RB_SET, RC, RC_SET, small_graphs)
@@ -24,6 +27,11 @@ D4_TEXT = """4 6 0
 0 3
 3 1
 """
+
+
+def graph_fields(text):
+    g = parse_graph(text)
+    return g.n, g.edges, g.source
 
 
 def small_random_graphs(count, n_range=(3, 8), seed_base=7000):
@@ -44,9 +52,14 @@ class TestParse:
         g = parse_graph("2 1 0\n0 1\n")
         assert g.edges == ((0, 1),)
 
-    def test_comments_and_blanks_ignored(self):
-        g = parse_graph("# diamond\n\n2 1 0\n# edge\n0 1\n")
-        assert g.m == 1
+    @pytest.mark.parametrize("parse, text", [
+        (graph_fields, "3 2 1\n1 0\n1 2\n"),
+        (lambda t: parse_activation_family(t, 3).masks, "-\n0 2\n1\n"),
+    ], ids=["graph", "family"])
+    def test_comments_and_blanks_ignored(self, parse, text):
+        """Both text formats read their lines through one reader."""
+        noisy = "# head\n\n" + "\n  # indented\n\t\n".join(text.splitlines()) + "\n#"
+        assert parse(noisy) == parse(text)
 
     def test_index_out_of_range(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -71,6 +84,22 @@ class TestParse:
     def test_bad_source(self):
         with pytest.raises(ParseError, match="source"):
             parse_graph("2 1 5\n0 1\n")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("2 3", "edge (2,3) out of range for n=3"),
+        ("2 2", "self-loop at node 2"),
+        ("0 1", "duplicate edge (0,1)"),
+    ], ids=["range", "self-loop", "duplicate"])
+    def test_digraph_edge_rules_name_their_line(self, bad, message):
+        """``Digraph``'s own message, prefixed with the number of the line
+        that holds the bad edge, counting comment lines."""
+        with pytest.raises(ParseError, match=f"^{re.escape(f'line 5: {message}')}$"):
+            parse_graph(f"3 3 0\n0 1\n# c\n1 2\n{bad}\n")
+
+    def test_a_wrong_edge_line_count_wins_over_a_bad_source(self):
+        """The count is a text rule, checked before ``Digraph`` runs."""
+        with pytest.raises(ParseError, match="^expected 2 edge lines, found 1$"):
+            parse_graph("2 2 5\n0 1\n")
 
     def test_node_count_over_the_cap_names_the_header_line(self):
         with pytest.raises(ParseError,
@@ -331,3 +360,25 @@ class TestDigraphValidation:
             Digraph(2, [(0, 5)], 0)
         with pytest.raises(ValueError):
             Digraph(2, [(0, 1)], 3)
+
+    @pytest.mark.parametrize("n, source, message", [
+        (0, 0, "node count must be positive"),
+        (1001, 0, "node count must be at most 1000, got 1001"),
+        (2, 3, "source 3 out of range for n=2"),
+    ], ids=["no-nodes", "too-many-nodes", "source"])
+    def test_node_count_and_source_are_checked_before_any_edge(self, n, source, message):
+        edges = iter([(0, 1)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Digraph(n, edges, source)
+        assert list(edges) == [(0, 1)]
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 5), "edge (0,5) out of range for n=3"),
+        ((1, 1), "self-loop at node 1"),
+        ((0, 1), "duplicate edge (0,1)"),
+    ], ids=["range", "self-loop", "duplicate"])
+    def test_stops_reading_at_the_first_bad_edge(self, bad, message):
+        edges = iter([(0, 1), (1, 2), bad, (2, 2), (0, 1)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Digraph(3, edges, 0)
+        assert list(edges) == [(2, 2), (0, 1)]

@@ -237,7 +237,7 @@ class TestMultiClassWritePath:
         state.admit(3)
         before = (dict(state.counts), [list(r) for r in state.highest],
                   [list(s) for s in state.inflight])
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match="only by in_order_rules' apply"):
             state.transmit(R_, RA)
         assert (state.counts, state.highest, state.inflight) == before
         assert state.delivered == 0
