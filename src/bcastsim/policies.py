@@ -18,14 +18,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, SchedulingError
-from .graph import (Arborescence, Digraph, ReachableSequence, out_edges,
-                    sequence_from_arborescence)
+from .graph import Arborescence, Digraph, out_edges, sequence_from_arborescence
 from .queues import VirtualQueueState
 
 
@@ -302,29 +301,50 @@ class RandomizedTable:
 
     entries: tuple[tuple[tuple[int, float], ...], ...]
 
+    @classmethod
+    def _from_pairs(cls, fsets: np.ndarray, probs: np.ndarray,
+                    sizes: np.ndarray) -> RandomizedTable:
+        """The table of ``_pairs`` given as arrays, which it keeps."""
+        fset_list, prob_list = fsets.tolist(), probs.tolist()
+        ends = np.cumsum(sizes).tolist()
+        table = cls(tuple(tuple(zip(fset_list[a:b], prob_list[a:b]))
+                          for a, b in zip([0] + ends, ends)))
+        vars(table)["_pairs"] = (fsets, probs, sizes)
+        return table
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fsets, probs, sizes): every pair's node set (int64, so of graphs
+        up to 63 nodes) and probability, edge-major, and each edge's pair
+        count."""
+        sizes = np.array([len(entry) for entry in self.entries], dtype=np.int64)
+        count = int(sizes.sum())
+        fsets = np.fromiter((fset for entry in self.entries for fset, _ in entry),
+                            dtype=np.int64, count=count)
+        probs = np.fromiter((p for entry in self.entries for _, p in entry),
+                            dtype=np.float64, count=count)
+        return fsets, probs, sizes
+
     @cached_property
     def search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, fsets, sizes, ends): the flat keys and node sets (int64,
-        so of graphs up to 63 nodes), and per edge its pair count and the
-        index one past its last pair."""
+        """(keys, fsets, sizes, ends): the flat keys and node sets, and per
+        edge its pair count and the index one past its last pair. Each
+        edge's running sums are one ``np.cumsum``, which adds left to right."""
         if len(self.entries) * _KEY_STRIDE > 1 << 63:
             raise ValueError(f"a table search holds at most 1023 edges, "
                              f"got {len(self.entries)}")
-        sizes = np.array([len(entry) for entry in self.entries], dtype=np.int64)
-        count = int(sizes.sum())
+        fsets, probs, sizes = self._pairs
+        ends = np.cumsum(sizes)
         # In place, so no more than two arrays of the keys' size are alive.
-        scaled = np.fromiter(chain.from_iterable(
-            accumulate(p for _, p in entry) for entry in self.entries),
-            dtype=np.float64, count=count)
+        scaled = np.concatenate([np.cumsum(entry)
+                                 for entry in np.split(probs, ends[:-1])])
         scaled *= _DRAW_SCALE
         np.ceil(scaled, out=scaled)
         np.minimum(scaled, _DRAW_SCALE, out=scaled)
         keys = scaled.astype(np.int64)
         del scaled
         keys += np.repeat(np.arange(len(sizes), dtype=np.int64) * _KEY_STRIDE, sizes)
-        fsets = np.fromiter((fset for entry in self.entries for fset, _ in entry),
-                            dtype=np.int64, count=count)
-        return keys, fsets, sizes, np.cumsum(sizes)
+        return keys, fsets, sizes, ends
 
     def csv_rows(self) -> Iterator[str]:
         yield "edge,bits,probability"
@@ -379,6 +399,9 @@ def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]
     exit, also by an exception, the generator is reset to its state on entry
     and advanced by exactly the words used, drawn as one block, which leaves
     it where the scalar calls would, PCG64's buffered half-word included.
+    ``sample_reachable_sequences``' lockstep states the same rule in numpy
+    for the steps that take one word; this is the rule of its per-sequence
+    loop.
     """
     saved = rng.bit_generator.state
     next_word = _blocks(rng.integers, 0, 1 << 32, dtype=np.uint32).__next__
@@ -405,39 +428,74 @@ def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]
             rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
 
 
-def sample_reachable_sequences(g: Digraph, count: int,
-                               rng: np.random.Generator) -> list[ReachableSequence]:
-    """Sample growth sequences by repeatedly crossing a uniformly chosen
-    out-boundary edge. Requires every node reachable from the source.
+# ``_POPCOUNT8[v]`` is the number of set bits of byte ``v``, and
+# ``_SELECT8[v, r]`` the position of its ``r``-th lowest set bit.
+_POPCOUNT8 = np.array([v.bit_count() for v in range(256)], dtype=np.int64)
+_SELECT8 = np.array([[i for i in range(8) if v >> i & 1] + [0] * (8 - v.bit_count())
+                     for v in range(256)], dtype=np.int64)
+_TWO32 = np.uint64(1 << 32)
 
-    The out-boundary is an edge-id bitmask ``bnd``. ``inmask[v]`` and
-    ``outmask[v]`` hold the edges into and out of node v, and ``entered``
-    is the OR of ``inmask`` over the set, i.e. the edges whose head is
-    already in it. When node b joins, ``bnd = (bnd & ~inmask[b]) |
-    (outmask[b] & ~entered)``. A boundary of k edges picks its j-th lowest
-    set bit for ``j = int(rng.integers(k))``, which is ``boundary[j]`` of the
-    ascending edge-id list; it is found by clearing the j lowest set bits or
-    the k - 1 - j highest, whichever is fewer. The words of those scalar
-    calls are drawn in blocks (``_bounded_indices``), so the sequences and
-    the generator state afterwards, on the unreachable-node error too, equal
-    the scalar calls'.
+
+def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``count`` growth sequences by repeatedly crossing a uniformly
+    chosen out-boundary edge: ``(sets, eids)``, two ``(count, n - 1)`` int64
+    arrays whose row s holds sequence s's node sets and the edges crossed
+    out of them, in step order. Requires every node reachable from the
+    source, and n <= 63, since the node sets are int64 bitmasks.
+
+    A boundary of k edges picks its j-th lowest edge id for ``j =
+    int(rng.integers(k))``; the sequences and the generator state afterwards,
+    on the unreachable-node error too, equal those scalar calls'. The
+    boundary is an edge bitmask. ``inmask[v]`` and ``outmask[v]`` hold the
+    edges into and out of node v, and ``entered`` is the OR of ``inmask``
+    over the set, i.e. the edges whose head is already in it. When node b
+    joins, ``bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)``.
+
+    Two samplers apply that rule. The lockstep (``_lockstep``) takes one
+    step of every row at a time in numpy: each row's boundary is m // 64 + 1
+    little-endian uint64 words, and its j-th set bit is found from the
+    cumulative popcount of its bytes and a per-byte select table. A set
+    holding the source has at least c out-edges, c the broadcast capacity,
+    so when c >= 2 every step takes exactly one word unless numpy's bounded
+    rule (``_bounded_indices``) redraws it, which happens with probability
+    below k / 2**32. So row s reads its words from ``s * (n - 1)``, and the
+    lockstep draws all ``count * (n - 1)`` as one block. The first row r
+    with a step that would take no word (a one-edge or empty boundary) or
+    more than one (a redraw) leaves the lockstep at once, with every later
+    row, whose offset is now wrong; rows 0..r-1 used exactly their words.
+    The per-sequence loop then samples rows r.. from word ``r * (n - 1)``,
+    after the generator is reset and advanced to there: it keeps the
+    boundary as a Python int and finds its j-th set bit by clearing the j
+    lowest set bits or the k - 1 - j highest, whichever is fewer.
     """
-    full = g.full_mask
+    n = g.n
+    if n > 63:
+        raise ValueError(f"sampled node sets are int64 bitmasks, so n must be "
+                         f"at most 63, got {n}")
     heads = [b for _, b in g.edges]
-    inmask = [0] * g.n
-    outmask = [0] * g.n
+    inmask = [0] * n
+    outmask = [0] * n
     for eid, (a, b) in enumerate(g.edges):
         outmask[a] |= 1 << eid
         inmask[b] |= 1 << eid
     start = sum(1 << eid for eid in out_edges(g, g.source_mask))
-    seqs = []
+    sets = np.empty((count, n - 1), dtype=np.int64)
+    eids = np.empty((count, n - 1), dtype=np.int64)
+    saved = rng.bit_generator.state
+    words = rng.integers(0, 1 << 32, size=(count, n - 1), dtype=np.uint32)
+    live = _lockstep(g, heads, inmask, outmask, start, words, sets, eids)
+    if live == count:
+        return sets, eids
+    rng.bit_generator.state = saved
+    rng.integers(0, 1 << 32, size=live * (n - 1), dtype=np.uint32)
+    row_sets, row_eids = [], []
     with _bounded_indices(rng) as index:
-        for _ in range(count):
+        for _ in range(live, count):
             fset = g.source_mask
             entered = inmask[g.source]
             bnd = start
-            seq = []
-            while fset != full:
+            for _ in range(n - 1):
                 if not bnd:
                     raise ValueError("a node is unreachable from the source")
                 k = bnd.bit_count()
@@ -451,17 +509,67 @@ def sample_reachable_sequences(g: Digraph, count: int,
                     for _ in range(k - 1 - j):
                         x ^= 1 << (x.bit_length() - 1)
                     eid = x.bit_length() - 1
-                seq.append((fset, eid))
+                row_sets.append(fset)
+                row_eids.append(eid)
                 b = heads[eid]
                 fset |= 1 << b
                 entered |= inmask[b]
                 bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)
-            seqs.append(tuple(seq))
-    return seqs
+    sets[live:] = np.reshape(row_sets, (count - live, n - 1))
+    eids[live:] = np.reshape(row_eids, (count - live, n - 1))
+    return sets, eids
+
+
+def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int],
+              start: int, words: np.ndarray, sets: np.ndarray, eids: np.ndarray) -> int:
+    """Sample the rows of ``sets`` and ``eids`` one step of each at a time,
+    step t of row s from ``words[s, t]``, and return how many leading rows
+    are exact: the rows before the first whose step would take other than
+    one word (``sample_reachable_sequences``)."""
+    n_words = g.m // 64 + 1
+
+    def as_words(masks: list[int]) -> np.ndarray:
+        return np.frombuffer(b"".join(mask.to_bytes(8 * n_words, "little")
+                                      for mask in masks),
+                             dtype="<u8").reshape(len(masks), n_words)
+
+    in_words, out_words = as_words(inmask), as_words(outmask)
+    head_of = np.array(heads, dtype=np.int64)
+    live = len(sets)
+    fset = np.full(live, g.source_mask, dtype=np.int64)
+    entered = np.repeat(in_words[g.source:g.source + 1], live, axis=0)
+    bnd = np.repeat(as_words([start]), live, axis=0)
+    for t in range(sets.shape[1]):
+        octets = bnd.view(np.uint8)
+        bits = np.take(_POPCOUNT8, octets)
+        below = bits.cumsum(axis=1)
+        k = below[:, -1].astype(np.uint64)
+        x = words[:live, t] * k
+        # numpy's bounded rule takes no word for k == 1, and redraws while
+        # the product's low half is below (2**32 - k) % k.
+        deviates = (k < 2) | (x & _WORD_MASK < (_TWO32 - k) % np.maximum(k, 1))
+        if deviates.any():
+            live = int(deviates.argmax())
+            fset, entered, bnd, octets, bits, below, x = (
+                a[:live] for a in (fset, entered, bnd, octets, bits, below, x))
+            if not live:
+                break
+        j = (x >> 32).astype(np.int64)
+        rows = np.arange(live)
+        byte = (below <= j[:, None]).sum(axis=1)
+        rank = j - below[rows, byte] + bits[rows, byte]
+        eid = 8 * byte + _SELECT8[octets[rows, byte], rank]
+        sets[:live, t] = fset
+        eids[:live, t] = eid
+        b = head_of[eid]
+        fset |= np.left_shift(1, b)
+        entered |= in_words[b]
+        bnd = (bnd & ~in_words[b]) | (out_words[b] & ~entered)
+    return live
 
 
 def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
-                           extra_sequences: Sequence[ReachableSequence],
+                           extra_sequences: tuple[np.ndarray, np.ndarray],
                            eps: float) -> RandomizedTable:
     """Build the stationary randomized forwarding table.
 
@@ -471,38 +579,66 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
     a positive per-slot margin of eps/n over the stage feeding it. Each extra
     sequence adds eps*j/(2*n^2*B') at position j, with B' the number of extra
     sequences, spreading a small stabilizing mass over node sets off the
-    trees. Raises ConstructionError when a probability would be negative or a
-    per-edge total would exceed 1 (the table must stay realizable by a single
-    transmission per activation).
+    trees. ``extra_sequences`` is ``sample_reachable_sequences``' pair of
+    ``(B', n - 1)`` arrays, node sets and edge ids. Raises ConstructionError
+    when a probability would be negative or a per-edge total would exceed 1
+    (the table must stay realizable by a single transmission per activation).
+
+    Every (edge, set) pair's probability is summed from 0.0 in one order:
+    the trees' pairs, tree by tree, then the extra sequences' row by row
+    (``np.add.at`` adds in index order); each edge's total, for the check,
+    is Python's ``sum`` of its pairs in the order each first occurs.
     """
     if not eps > 0:
         raise ConstructionError("rate margin eps must be positive")
     n = g.n
-    acc: list[dict[int, float]] = [{} for _ in range(g.m)]
+    tree_pairs = []
+    tree_probs = []
     for tree in trees:
         seq = sequence_from_arborescence(g, tree)
-        for j, (fset, eid) in enumerate(seq, start=1):
+        for j, pair in enumerate(seq, start=1):
             p = 1.0 - eps * (n - j) / n
             if p < 0:
                 raise ConstructionError(
                     f"eps={eps} makes the tree allocation negative at step {j}")
-            acc[eid][fset] = acc[eid].get(fset, 0.0) + p
-    if extra_sequences:
-        # Every sequence has n - 1 positions, and position j adds the same
-        # float in each of them.
-        bprime = len(extra_sequences)
-        extra_p = [eps * j / (2 * n * n * bprime) for j in range(1, n)]
-        for seq in extra_sequences:
-            for (fset, eid), p in zip(seq, extra_p):
-                acc[eid][fset] = acc[eid].get(fset, 0.0) + p
-    entries = []
-    for eid in range(g.m):
-        total = sum(acc[eid].values())
+            tree_pairs.append(pair)
+            tree_probs.append(p)
+    sets, eids = extra_sequences
+    # Every sequence has n - 1 positions, and position j adds the same float
+    # in each of them; with no sequence the divisor is never used.
+    extra_p = eps * np.arange(1, n) / (2 * n * n * max(len(sets), 1))
+    tree_pairs = np.array(tree_pairs, dtype=np.int64).reshape(-1, 2)
+    # The summing arrays are freed before the table's tuples are built.
+    return RandomizedTable._from_pairs(*_summed_pairs(
+        g.m, np.concatenate([tree_pairs[:, 0], sets.ravel()]),
+        np.concatenate([tree_pairs[:, 1], eids.ravel()]),
+        np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])))
+
+
+def _summed_pairs(m: int, fsets: np.ndarray, edges: np.ndarray, probs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``build_randomized_table``'s sums: each distinct (edge, set) pair's
+    node set and summed probability, edge-major and by set, and each edge's
+    pair count; ConstructionError on the first edge whose total exceeds 1."""
+    # One key per pair, ordered as the pairs sort.
+    set_ids, set_rank = np.unique(fsets, return_inverse=True)
+    width = max(len(set_ids), 1)
+    keys, inverse = np.unique(edges * width + set_rank.ravel(), return_inverse=True)
+    inverse = inverse.ravel()
+    sums = np.zeros(len(keys))
+    np.add.at(sums, inverse, probs)
+    first = np.full(len(keys), len(probs))
+    np.minimum.at(first, inverse, np.arange(len(probs)))
+    pair_edges = keys // width
+    sizes = np.bincount(pair_edges, minlength=m)
+    by_first = sums[np.argsort(pair_edges * len(probs) + first)].tolist()
+    ends = np.cumsum(sizes).tolist()
+    for eid, (a, b) in enumerate(zip([0] + ends, ends)):
+        total = sum(by_first[a:b])
         if total > 1.0 + 1e-9:
             raise ConstructionError(
                 f"edge {eid} carries total probability {total:.6f} > 1")
-        entries.append(tuple(sorted(acc[eid].items())))
-    return RandomizedTable(tuple(entries))
+    return set_ids[keys % width], sums, sizes
 
 
 def randomized_decide(table: RandomizedTable, state: VirtualQueueState,

@@ -23,9 +23,14 @@ edge; each admitted packet of an in-order policy takes one class label;
 these come from blocks of one size (``policies._blocks``). The randomized
 policy's uniforms are drawn per block of active edges, one per event over a
 non-empty table entry, in event order (``policies.randomized_picks``).
-Set-up's sequence sampling takes its 32-bit words from the policy stream in
-blocks too and then resets that stream to exactly the words it used, so the
-uniforms start where scalar ``integers(k)`` calls would have left it.
+Set-up's sequence sampling takes its 32-bit words from the policy stream
+as one block of ``count * (n - 1)`` words, and row s of its lockstep reads
+from word ``s * (n - 1)``, since every step takes exactly one word unless
+its boundary has one edge or numpy's bounded rule redraws. The first row with
+such a step hands itself and every later row to the per-sequence loop: the
+stream is reset, advanced to that row's word and drawn on in blocks, then
+reset again and advanced by exactly the words used. So the uniforms start
+where scalar ``integers(k)`` calls would have left the stream.
 numpy's block forms consume a generator as the scalar calls do, so the block
 size is not observable.
 """

@@ -21,6 +21,15 @@ MAX_FAMILY_MEMBERS = 1 << 18
 _INT64_MAX = (1 << 63) - 1
 
 
+class DuplicateActivation(ValueError):
+    """A member that repeats an earlier one; ``index`` is its position in
+    the family's masks."""
+
+    def __init__(self, mask: int, index: int):
+        super().__init__(f"duplicate activation {mask:#x}")
+        self.index = index
+
+
 @dataclass(frozen=True)
 class ActivationFamily:
     """Feasible simultaneous activations, each a bitmask over edge ids.
@@ -36,11 +45,11 @@ class ActivationFamily:
     def __post_init__(self):
         limit = 1 << self.edge_count
         seen = set()
-        for mask in self.masks:
+        for index, mask in enumerate(self.masks):
             if not 0 <= mask < limit:
                 raise ValueError(f"activation {mask:#x} references unknown edges")
             if mask in seen:
-                raise ValueError(f"duplicate activation {mask:#x}")
+                raise DuplicateActivation(mask, index)
             seen.add(mask)
         if 0 not in seen:
             raise ValueError("the empty activation must be a member")
@@ -130,7 +139,9 @@ def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:
     """One feasible set per line as space-separated edge ids; ``-`` is the
     empty set; ``#`` comments and blank lines are ignored."""
     masks: list[int] = []
+    linenos: list[int] = []
     for lineno, line in numbered_lines(text):
+        linenos.append(lineno)
         if line == "-":
             masks.append(0)
             continue
@@ -149,6 +160,10 @@ def parse_activation_family(text: str, edge_count: int) -> ActivationFamily:
         masks.append(mask)
     try:
         return make_family(edge_count, masks)
+    except DuplicateActivation as exc:
+        # make_family puts the empty activation first when no line holds it.
+        lineno = linenos[exc.index - (0 not in masks)]
+        raise ParseError(f"line {lineno}: {exc}") from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -63,6 +63,10 @@ RANDOMIZED_TESTS = ("tests/test_policies.py::TestRandomizedTable",
 # The tests that pin how a graph or an activation family is read.
 GRAPH_INPUT_TESTS = ("tests/test_graph.py::TestParse",
                      "tests/test_graph.py::TestDigraphValidation")
+# The tests that pin the sampled growth sequences and the words they take.
+SAMPLER_TESTS = ("tests/test_policies.py::TestSampledSequences",
+                 "tests/test_policies.py::TestLockstepHandOff")
+WIRELESS = "src/bcastsim/wireless.py"
 
 
 def _drop(text: str) -> tuple[str, str]:
@@ -142,6 +146,29 @@ FAULTS = (
         "range(broadcast_capacity(g) - 1, -1, -1)",
         "range(broadcast_capacity(g) - 2, -1, -1)"),),
         ("tests/test_graph.py::TestTreePacking",)),
+    Fault("sampler: the hand-off keeps the first deviating row", POLICIES, ((
+        "live = int(deviates.argmax())", "live = int(deviates.argmax()) + 1"),),
+        SAMPLER_TESTS),
+    Fault("sampler: '<=' for '<' in the lockstep redraw test", POLICIES, ((
+        "x & _WORD_MASK < (_TWO32 - k)", "x & _WORD_MASK <= (_TWO32 - k)"),),
+        SAMPLER_TESTS),
+    Fault("sampler: the popcount select's byte off by one", POLICIES, ((
+        "byte = (below <= j[:, None]).sum(axis=1)",
+        "byte = (below < j[:, None]).sum(axis=1)"),),
+        SAMPLER_TESTS),
+    Fault("table: tree pairs summed after the extra pairs", POLICIES, (
+        ("np.concatenate([tree_pairs[:, 0], sets.ravel()])",
+         "np.concatenate([sets.ravel(), tree_pairs[:, 0]])"),
+        ("np.concatenate([tree_pairs[:, 1], eids.ravel()])",
+         "np.concatenate([eids.ravel(), tree_pairs[:, 1]])"),
+        ("np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])",
+         "np.concatenate([np.broadcast_to(extra_p, sets.shape).ravel(), tree_probs])")),
+        RANDOMIZED_TESTS),
+    Fault("activation parser: a duplicate's line without the empty-set shift",
+          WIRELESS, ((
+              "lineno = linenos[exc.index - (0 not in masks)]",
+              "lineno = linenos[exc.index]"),),
+        ("tests/test_wireless.py::TestParseFamily",)),
 )
 
 

@@ -22,7 +22,9 @@ the same stream in blocks.
 
 ``exact_randomized_table`` states the randomized table's probability rule
 in exact ``Fraction`` arithmetic, so the engine's float table is checked
-against the rule rather than against a stored hash.
+against the rule rather than against a stored hash; ``dict_randomized_table``
+is the table built one pair at a time into a dict per edge, in the float
+order the engine's array build must keep bit for bit.
 
 ``slotted_capacity_lp`` gives the slotted model's exact capacity from a
 linear program over the activation family (scipy, tests only); the library
@@ -42,9 +44,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from bcastsim.errors import ConstructionError
 from bcastsim.graph import (Arborescence, broadcast_capacity, max_flow, out_edges,
                             sequence_from_arborescence)
-from bcastsim.policies import build_randomized_table, default_eps
+from bcastsim.policies import RandomizedTable, default_eps
 
 
 def reachable_fixed_point(g, mask):
@@ -347,7 +350,8 @@ def rescanning_tree_packing(g):
 
 def rescanning_sample_sequences(g, count, rng):
     """Growth-sequence sampler that recomputes the out-boundary from every
-    edge on each step."""
+    edge on each step, one sequence at a time: a list of ``(node set, edge
+    id)`` tuples per sequence."""
     seqs = []
     for _ in range(count):
         fset = g.source_mask
@@ -363,13 +367,21 @@ def rescanning_sample_sequences(g, count, rng):
     return seqs
 
 
+def sequence_rows(sample):
+    """``sample_reachable_sequences``' ``(sets, eids)`` arrays as the
+    rescanning sampler's tuples."""
+    sets, eids = sample
+    return [tuple(zip(row_sets, row_eids))
+            for row_sets, row_eids in zip(sets.tolist(), eids.tolist())]
+
+
 def exact_randomized_table(g, trees, extra_sequences, eps):
     """The randomized table as one exact ``{node set: Fraction}`` dict per
     edge: position j (1-based) of each tree's canonical growth sequence adds
     1 - eps*(n-j)/n to its (set, edge) pair, and position j of each of the
-    B' extra sequences adds eps*j/(2*n^2*B'), with ``eps`` taken exactly.
-    Raises ValueError on a negative tree probability or a per-edge total
-    above 1."""
+    B' extra sequences (``sequence_rows``' tuples) adds eps*j/(2*n^2*B'),
+    with ``eps`` taken exactly. Raises ValueError on a negative tree
+    probability or a per-edge total above 1."""
     n = g.n
     eps = Fraction(eps)
     table = [{} for _ in range(g.m)]
@@ -389,6 +401,35 @@ def exact_randomized_table(g, trees, extra_sequences, eps):
         if sum(entry.values()) > 1:
             raise ValueError(f"edge {eid} carries total probability above 1")
     return table
+
+
+def dict_randomized_table(g, trees, extra_sequences, eps):
+    """The randomized table built one (set, edge) pair at a time into a
+    float dict per edge: the tree pairs, tree by tree, then the extra
+    sequences (``sequence_rows``' tuples) row by row, each sum
+    starting from 0.0; each edge's total is Python's ``sum`` of its dict.
+    Raises ConstructionError where the engine must."""
+    if not eps > 0:
+        raise ConstructionError("rate margin eps must be positive")
+    n = g.n
+    acc = [{} for _ in range(g.m)]
+    for tree in trees:
+        for j, (fset, eid) in enumerate(sequence_from_arborescence(g, tree), start=1):
+            p = 1.0 - eps * (n - j) / n
+            if p < 0:
+                raise ConstructionError(
+                    f"eps={eps} makes the tree allocation negative at step {j}")
+            acc[eid][fset] = acc[eid].get(fset, 0.0) + p
+    for seq in extra_sequences:
+        for j, (fset, eid) in enumerate(seq, start=1):
+            p = eps * j / (2 * n * n * len(extra_sequences))
+            acc[eid][fset] = acc[eid].get(fset, 0.0) + p
+    for eid in range(g.m):
+        total = sum(acc[eid].values())
+        if total > 1.0 + 1e-9:
+            raise ConstructionError(
+                f"edge {eid} carries total probability {total:.6f} > 1")
+    return RandomizedTable(tuple(tuple(sorted(entry.items())) for entry in acc))
 
 
 def linear_cdf_decide(table, state, eid, rng):
@@ -700,7 +741,8 @@ def replay_randomized(config, g):
     scalar draws: ``(run_csv, received_csv, rate, table_csv)``.
 
     Set-up packs the trees and samples the extra sequences from the policy
-    stream with the rescanning oracles, then builds the table. Each event
+    stream with the rescanning oracles, then builds the table one pair at a
+    time (``dict_randomized_table``). Each event
     whose edge has a non-empty entry then takes one scalar uniform from the
     policy stream through ``linear_cdf_decide``.
     """
@@ -709,7 +751,7 @@ def replay_randomized(config, g):
     eps = config.eps if config.eps is not None else default_eps(len(trees), config.lam, g.n)
     bprime = config.extra_sequences if config.extra_sequences is not None else 4 * g.m
     extra = rescanning_sample_sequences(g, bprime, pol_rng)
-    table = build_randomized_table(g, trees, extra, eps)
+    table = dict_randomized_table(g, trees, extra, eps)
     queues = _CountQueues(g)
 
     def move(eid):

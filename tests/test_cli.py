@@ -258,6 +258,18 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "out of range" in result.output
 
+    def test_duplicate_activation_line_exits_2(self, runner, tmp_path):
+        fam_file = write(tmp_path, "fam.txt", "0\n# c\n0\n")
+        text = FIG2_QUICK.replace(
+            "policy = max-weight",
+            f"policy = max-weight\ntime_model = slotted-wireless\n"
+            f"activation = file:{fam_file}")
+        cfg = write(tmp_path, "wl.ini", text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 3: duplicate activation 0x1\n"
+
     @pytest.mark.parametrize("activation", ["primary", "primary-maximal"])
     def test_family_over_the_member_cap_exits_2(self, runner, tmp_path,
                                                 activation):

@@ -24,14 +24,16 @@ from bcastsim.wireless import wireline_family
 from conftest import (AB, BC, CA, R_, RA, RAB, RAC, RA_SET, RB, RBC, RC,
                       RC_SET, any_digraphs, small_graphs)
 from oracles import (PacketLedger, admit_class, assign_class,
-                     count_exactly_at, exact_randomized_table,
-                     linear_cdf_decide, packet_set,
+                     count_exactly_at, dict_randomized_table,
+                     exact_randomized_table, linear_cdf_decide, packet_set,
                      ranking_best_transition, rebuilding_multiclass_best,
                      rescanning_sample_sequences, scanning_tree_class,
-                     validate_reachable_sequence)
+                     sequence_rows, validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
+# No extra sequence on the diamond's four nodes.
+NONE = (np.zeros((0, 3), dtype=np.int64),) * 2
 
 
 class TestMaxWeightDecide:
@@ -468,7 +470,7 @@ class TestStaticTree:
 class TestRandomizedTable:
     def test_tree_only_probabilities(self, d4):
         eps = 0.08
-        table = build_randomized_table(d4, [BLUE, RED], [], eps)
+        table = build_randomized_table(d4, [BLUE, RED], NONE, eps)
         by_edge = {e: dict(table.entries[e]) for e in range(d4.m)}
         assert by_edge[RA][R_] == pytest.approx(1 - 3 * eps / 4)
         assert by_edge[AB][RA_SET] == pytest.approx(1 - 2 * eps / 4)
@@ -489,14 +491,14 @@ class TestRandomizedTable:
 
     def test_infeasible_eps_rejected(self, d4):
         with pytest.raises(ConstructionError):
-            build_randomized_table(d4, [BLUE, RED], [], 2.0)
+            build_randomized_table(d4, [BLUE, RED], NONE, 2.0)
         with pytest.raises(ConstructionError):
-            build_randomized_table(d4, [BLUE, RED], [], 0.0)
+            build_randomized_table(d4, [BLUE, RED], NONE, 0.0)
         with pytest.raises(ConstructionError):
-            build_randomized_table(d4, [BLUE, RED], [], float("nan"))
+            build_randomized_table(d4, [BLUE, RED], NONE, float("nan"))
 
     def test_csv_rows(self, d4):
-        table = build_randomized_table(d4, [BLUE, RED], [], 0.1)
+        table = build_randomized_table(d4, [BLUE, RED], NONE, 0.1)
         rows = list(table.csv_rows())
         assert rows[0] == "edge,bits,probability"
         assert len(rows) == 1 + 6
@@ -527,15 +529,23 @@ def _assert_matches_exact_rule(g, trees, extra, eps):
     """The engine's table holds the exact rule's pairs, in set order, with
     each probability equal to it within float rounding and each running sum
     the search keys within float rounding plus the keys' 2**-53 grid; or
-    the engine refuses the table exactly where the rule does. Returns the
-    table, or None on a refusal."""
+    the engine refuses the table exactly where the rule does. Its entries
+    equal the one-pair-at-a-time dict build's bit for bit, and so does its
+    refusal message. Returns the table, or None on a refusal."""
+    rows = sequence_rows(extra)
     try:
-        exact = exact_randomized_table(g, trees, extra, eps)
+        want = dict_randomized_table(g, trees, rows, eps)
+    except ConstructionError as exc:
+        want = exc
+    try:
+        exact = exact_randomized_table(g, trees, rows, eps)
     except ValueError:
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError) as refusal:
             build_randomized_table(g, trees, extra, eps)
+        assert str(refusal.value) == str(want)
         return None
     table = build_randomized_table(g, trees, extra, eps)
+    assert table.entries == want.entries
     for eid, entry in enumerate(table.entries):
         want = sorted(exact[eid].items())
         assert [fset for fset, _ in entry] == [fset for fset, _ in want]
@@ -557,8 +567,8 @@ class TestRandomizedTableRule:
 
     def test_refusals(self, d4):
         # A negative tree probability, and one edge shared by two trees.
-        assert _assert_matches_exact_rule(d4, [BLUE, RED], [], 2.0) is None
-        assert _assert_matches_exact_rule(d4, [BLUE, BLUE], [], 0.1) is None
+        assert _assert_matches_exact_rule(d4, [BLUE, RED], NONE, 2.0) is None
+        assert _assert_matches_exact_rule(d4, [BLUE, BLUE], NONE, 0.1) is None
 
     # Below capacity, at it (the 1/(4n) margin) and the rnd-setup-25 load.
     @pytest.mark.parametrize("spec,lam", [("random(12,30,3)", 0.5),
@@ -646,7 +656,7 @@ def _assert_picks_match_linear_cdf(g, table, state, eids, draws, blocks):
 
 class TestRandomizedDecide:
     def test_empty_entry_idles(self, d4):
-        table = build_randomized_table(d4, [BLUE], [], 0.1)
+        table = build_randomized_table(d4, [BLUE], NONE, 0.1)
         state = VirtualQueueState(d4)
         state.admit(5)
         rng = np.random.default_rng(0)
@@ -655,7 +665,7 @@ class TestRandomizedDecide:
         assert randomized_decide(table, state, CA, rng) is None
 
     def test_empty_queue_idles(self, d4):
-        table = build_randomized_table(d4, [BLUE, RED], [], 0.1)
+        table = build_randomized_table(d4, [BLUE, RED], NONE, 0.1)
         state = VirtualQueueState(d4)  # nothing admitted
         rng = np.random.default_rng(0)
         assert all(randomized_decide(table, state, e, rng) is None
@@ -663,7 +673,7 @@ class TestRandomizedDecide:
 
     def test_sampling_matches_table_mass(self, d4):
         eps = 0.2
-        table = build_randomized_table(d4, [BLUE, RED], [], eps)
+        table = build_randomized_table(d4, [BLUE, RED], NONE, eps)
         state = VirtualQueueState(d4)
         state.admit(10 ** 6)
         rng = np.random.default_rng(42)
@@ -786,13 +796,23 @@ class TestSampledSequences:
     def test_valid_and_deterministic(self, d4):
         seqs = sample_reachable_sequences(d4, 16, np.random.default_rng(9))
         again = sample_reachable_sequences(d4, 16, np.random.default_rng(9))
-        assert seqs == again
-        assert all(validate_reachable_sequence(d4, s) for s in seqs)
+        assert sequence_rows(seqs) == sequence_rows(again)
+        assert seqs[0].shape == seqs[1].shape == (16, 3)
+        assert seqs[0].dtype == seqs[1].dtype == np.int64
+        assert all(validate_reachable_sequence(d4, s) for s in sequence_rows(seqs))
 
     def test_unreachable_graph_rejected(self):
         g = Digraph(3, [(0, 1), (2, 1)], 0)
         with pytest.raises(ValueError):
             sample_reachable_sequences(g, 1, np.random.default_rng(0))
+
+    def test_refuses_more_nodes_than_int64_sets_hold(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert sample_reachable_sequences(path_graph(63), 1, rng)[0].shape == (1, 62)
+        with pytest.raises(ValueError, match="at most 63, got 64"):
+            sample_reachable_sequences(path_graph(64), 1, rng)
+        assert rng.bit_generator.state == before
 
     @staticmethod
     def _assert_matches_oracle(g, count, seed):
@@ -807,9 +827,11 @@ class TestSampledSequences:
                             (rescanning_sample_sequences, ref)):
             rng.integers(5)
             try:
-                outcomes.append(sample(g, count, rng))
+                seqs = sample(g, count, rng)
             except ValueError as exc:
                 outcomes.append(("error", str(exc)))
+                continue
+            outcomes.append(seqs if isinstance(seqs, list) else sequence_rows(seqs))
         assert outcomes[0] == outcomes[1]
         assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.integers(7) == ref.integers(7)
@@ -832,6 +854,9 @@ class TestSampledSequences:
         ("random(25,200,1)", 800),  # ~19,000 words: many blocks
         ("diamond4", 40),
         ("random(12,30,3)", 0),
+        # Capacity 1: a one-edge boundary hands the rows off mid-batch.
+        ("random(12,30,3)", 120),
+        ("random(25,40,2)", 160),
     ])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_rescanning_oracle_fixed(self, spec, count, seed):
@@ -842,7 +867,7 @@ class TestSampledSequences:
         rng.integers(5)
         before = rng.bit_generator.state
         seqs = sample_reachable_sequences(path_graph(5), 30, rng)
-        assert seqs == [tuple((2 ** (i + 1) - 1, i) for i in range(4))] * 30
+        assert sequence_rows(seqs) == [tuple((2 ** (i + 1) - 1, i) for i in range(4))] * 30
         assert rng.bit_generator.state == before
 
     def test_unreachable_node_leaves_scalar_state(self):
@@ -853,6 +878,116 @@ class TestSampledSequences:
         with pytest.raises(ValueError):
             rescanning_sample_sequences(g, 2, ref)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class _Words:
+    """Stand-in generator serving preset 32-bit words in turn:
+    ``integers(0, 2**32, size=shape, dtype=np.uint32)`` the next block, and
+    a scalar ``integers(k)`` by numpy's bounded rule for ``k <= 2**32``
+    (restated from its C source). ``bit_generator.state`` is the position
+    of the next word, and setting it moves there; ``served`` counts every
+    word handed out, the ones a reset takes back included."""
+
+    def __init__(self, words):
+        self.words = [int(w) for w in words]
+        self.position = 0
+        self.served = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.position
+
+    @state.setter
+    def state(self, position):
+        self.position = position
+
+    def _next(self, count):
+        block = self.words[self.position:self.position + count]
+        assert len(block) == count, "the stand-in ran out of words"
+        self.position += count
+        self.served += count
+        return block
+
+    def integers(self, low, high=None, size=None, dtype=None):
+        if size is not None:
+            assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+            return np.array(self._next(int(np.prod(size))),
+                            dtype=np.uint32).reshape(size)
+        k = low
+        if k == 1:
+            return 0
+        x = self._next(1)[0] * k
+        threshold = ((1 << 32) - k) % k
+        while x & 0xFFFF_FFFF < threshold:
+            x = self._next(1)[0] * k
+        return x >> 32
+
+
+class TestLockstepHandOff:
+    """The lockstep against the per-sequence rule fed the same words. On the
+    complete bidirectional 6-node graph every boundary has at least 5 edges,
+    so no row deviates unless a word is forced: a word of 0 is redrawn for
+    the 5 edges out of the source, and a word whose product's low half
+    equals the threshold is kept."""
+
+    G = Digraph(6, [(a, b) for a in range(6) for b in range(6) if a != b], 0)
+    ROWS = 8
+
+    def _words(self, forced):
+        words = np.random.default_rng(3).integers(
+            1, 1 << 32, size=self.ROWS * 5 + 4096, dtype=np.uint32).tolist()
+        for position, word in forced.items():
+            words[position] = word
+        return words
+
+    def _assert_matches_per_sequence_rule(self, words):
+        ours, ref = _Words(words), _Words(words)
+        got = sequence_rows(sample_reachable_sequences(self.G, self.ROWS, ours))
+        assert got == rescanning_sample_sequences(self.G, self.ROWS, ref)
+        assert ours.position == ref.position
+        return ours
+
+    def test_stand_in_follows_numpy(self):
+        rng = np.random.default_rng(11)
+        words = np.random.default_rng(11).integers(0, 1 << 32, size=4000,
+                                                   dtype=np.uint32)
+        stand_in = _Words(words)
+        for k in (1, 5, 200, 2 ** 31 + 1, 3 * 2 ** 30):
+            assert [stand_in.integers(k) for _ in range(300)] == \
+                [int(rng.integers(k)) for _ in range(300)]
+
+    def test_without_a_deviation_one_block_is_served(self):
+        ours = self._assert_matches_per_sequence_rule(self._words({}))
+        assert ours.served == ours.position == self.ROWS * 5
+
+    @pytest.mark.parametrize("row", [0, 3, ROWS - 1])
+    def test_a_redraw_hands_the_row_off(self, row):
+        ours = self._assert_matches_per_sequence_rule(self._words({row * 5: 0}))
+        assert ours.position == self.ROWS * 5 + 1
+        assert ours.served > ours.position
+
+    @pytest.mark.parametrize("row", [0, 3, ROWS - 1])
+    def test_a_redraw_in_a_later_step(self, row):
+        """Step 2 crosses out of a 3-node set, a boundary of 9 edges, after
+        the row took two steps in lockstep."""
+        ours = self._assert_matches_per_sequence_rule(self._words({row * 5 + 2: 0}))
+        assert ours.position == self.ROWS * 5 + 1
+        assert ours.served > ours.position
+
+    def test_a_zero_word_over_a_power_of_two_boundary_is_kept(self):
+        """Step 1 crosses out of a 2-node set, a boundary of 8 edges, whose
+        threshold (2**32 - 8) % 8 is 0: no word is redrawn there."""
+        ours = self._assert_matches_per_sequence_rule(self._words({3 * 5 + 1: 0}))
+        assert ours.served == ours.position == self.ROWS * 5
+
+    def test_low_half_at_the_threshold_is_kept(self):
+        k = 5
+        threshold = ((1 << 32) - k) % k
+        word = threshold * pow(k, -1, 1 << 32) % (1 << 32)
+        assert word * k % (1 << 32) == threshold
+        ours = self._assert_matches_per_sequence_rule(self._words({3 * 5: word}))
+        assert ours.served == ours.position == self.ROWS * 5
 
 
 class TestBoundedIndices:

@@ -124,6 +124,18 @@ class TestParseFamily:
         with pytest.raises(ParseError, match="duplicate"):
             parse_activation_family("0\n0\n", 3)
 
+    @pytest.mark.parametrize("text,message", [
+        ("0\n# c\n0\n", "line 3: duplicate activation 0x1"),
+        ("-\n1\n\n-\n", "line 4: duplicate activation 0x0"),
+        ("2\n0 1\n2\n0 1\n", "line 3: duplicate activation 0x4"),
+    ])
+    def test_duplicate_set_names_its_line(self, text, message):
+        """With and without an empty-set line, which decides whether the
+        family puts an empty activation ahead of the first line."""
+        with pytest.raises(ParseError) as exc:
+            parse_activation_family(text, 3)
+        assert str(exc.value) == message
+
     def test_non_integer(self):
         with pytest.raises(ParseError, match="non-integer"):
             parse_activation_family("x\n", 3)
