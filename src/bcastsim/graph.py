@@ -7,14 +7,14 @@ deterministic tie-break in the package uses ascending edge id.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ParseError
 
-# Largest node count of any graph: set-up runs one max-flow per sink.
+# Largest node count of any graph: set-up runs one max-flow per sink, each
+# augmenting search costing O(n) operations on n-bit masks.
 MAX_NODES = 1000
 
 
@@ -112,65 +112,102 @@ def parse_graph(text: str) -> Digraph:
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
+def _out_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Per node, the bitmask of the heads of its edges in ``edges``."""
+    out = [0] * n
+    for a, b in edges:
+        out[a] |= 1 << b
+    return out
+
+
+def _residual(base: list[int], flow: set[tuple[int, int]]) -> list[int]:
+    """Residual masks of ``flow`` over the edges whose heads ``base``
+    holds: each flow edge a->b leaves a's mask and puts a into b's."""
+    res = base[:]
+    for a, b in flow:
+        res[a] &= ~(1 << b)
+        res[b] |= 1 << a
+    return res
+
+
+def _augment(base: list[int], res: list[int], flow: set[tuple[int, int]],
+             s: int, t: int) -> bool:
+    """Push one more unit from s to t along a shortest residual path; False
+    when there is none.
+
+    ``base[u]`` holds the heads of u's usable edges and ``flow`` the (tail,
+    head) pairs of those carrying one unit. ``res[u]`` holds every v that u
+    reaches in the residual graph: over its unused edge u->v, or by
+    cancelling the unit on v->u. Crossing u->v cancels that unit when v->u
+    carries one and fills u->v otherwise, so no antiparallel pair ever
+    carries two units; ``flow`` and ``res`` are updated in place. The search
+    expands one node at a time by ``res[u] & ~seen`` and reads the parents
+    off the new bits: O(n) operations on n-bit masks per search, whatever
+    the edge count.
+    """
+    parent = [s] * len(res)
+    seen = 1 << s
+    queue = [s]
+    for u in queue:
+        new = res[u] & ~seen
+        if (new >> t) & 1:
+            parent[t] = u
+            break
+        seen |= new
+        while new:
+            low = new & -new
+            v = low.bit_length() - 1
+            parent[v] = u
+            queue.append(v)
+            new ^= low
+    else:
+        return False
+    v = t
+    while v != s:
+        u = parent[v]
+        if (v, u) in flow:
+            flow.remove((v, u))
+            res[v] |= 1 << u
+            res[u] &= base[u] | ~(1 << v)
+        else:
+            flow.add((u, v))
+            res[u] &= ~(1 << v)
+            res[v] |= 1 << u
+        v = u
+    return True
+
+
 def max_flow(g: Digraph, s: int, t: int, allowed: Iterable[int] | None = None,
              at_least: int | None = None, used: set[int] | None = None) -> int:
-    """Maximum s->t flow with unit edge capacities (shortest augmenting paths).
+    """Maximum s->t flow with unit edge capacities (shortest augmenting paths
+    over bitmask residuals, ``_augment``).
 
-    ``allowed`` restricts the usable edge ids; ``at_least`` stops augmenting
-    once that flow value is reached, so the return value is capped at it.
-    When ``used`` is given, the ids of the edges carrying the returned flow
-    are added to it.
+    ``allowed`` restricts the usable edge ids (ids outside ``range(g.m)``
+    are ignored); ``at_least`` stops augmenting once that flow value is
+    reached, so the return value is capped at it. When ``used`` is given,
+    the ids of the edges carrying the returned flow are added to it.
     """
     if s == t:
         raise ValueError("source and sink coincide")
-    head: list[int] = []
-    cap: list[int] = []
-    arc_edge: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(g.n)]
     use = None if allowed is None else set(allowed)
-    for eid, (a, b) in enumerate(g.edges):
-        if use is not None and eid not in use:
-            continue
-        arc_edge.append(eid)
-        adj[a].append(len(cap))
-        head.append(b)
-        cap.append(1)
-        adj[b].append(len(cap))
-        head.append(a)
-        cap.append(0)
-    flow = 0
-    while at_least is None or flow < at_least:
-        parent = [-1] * g.n
-        parent[s] = -2
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            for arc in adj[u]:
-                v = head[arc]
-                if cap[arc] > 0 and parent[v] == -1:
-                    parent[v] = arc
-                    queue.append(v)
-        if parent[t] == -1:
-            break
-        v = t
-        while v != s:
-            arc = parent[v]
-            cap[arc] -= 1
-            cap[arc ^ 1] += 1
-            v = head[arc ^ 1]
-        flow += 1
+    base = _out_masks(g.n, g.edges if use is None else
+                      (edge for eid, edge in enumerate(g.edges) if eid in use))
+    res = base[:]
+    flow: set[tuple[int, int]] = set()
+    value = 0
+    while (at_least is None or value < at_least) and _augment(base, res, flow, s, t):
+        value += 1
     if used is not None:
-        used.update(eid for i, eid in enumerate(arc_edge) if cap[2 * i] == 0)
-    return flow
+        used.update(eid for eid, edge in enumerate(g.edges) if edge in flow)
+    return value
 
 
 def capacity_bottleneck(g: Digraph) -> tuple[int, int]:
     """Broadcast capacity and one bottleneck sink attaining it.
 
     The capacity is the minimum over non-source nodes t of the max-flow from
-    the source to t; ties resolve to the lowest-index sink.
+    the source to t, one ``max_flow`` call per sink, each capped at the
+    least value so far; ties resolve to the lowest-index sink.
     """
     if g.n < 2:
         raise ValueError("need at least two nodes")
@@ -241,6 +278,10 @@ def tree_packing(g: Digraph) -> list[Arborescence]:
     still leaves enough flow from the source to every node for the trees yet
     to be extracted. Lovász's constructive proof of Edmonds' branching theorem
     shows that such an edge always exists, so the growth never backtracks.
+    ``_extract_arborescence`` answers each check on bitmask residuals,
+    repairing one witness flow per sink by a walk and one augmenting search.
+    Whether an edge may be taken is a fact about the remaining edges, so the
+    trees do not depend on which witness flows are kept.
     """
     avail = set(range(g.m))
     trees = []
@@ -251,28 +292,72 @@ def tree_packing(g: Digraph) -> list[Arborescence]:
     return trees
 
 
+def _drop_walk(flow: set[tuple[int, int]], a: int, b: int, s: int, t: int) -> None:
+    """Remove from ``flow`` one s->t walk of its edges through a->b,
+    leaving a flow one unit smaller.
+
+    The walk follows flow edges forward from b to t and backward from a to
+    s. Every node it meets short of t (or s) still has a flow edge out of
+    it (or into it), as conservation held before and only the walk's own
+    edges are gone; no flow edge leaves t or enters s, as no augmenting
+    path passes them.
+    """
+    flow.remove((a, b))
+    while b != t:
+        nxt = next(f for f in flow if f[0] == b)
+        flow.remove(nxt)
+        b = nxt[1]
+    while a != s:
+        nxt = next(f for f in flow if f[1] == a)
+        flow.remove(nxt)
+        a = nxt[0]
+
+
 def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[int]:
-    sinks = [t for t in range(g.n) if t != g.source]
+    """One tree of ``tree_packing`` over the edges in ``avail``, leaving
+    ``residual`` units from the source to every sink in the rest.
+
+    ``rest_out`` holds the heads of each node's remaining edges and is
+    updated once per accepted edge. witness[t] is one flow of value
+    ``residual`` from the source to t inside the rest (None until first
+    needed), as a set of (tail, head) pairs. Removing an edge the witness
+    does not use leaves that flow intact, so ``safe(e)`` rechecks only the
+    sinks whose witness uses e, each on a copy of ``rest_out`` without e.
+    It drops one source->t walk through e (``_drop_walk``), which leaves
+    ``residual - 1`` units inside the rest without e, and runs one
+    augmenting search over the residual masks of that flow. By Ford and
+    Fulkerson the search succeeds exactly when the rest without e carries
+    ``residual`` units to t, and its flow becomes t's witness. A sink with
+    no witness yet runs ``residual`` searches from the empty flow.
+    """
+    s = g.source
+    sinks = [t for t in range(g.n) if t != s]
     rest = set(avail)
-    # witness[t]: the edges of one flow of value ``residual`` from the source
-    # to t inside ``rest`` (None until first needed). Dropping an edge off
-    # the witness leaves that flow intact, so only sinks whose witness uses
-    # the candidate edge need a new max-flow.
-    witness: dict[int, set[int] | None] = dict.fromkeys(sinks)
+    rest_out = _out_masks(g.n, (g.edges[eid] for eid in rest))
+    witness: dict[int, set[tuple[int, int]] | None] = dict.fromkeys(sinks)
 
     def safe(eid: int) -> bool:
         if residual == 0:
             return True
-        keep = rest - {eid}
+        edge = a, b = g.edges[eid]
+        keep = rest_out[:]
+        keep[a] &= ~(1 << b)
         for t in sinks:
-            if witness[t] is not None and eid not in witness[t]:
+            flow = witness[t]
+            if flow is None:
+                flow, searches = set(), residual
+            elif edge in flow:
+                flow, searches = set(flow), 1
+                _drop_walk(flow, a, b, s, t)
+            else:
                 continue
-            used: set[int] = set()
-            if max_flow(g, g.source, t, allowed=keep, at_least=residual, used=used) < residual:
-                return False
+            res = _residual(keep, flow)
+            for _ in range(searches):
+                if not _augment(keep, res, flow, s, t):
+                    return False
             # A flow inside rest - {eid} is also one inside rest, so it stays
             # t's witness whether or not eid is taken.
-            witness[t] = used
+            witness[t] = flow
         return True
 
     tree = []
@@ -286,6 +371,7 @@ def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[in
             raise RuntimeError("arborescence extraction failed on a feasible graph")
         tree.append(eid)
         rest.discard(eid)
+        rest_out[a] &= ~(1 << b)
         mask |= 1 << b
     return tree
 

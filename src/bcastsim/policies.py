@@ -278,15 +278,20 @@ def static_tree_decide(state: MultiClassState, owner: Sequence[int],
     return in_order_rules(state, owner)[0](eid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomizedTable:
     """Stationary forwarding distribution for the randomized policy.
 
-    ``entries[eid]`` lists (node-set mask, probability) pairs: given that the
-    edge is the active one, the probability of attempting to move a packet of
-    that class across it. Residual probability means idle. A draw u in
-    [0, 1) picks the first pair whose running sum of the entry's
-    probabilities, added left to right, exceeds u, and idles when none does.
+    The table is three arrays, edge-major: ``fsets`` holds each pair's
+    node-set mask (int64, so of graphs up to 63 nodes), ``probs`` its
+    probability and ``sizes`` each edge's pair count. ``entries[eid]``,
+    built on first read, lists edge eid's (node-set mask, probability)
+    pairs: given that the edge is the active one, the probability of
+    attempting to move a packet of that class across it. Residual
+    probability means idle. A draw u in [0, 1) picks the first pair whose
+    running sum of the entry's probabilities, added left to right, exceeds
+    u, and idles when none does. ``from_entries`` builds a table from such
+    entries; two tables are equal when their arrays are.
 
     ``search`` holds those running sums as one flat edge-major int64 key
     each, ``eid * (2**53 + 1) + min(ceil(sum * 2**53), 2**53)``, so one
@@ -299,41 +304,44 @@ class RandomizedTable:
     edge's, up to 1023 edges.
     """
 
-    entries: tuple[tuple[tuple[int, float], ...], ...]
+    fsets: np.ndarray
+    probs: np.ndarray
+    sizes: np.ndarray
 
     @classmethod
-    def _from_pairs(cls, fsets: np.ndarray, probs: np.ndarray,
-                    sizes: np.ndarray) -> RandomizedTable:
-        """The table of ``_pairs`` given as arrays, which it keeps."""
-        fset_list, prob_list = fsets.tolist(), probs.tolist()
-        ends = np.cumsum(sizes).tolist()
-        table = cls(tuple(tuple(zip(fset_list[a:b], prob_list[a:b]))
-                          for a, b in zip([0] + ends, ends)))
-        vars(table)["_pairs"] = (fsets, probs, sizes)
-        return table
+    def from_entries(cls, entries: Sequence[Sequence[tuple[int, float]]]
+                     ) -> RandomizedTable:
+        """The table whose ``entries`` are ``entries``."""
+        sizes = np.array([len(entry) for entry in entries], dtype=np.int64)
+        count = int(sizes.sum())
+        fsets = np.fromiter((fset for entry in entries for fset, _ in entry),
+                            dtype=np.int64, count=count)
+        probs = np.fromiter((p for entry in entries for _, p in entry),
+                            dtype=np.float64, count=count)
+        return cls(fsets, probs, sizes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RandomizedTable):
+            return NotImplemented
+        return all(map(np.array_equal, (self.fsets, self.probs, self.sizes),
+                       (other.fsets, other.probs, other.sizes)))
 
     @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(fsets, probs, sizes): every pair's node set (int64, so of graphs
-        up to 63 nodes) and probability, edge-major, and each edge's pair
-        count."""
-        sizes = np.array([len(entry) for entry in self.entries], dtype=np.int64)
-        count = int(sizes.sum())
-        fsets = np.fromiter((fset for entry in self.entries for fset, _ in entry),
-                            dtype=np.int64, count=count)
-        probs = np.fromiter((p for entry in self.entries for _, p in entry),
-                            dtype=np.float64, count=count)
-        return fsets, probs, sizes
+    def entries(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        fset_list, prob_list = self.fsets.tolist(), self.probs.tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(tuple(zip(fset_list[a:b], prob_list[a:b]))
+                     for a, b in zip([0] + ends, ends))
 
     @cached_property
     def search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(keys, fsets, sizes, ends): the flat keys and node sets, and per
         edge its pair count and the index one past its last pair. Each
         edge's running sums are one ``np.cumsum``, which adds left to right."""
-        if len(self.entries) * _KEY_STRIDE > 1 << 63:
+        fsets, probs, sizes = self.fsets, self.probs, self.sizes
+        if len(sizes) * _KEY_STRIDE > 1 << 63:
             raise ValueError(f"a table search holds at most 1023 edges, "
-                             f"got {len(self.entries)}")
-        fsets, probs, sizes = self._pairs
+                             f"got {len(sizes)}")
         ends = np.cumsum(sizes)
         # In place, so no more than two arrays of the keys' size are alive.
         scaled = np.concatenate([np.cumsum(entry)
@@ -608,8 +616,7 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
     # in each of them; with no sequence the divisor is never used.
     extra_p = eps * np.arange(1, n) / (2 * n * n * max(len(sets), 1))
     tree_pairs = np.array(tree_pairs, dtype=np.int64).reshape(-1, 2)
-    # The summing arrays are freed before the table's tuples are built.
-    return RandomizedTable._from_pairs(*_summed_pairs(
+    return RandomizedTable(*_summed_pairs(
         g.m, np.concatenate([tree_pairs[:, 0], sets.ravel()]),
         np.concatenate([tree_pairs[:, 1], eids.ravel()]),
         np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])))

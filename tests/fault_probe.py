@@ -66,6 +66,9 @@ GRAPH_INPUT_TESTS = ("tests/test_graph.py::TestParse",
 # The tests that pin the sampled growth sequences and the words they take.
 SAMPLER_TESTS = ("tests/test_policies.py::TestSampledSequences",
                  "tests/test_policies.py::TestLockstepHandOff")
+# The tests that pin max-flow values, used edges and packed trees.
+FLOW_TESTS = ("tests/test_graph.py::TestMaxFlow", "tests/test_graph.py::TestCapacity",
+              "tests/test_graph.py::TestTreePacking")
 WIRELESS = "src/bcastsim/wireless.py"
 
 
@@ -169,6 +172,16 @@ FAULTS = (
               "lineno = linenos[exc.index - (0 not in masks)]",
               "lineno = linenos[exc.index]"),),
         ("tests/test_wireless.py::TestParseFamily",)),
+    Fault("packing repair drops the removed edge but not its walk", GRAPH, ((
+        "                _drop_walk(flow, a, b, s, t)\n",
+        "                flow.remove(edge)\n"),), FLOW_TESTS),
+    Fault("augment fills u->v where it should cancel the unit on v->u", GRAPH, ((
+        "        if (v, u) in flow:\n",
+        "        if (v, u) in flow and not (base[u] >> v) & 1:\n"),), FLOW_TESTS),
+    Fault("packing keeps a sink's old witness after a repair", GRAPH, ((
+        "            witness[t] = flow\n",
+        "            if witness[t] is None:\n"
+        "                witness[t] = flow\n"),), FLOW_TESTS),
 )
 
 

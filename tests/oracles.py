@@ -78,6 +78,16 @@ def brute_cut_value(g, cut):
                if (cut >> a) & 1 and not (cut >> b) & 1)
 
 
+def brute_st_cut(g, s, t, allowed=None):
+    """Minimum count of edges (of ``allowed`` ids, default all) leaving a
+    node set that holds s but not t, over every such set."""
+    ids = range(g.m) if allowed is None else [e for e in allowed if 0 <= e < g.m]
+    pairs = [g.edges[e] for e in ids]
+    return min(sum(1 for a, b in pairs if (mask >> a) & 1 and not (mask >> b) & 1)
+               for mask in range(1 << g.n)
+               if (mask >> s) & 1 and not (mask >> t) & 1)
+
+
 def brute_min_cut(g):
     """Minimum out-edge count over every source-containing proper subset."""
     best = None
@@ -429,7 +439,7 @@ def dict_randomized_table(g, trees, extra_sequences, eps):
         if total > 1.0 + 1e-9:
             raise ConstructionError(
                 f"edge {eid} carries total probability {total:.6f} > 1")
-    return RandomizedTable(tuple(tuple(sorted(entry.items())) for entry in acc))
+    return RandomizedTable.from_entries([sorted(entry.items()) for entry in acc])
 
 
 def linear_cdf_decide(table, state, eid, rng):

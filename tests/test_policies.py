@@ -742,7 +742,7 @@ class TestRandomizedDecide:
         zero-width pairs and the residual (idle) mass, in one block and one
         event a block; an empty entry draws nothing."""
         entry = tuple((1 << i, p) for i, p in enumerate(probs))
-        table = RandomizedTable((entry,))
+        table = RandomizedTable.from_entries((entry,))
         g = Digraph(2, [(0, 1)], 0)
         state = VirtualQueueState(g)
         state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
@@ -770,7 +770,7 @@ class TestRandomizedDecide:
             probs = shapes[eid % len(shapes)]
             entries.append(tuple((1 << a | 1 << others[j], p)
                                  for j, p in enumerate(probs)))
-        table = RandomizedTable(tuple(entries))
+        table = RandomizedTable.from_entries(entries)
         keys = table.search[0]
         assert len(keys) == sum(map(len, entries))
         assert (np.diff(keys) >= 0).all() and keys[0] >= 0
@@ -787,9 +787,9 @@ class TestRandomizedDecide:
                                        eids, draws, blocks)
 
     def test_search_refuses_more_edges_than_its_keys_hold(self):
-        assert len(RandomizedTable(((),) * 1023).search[0]) == 0
+        assert len(RandomizedTable.from_entries(((),) * 1023).search[0]) == 0
         with pytest.raises(ValueError, match="at most 1023 edges"):
-            RandomizedTable(((),) * 1024).search
+            RandomizedTable.from_entries(((),) * 1024).search
 
 
 class TestSampledSequences:
