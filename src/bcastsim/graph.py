@@ -177,28 +177,21 @@ def _augment(base: list[int], res: list[int], flow: set[tuple[int, int]],
     return True
 
 
-def max_flow(g: Digraph, s: int, t: int, allowed: Iterable[int] | None = None,
-             at_least: int | None = None, used: set[int] | None = None) -> int:
+def max_flow(g: Digraph, s: int, t: int, at_least: int | None = None) -> int:
     """Maximum s->t flow with unit edge capacities (shortest augmenting paths
     over bitmask residuals, ``_augment``).
 
-    ``allowed`` restricts the usable edge ids (ids outside ``range(g.m)``
-    are ignored); ``at_least`` stops augmenting once that flow value is
-    reached, so the return value is capped at it. When ``used`` is given,
-    the ids of the edges carrying the returned flow are added to it.
+    ``at_least`` stops augmenting once that flow value is reached, so the
+    return value is capped at it.
     """
     if s == t:
         raise ValueError("source and sink coincide")
-    use = None if allowed is None else set(allowed)
-    base = _out_masks(g.n, g.edges if use is None else
-                      (edge for eid, edge in enumerate(g.edges) if eid in use))
+    base = _out_masks(g.n, g.edges)
     res = base[:]
     flow: set[tuple[int, int]] = set()
     value = 0
     while (at_least is None or value < at_least) and _augment(base, res, flow, s, t):
         value += 1
-    if used is not None:
-        used.update(eid for eid, edge in enumerate(g.edges) if edge in flow)
     return value
 
 
@@ -317,8 +310,9 @@ def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[in
     """One tree of ``tree_packing`` over the edges in ``avail``, leaving
     ``residual`` units from the source to every sink in the rest.
 
-    ``rest_out`` holds the heads of each node's remaining edges and is
-    updated once per accepted edge. witness[t] is one flow of value
+    ``rest`` lists the remaining edge ids, ascending, and ``rest_out`` holds
+    the heads of each node's remaining edges; both are updated once per
+    accepted edge. witness[t] is one flow of value
     ``residual`` from the source to t inside the rest (None until first
     needed), as a set of (tail, head) pairs. Removing an edge the witness
     does not use leaves that flow intact, so ``safe(e)`` rechecks only the
@@ -332,7 +326,7 @@ def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[in
     """
     s = g.source
     sinks = [t for t in range(g.n) if t != s]
-    rest = set(avail)
+    rest = sorted(avail)
     rest_out = _out_masks(g.n, (g.edges[eid] for eid in rest))
     witness: dict[int, set[tuple[int, int]] | None] = dict.fromkeys(sinks)
 
@@ -363,14 +357,14 @@ def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[in
     tree = []
     mask = g.source_mask
     while mask != g.full_mask:
-        for eid in sorted(rest):
+        for eid in rest:
             a, b = g.edges[eid]
             if (mask >> a) & 1 and not (mask >> b) & 1 and safe(eid):
                 break
         else:
             raise RuntimeError("arborescence extraction failed on a feasible graph")
         tree.append(eid)
-        rest.discard(eid)
+        rest.remove(eid)
         rest_out[a] &= ~(1 << b)
         mask |= 1 << b
     return tree

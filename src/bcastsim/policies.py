@@ -4,11 +4,11 @@ Every policy's packets sit in ``VirtualQueueState`` replication-set queues;
 ``MultiClassState`` adds each class's in-order indices. All decide functions
 are pure given their state and return what to send over the active edge (or
 None to idle); the caller applies the move. ``in_order_rules`` binds the
-in-order family's one decide (multiclass or static-tree) and its one
-checked write path, ``apply``, to a state once; ``multiclass_decide``,
-``static_tree_decide`` and ``multiclass_apply`` are each one call of those
-rules. ``edge_weight`` turns the same decides into the per-edge weights of
-the slotted model.
+in-order family's one decide (multiclass or static-tree), its one checked
+write path, ``apply``, and its slotted edge weight to a state once;
+``multiclass_decide``, ``static_tree_decide`` and ``multiclass_apply`` are
+each one call of those rules. ``edge_weight`` is max-weight's slotted edge
+weight, the differential of ``max_weight_decide``'s move.
 ``randomized_picks`` draws and resolves the randomized policy's picks a
 block of events at a time.
 """
@@ -125,12 +125,16 @@ class MultiClassState(VirtualQueueState):
 
 
 def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
-                   ) -> tuple[Callable[[int], int | None], Callable[[int, int], None]]:
-    """The in-order policy's two rules bound to ``state``: ``(decide,
-    apply)``, closures over its index rows, in-flight sets and queue counts
-    and over per-edge tail, head and head-bit tables. A run binds them once;
-    they see every write to a class's row and in-flight list and to the
-    counts, but not a class added or an attribute replaced after binding.
+                   ) -> tuple[Callable[[int], int | None], Callable[[int, int], None],
+                              Callable[[int], int]]:
+    """The in-order policy's three rules bound to ``state``: ``(decide,
+    apply, weight)``, closures over its index rows, in-flight sets and queue
+    counts and over per-edge tail, head and head-bit tables. A run binds
+    them once; they see every write to a class's row and in-flight list and
+    to the counts, but not a class added or an attribute replaced after
+    binding. Only these closures look up a head-of-line set in the
+    in-flight lists: ``decide`` inline on the hot path, ``apply`` again as
+    part of its checks, and ``weight`` for the class ``decide`` picked.
 
     ``decide(eid)`` is the class whose head-of-line packet goes over the
     active edge, or None to idle. Multiclass (``owner`` None): of the
@@ -149,6 +153,9 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
     before any write, when the packet does not exist yet, is absent at the
     tail or has no in-flight set, when the edge does not leave its set, or
     when that set's queue is empty.
+
+    ``weight(eid)`` is the edge's slotted weight: the differential of the
+    head-of-line set of the class ``decide`` picks, or 0 when it idles.
     """
     g = state.graph
     highest, inflight, counts = state.highest, state.inflight, state.counts
@@ -225,7 +232,15 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
             counts[nxt] = counts.get(nxt, 0) + 1
             sets[pos] = nxt
 
-    return decide, apply
+    def weight(eid: int) -> int:
+        c = decide(eid)
+        if c is None:
+            return 0
+        row = highest[c]
+        fset = inflight[c][row[heads[eid]] - row[src]]
+        return counts[fset] - counts.get(fset | head_bits[eid], 0)
+
+    return decide, apply, weight
 
 
 def multiclass_decide(state: MultiClassState, eid: int) -> int | None:
@@ -238,25 +253,12 @@ def multiclass_apply(state: MultiClassState, c: int, eid: int):
     in_order_rules(state)[1](c, eid)
 
 
-def edge_weight(state: VirtualQueueState, eid: int,
-                decide: Callable[[int], int | None] | None = None) -> int:
-    """Differential of the move the state's policy makes over the edge
-    (``max_weight_decide``'s set, or the head-of-line set of the class the
-    in-order ``decide`` picks: the one given, bound to ``state``, else the
-    multiclass rule bound for this call), or 0 when it idles; both keep only
-    a strictly positive differential."""
-    if isinstance(state, MultiClassState):
-        c = (decide or in_order_rules(state)[0])(eid)
-        if c is None:
-            return 0
-        row = state.highest[c]
-        fset = state.inflight[c][row[state.graph.edges[eid][1]] - row[state.graph.source]]
-    elif isinstance(state, VirtualQueueState):
-        fset = max_weight_decide(state, eid)
-        if fset is None:
-            return 0
-    else:
-        raise TypeError(f"no edge weight rule for {type(state).__name__}")
+def edge_weight(state: VirtualQueueState, eid: int) -> int:
+    """Max-weight's slotted edge weight: the differential of
+    ``max_weight_decide``'s set over the edge, or 0 when it idles."""
+    fset = max_weight_decide(state, eid)
+    if fset is None:
+        return 0
     counts = state.counts
     return counts[fset] - counts.get(fset | 1 << state.graph.edges[eid][1], 0)
 
@@ -290,8 +292,8 @@ class RandomizedTable:
     attempting to move a packet of that class across it. Residual
     probability means idle. A draw u in [0, 1) picks the first pair whose
     running sum of the entry's probabilities, added left to right, exceeds
-    u, and idles when none does. ``from_entries`` builds a table from such
-    entries; two tables are equal when their arrays are.
+    u, and idles when none does. Two tables are equal when their arrays
+    are.
 
     ``search`` holds those running sums as one flat edge-major int64 key
     each, ``eid * (2**53 + 1) + min(ceil(sum * 2**53), 2**53)``, so one
@@ -307,18 +309,6 @@ class RandomizedTable:
     fsets: np.ndarray
     probs: np.ndarray
     sizes: np.ndarray
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[tuple[int, float]]]
-                     ) -> RandomizedTable:
-        """The table whose ``entries`` are ``entries``."""
-        sizes = np.array([len(entry) for entry in entries], dtype=np.int64)
-        count = int(sizes.sum())
-        fsets = np.fromiter((fset for entry in entries for fset, _ in entry),
-                            dtype=np.int64, count=count)
-        probs = np.fromiter((p for entry in entries for _, p in entry),
-                            dtype=np.float64, count=count)
-        return cls(fsets, probs, sizes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RandomizedTable):

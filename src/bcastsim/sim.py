@@ -2,11 +2,12 @@
 
 ``run`` has one event loop for both time models. It drives every policy the
 same way: ``_set_up_policy`` returns the policy's state, whose
-``admit(count)`` takes the arrivals, and a per-policy ``step(eid)`` function
-that decides the move over the active edge and applies it. The in-order
-policies bind their one decide and their one checked write path
-(``policies.in_order_rules``) there, once per run; the step, the slotted
-weights and the memo replays all go through those two. The time model
+``admit(count)`` takes the arrivals, and a ``step(eid)`` function that
+decides the move over the active edge and applies it. Max-weight and the
+in-order policies are each one ``(decide, apply, weight)`` rule set, bound
+there once per run (the in-order one by ``policies.in_order_rules``); one
+``step`` composes ``apply`` after ``decide`` for both, the slotted weights
+are ``weight`` and the memo replays go through ``apply``. The time model
 sets only how many events a slot has and what one event does. A slotted
 slot's moves are a function of the part of the state its decides read, so a
 slot whose key was seen before replays the moves stored then instead of
@@ -221,18 +222,20 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     each packet's class label from ``cls_rng``); ``step(eid)``, which
     decides the move over the active edge, applies it unless the policy
     idles and returns it (a node set or a class, or None); for the slotted
-    families, ``weight(eid)``, the edge's weight (``edge_weight``), and
-    ``replay(move, eid)``, the write path a memo hit replays a move
-    through; and the randomized table, or None.
+    families, ``weight(eid)``, the edge's weight, and ``replay(move, eid)``,
+    the write path a memo hit replays a move through; and the randomized
+    table, or None.
 
-    The in-order policies bind ``in_order_rules`` here, once: their
-    ``step`` is the bound ``apply`` after the bound ``decide``, their slotted
-    weights read that ``decide`` and their replays go through that
-    ``apply``, so every in-order move passes one set of checks. The
-    randomized ``step`` takes the edge's pick from ``randomized_picks`` in
-    place of the edge, and moves the packet itself: a pair comes from a
-    growth sequence, so its edge leaves its set, and only the queue's count
-    needs a check."""
+    Max-weight and the in-order policies are each one ``(decide, apply,
+    weight)`` rule set: max-weight's is ``max_weight_decide``,
+    ``state.transmit`` and ``edge_weight`` bound to the state (both
+    functions as this module names them at set-up), the in-order one is
+    what ``in_order_rules`` binds. Their ``step`` is the one ``apply``
+    after ``decide`` below, and ``replay`` is that ``apply``, so every move
+    passes one write path. The randomized ``step`` takes the edge's pick
+    from ``randomized_picks`` in place of the edge, and moves the packet
+    itself: a pair comes from a growth sequence, so its edge leaves its
+    set, and only the queue's count needs a check."""
     policy = config.policy
     table = weight = replay = None
     if policy in ("static-tree", "randomized"):
@@ -244,15 +247,7 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     else:
         k = len(trees) if policy == "static-tree" else config.classes
         state = MultiClassState(g, k, _blocks(cls_rng.integers, k))
-    if policy == "max-weight":
-        def step(eid: int):
-            fset = max_weight_decide(state, eid)
-            if fset is not None:
-                state.transmit(fset, eid)
-            return fset
-
-        weight, replay = partial(edge_weight, state), state.transmit
-    elif policy == "randomized":
+    if policy == "randomized":
         eps = config.eps
         if eps is None:
             eps = default_eps(len(trees), config.lam, g.n)
@@ -280,16 +275,20 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
                 counts[nxt] = counts.get(nxt, 0) + 1
             return fset
     else:
-        owner = tree_owners(g, trees) if policy == "static-tree" else None
-        decide, apply = in_order_rules(state, owner)
+        if policy == "max-weight":
+            decide, apply, weight = (partial(max_weight_decide, state), state.transmit,
+                                     partial(edge_weight, state))
+        else:
+            owner = tree_owners(g, trees) if policy == "static-tree" else None
+            decide, apply, weight = in_order_rules(state, owner)
 
         def step(eid: int):
-            c = decide(eid)
-            if c is not None:
-                apply(c, eid)
-            return c
+            move = decide(eid)
+            if move is not None:
+                apply(move, eid)
+            return move
 
-        weight, replay = partial(edge_weight, state, decide=decide), apply
+        replay = apply
     return _Policy(state, step, weight, replay, table)
 
 
@@ -312,7 +311,7 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     backlog, is decided afresh and not stored). Under in-order delivery node
     v lacks exactly the last ``row[src] - row[v]`` in-flight packets of its
     class, so the sets fix every class's indices up to a shift, and the
-    counts, their tally; the in-order ``decide``, ``edge_weight`` and
+    counts, their tally; the in-order ``decide``, ``weight`` and
     ``apply`` (``in_order_rules``) read only those differences, the sets and
     the counts, and break ties by class index, not dict order. A hit replays
     the moves through the family's write path (``state.transmit`` or the

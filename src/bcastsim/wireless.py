@@ -1,6 +1,8 @@
 """Feasible edge activations and max-weight activation for the slotted model.
 
-The per-edge weights come from ``policies.edge_weight``.
+The per-edge weights come from the policy's bound ``weight``
+(``sim._set_up_policy``): ``policies.edge_weight`` for max-weight, the
+``weight`` of ``policies.in_order_rules`` for the multiclass policy.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ GRAPH_INPUT_TESTS = ("tests/test_graph.py::TestParse",
 # The tests that pin the sampled growth sequences and the words they take.
 SAMPLER_TESTS = ("tests/test_policies.py::TestSampledSequences",
                  "tests/test_policies.py::TestLockstepHandOff")
-# The tests that pin max-flow values, used edges and packed trees.
+# The tests that pin max-flow values, the edges carrying a flow and packed trees.
 FLOW_TESTS = ("tests/test_graph.py::TestMaxFlow", "tests/test_graph.py::TestCapacity",
               "tests/test_graph.py::TestTreePacking")
 WIRELESS = "src/bcastsim/wireless.py"
@@ -117,9 +117,15 @@ FAULTS = (
         "return tuple(map(tuple, state.inflight))",
         "return tuple(map(tuple, state.inflight[1:]))"),), REPLAY_TESTS),
     Fault("max-weight replay skips transmit on a hit", SIM, ((
-        "weight, replay = partial(edge_weight, state), state.transmit",
-        "weight, replay = partial(edge_weight, state), lambda fset, eid: None"),),
+        "        replay = apply\n",
+        '        replay = apply if policy != "max-weight" else lambda fset, eid: None\n'),),
         REPLAY_TESTS),
+    Fault("shared step returns the move without applying it", SIM, (_drop(
+        "            if move is not None:\n"
+        "                apply(move, eid)\n"),), REPLAY_TESTS),
+    Fault("in-order weight reads the head-of-line set one position late", POLICIES, ((
+        "fset = inflight[c][row[heads[eid]] - row[src]]",
+        "fset = inflight[c][row[heads[eid]] - row[src] + 1]"),), DECIDE_TESTS),
     Fault("inline randomized move without its count check", SIM, (_drop(
         "            if have < 1:\n"
         "                return None\n"),), RANDOMIZED_TESTS),
@@ -182,6 +188,9 @@ FAULTS = (
         "            witness[t] = flow\n",
         "            if witness[t] is None:\n"
         "                witness[t] = flow\n"),), FLOW_TESTS),
+    Fault("packing scans its sorted list from the highest id", GRAPH, ((
+        "        for eid in rest:\n", "        for eid in reversed(rest):\n"),),
+        FLOW_TESTS),
 )
 
 

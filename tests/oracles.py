@@ -24,7 +24,8 @@ the same stream in blocks.
 in exact ``Fraction`` arithmetic, so the engine's float table is checked
 against the rule rather than against a stored hash; ``dict_randomized_table``
 is the table built one pair at a time into a dict per edge, in the float
-order the engine's array build must keep bit for bit.
+order the engine's array build must keep bit for bit. ``table_from_entries``
+packs such per-edge entries into the engine's ``RandomizedTable`` arrays.
 
 ``slotted_capacity_lp`` gives the slotted model's exact capacity from a
 linear program over the activation family (scipy, tests only); the library
@@ -45,7 +46,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from bcastsim.errors import ConstructionError
-from bcastsim.graph import (Arborescence, broadcast_capacity, max_flow, out_edges,
+from bcastsim.graph import (Arborescence, Digraph, broadcast_capacity, max_flow, out_edges,
                             sequence_from_arborescence)
 from bcastsim.policies import RandomizedTable, default_eps
 
@@ -329,9 +330,16 @@ class PacketLedger:
                 if cc == c and m != full]
 
 
+def edge_subgraph(g, ids):
+    """The ``Digraph`` of ``g``'s nodes and source and of the edges whose ids
+    are in ``ids``, in ascending id order."""
+    return Digraph(g.n, [g.edges[eid] for eid in sorted(ids)], g.source)
+
+
 def rescanning_tree_packing(g):
     """Greedy arborescence packing where each candidate edge is checked by a
-    fresh max-flow to every sink over the remaining edges without it."""
+    fresh max-flow to every sink over the remaining edges without it (a
+    ``Digraph`` of those edges alone)."""
     avail = set(range(g.m))
     sinks = [t for t in range(g.n) if t != g.source]
     trees = []
@@ -344,7 +352,7 @@ def rescanning_tree_packing(g):
                 a, b = g.edges[eid]
                 if (mask >> a) & 1 and not (mask >> b) & 1 and (
                         residual == 0 or all(
-                            max_flow(g, g.source, t, allowed=rest - {eid},
+                            max_flow(edge_subgraph(g, rest - {eid}), g.source, t,
                                      at_least=residual) >= residual
                             for t in sinks)):
                     break
@@ -413,6 +421,18 @@ def exact_randomized_table(g, trees, extra_sequences, eps):
     return table
 
 
+def table_from_entries(entries):
+    """The ``RandomizedTable`` whose ``entries`` are ``entries``: per edge, a
+    sequence of (node-set mask, probability) pairs."""
+    sizes = np.array([len(entry) for entry in entries], dtype=np.int64)
+    count = int(sizes.sum())
+    fsets = np.fromiter((fset for entry in entries for fset, _ in entry),
+                        dtype=np.int64, count=count)
+    probs = np.fromiter((p for entry in entries for _, p in entry),
+                        dtype=np.float64, count=count)
+    return RandomizedTable(fsets, probs, sizes)
+
+
 def dict_randomized_table(g, trees, extra_sequences, eps):
     """The randomized table built one (set, edge) pair at a time into a
     float dict per edge: the tree pairs, tree by tree, then the extra
@@ -439,7 +459,7 @@ def dict_randomized_table(g, trees, extra_sequences, eps):
         if total > 1.0 + 1e-9:
             raise ConstructionError(
                 f"edge {eid} carries total probability {total:.6f} > 1")
-    return RandomizedTable.from_entries([sorted(entry.items()) for entry in acc])
+    return table_from_entries([sorted(entry.items()) for entry in acc])
 
 
 def linear_cdf_decide(table, state, eid, rng):

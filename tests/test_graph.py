@@ -9,14 +9,14 @@ from bcastsim import (Arborescence, Digraph, ParseError, broadcast_capacity,
                       capacity_bottleneck, parse_graph, random_digraph,
                       tree_packing)
 from bcastsim.fixtures import path_graph, star_graph
-from bcastsim.graph import (is_arborescence, max_flow, out_edges,
-                            sequence_from_arborescence)
+from bcastsim.graph import (_augment, _out_masks, is_arborescence, max_flow,
+                            out_edges, sequence_from_arborescence)
 from bcastsim.wireless import parse_activation_family
 
 from conftest import (AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB,
                       RB_SET, RC, RC_SET, any_digraphs, small_graphs)
 from oracles import (all_growth_sequences, brute_cut_value, brute_min_cut, brute_st_cut,
-                     independent_arborescence_check, max_disjoint_paths,
+                     edge_subgraph, independent_arborescence_check, max_disjoint_paths,
                      reachable_fixed_point, reachable_sets,
                      rescanning_tree_packing, validate_reachable_sequence)
 
@@ -24,6 +24,19 @@ from oracles import (all_growth_sequences, brute_cut_value, brute_min_cut, brute
 # an augmenting path can cancel a unit on an edge whose reverse also exists,
 # and any node may be the source. Flows need two nodes.
 EITHER_GRAPHS = st.one_of(small_graphs(7), any_digraphs(7)).filter(lambda g: g.n >= 2)
+
+
+def flow_edges(g, s, t, at_least=None):
+    """``max_flow``'s value and the ids of the edges carrying that flow, from
+    the same augmenting searches (``graph._augment``)."""
+    base = _out_masks(g.n, g.edges)
+    res = base[:]
+    flow = set()
+    value = 0
+    while (at_least is None or value < at_least) and _augment(base, res, flow, s, t):
+        value += 1
+    return value, {eid for eid, edge in enumerate(g.edges) if edge in flow}
+
 
 D4_TEXT = """4 6 0
 0 1
@@ -148,13 +161,8 @@ class TestMaxFlow:
         assert max_flow(d4, 0, 3, at_least=1) == 1
 
     def test_allowed_subset(self, d4):
-        assert max_flow(d4, 0, 3, allowed={RC}) == 1
-        assert max_flow(d4, 0, 3, allowed={RA, AB}) == 0
-
-    def test_allowed_ids_outside_the_edges_are_ignored(self, d4):
-        # -4 would index BC from the end: RB then BC would carry a unit.
-        assert max_flow(d4, 0, 3, allowed={RB, -4, 6, 99}) == 0
-        assert max_flow(d4, 0, 3, allowed={RB, BC, -1}) == 1
+        assert max_flow(edge_subgraph(d4, {RC}), 0, 3) == 1
+        assert max_flow(edge_subgraph(d4, {RA, AB}), 0, 3) == 0
 
     def test_second_path_cancels_the_unit_on_an_antiparallel_edge(self):
         """The only shortest path, 0-1-2-3, puts a unit on 1->2. The second
@@ -164,40 +172,39 @@ class TestMaxFlow:
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 3),
                  (0, 6), (6, 7), (7, 2), (2, 1)]
         g = Digraph(8, edges, 0)
-        used = set()
-        assert max_flow(g, 0, 3, used=used) == 2
+        assert max_flow(g, 0, 3) == 2
+        value, used = flow_edges(g, 0, 3)
+        assert value == 2
         want = {(0, 1), (1, 4), (4, 5), (5, 3), (0, 6), (6, 7), (7, 2), (2, 3)}
         assert used == {edges.index(e) for e in want}
 
     @settings(max_examples=150, deadline=2000)
     @given(g=EITHER_GRAPHS, data=st.data())
     def test_used_edges_form_value_disjoint_paths(self, g, data):
-        """The value is the least s-t cut, capped by ``at_least``; the
-        reported edges carry one unit each, never both edges of a pair, and
-        hold exactly ``value`` edge-disjoint s->t paths, also under
-        ``allowed``."""
+        """The value is the least s-t cut, capped by ``at_least``; the edges
+        carrying it carry one unit each, never both edges of a pair, and
+        hold exactly ``value`` edge-disjoint s->t paths, also on the
+        subgraph of an ``allowed`` set of edge ids."""
         s = g.source
         t = data.draw(st.sampled_from([v for v in range(g.n) if v != s]))
         ids = st.integers(0, g.m - 1) if g.m else st.nothing()
         allowed = data.draw(st.none() | st.sets(ids))
         at_least = data.draw(st.none() | st.integers(0, 3))
-        used = set()
-        value = max_flow(g, s, t, allowed=allowed, at_least=at_least, used=used)
-        assert value == max_flow(g, s, t, allowed=allowed, at_least=at_least)
+        h = g if allowed is None else edge_subgraph(g, allowed)
+        value, used = flow_edges(h, s, t, at_least)
+        assert value == max_flow(h, s, t, at_least=at_least)
         cut = brute_st_cut(g, s, t, allowed)
         assert value == (cut if at_least is None else min(cut, at_least))
-        if allowed is not None:
-            assert used <= allowed
-        net = [0] * g.n
+        net = [0] * h.n
         for eid in used:
-            a, b = g.edges[eid]
+            a, b = h.edges[eid]
             net[a] -= 1
             net[b] += 1
         assert net[s] == -value and net[t] == value
-        assert not any(net[v] for v in range(g.n) if v not in (s, t))
-        pairs = {g.edges[eid] for eid in used}
+        assert not any(net[v] for v in range(h.n) if v not in (s, t))
+        pairs = {h.edges[eid] for eid in used}
         assert not any((b, a) in pairs for a, b in pairs)
-        sub = Digraph(g.n, [g.edges[eid] for eid in sorted(used)], s)
+        sub = Digraph(h.n, [h.edges[eid] for eid in sorted(used)], s)
         assert max_disjoint_paths(sub, s, t) == value
 
 

@@ -10,8 +10,7 @@ from bcastsim import (Arborescence, ConstructionError, Digraph,
 from bcastsim.cli import resolve_graph
 from bcastsim.fixtures import path_graph
 from bcastsim import sim
-from bcastsim.policies import (MultiClassState, RandomizedTable,
-                               _bounded_indices, build_randomized_table,
+from bcastsim.policies import (MultiClassState, _bounded_indices, build_randomized_table,
                                default_eps, edge_weight, in_order_rules,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide, randomized_decide,
@@ -28,7 +27,7 @@ from oracles import (PacketLedger, admit_class, assign_class,
                      exact_randomized_table, linear_cdf_decide, packet_set,
                      ranking_best_transition, rebuilding_multiclass_best,
                      rescanning_sample_sequences, scanning_tree_class,
-                     sequence_rows, validate_reachable_sequence)
+                     sequence_rows, table_from_entries, validate_reachable_sequence)
 
 BLUE = Arborescence((RA, AB, BC))
 RED = Arborescence((RB, RC, CA))
@@ -277,12 +276,14 @@ def test_histogram_matches_counts_and_ledger(policy, g, classes, moves):
     """After every move of either in-order policy, the histogram rebuilt from
     the index matrix equals the incremental queue counts and a per-packet
     ledger, the in-flight lists equal the ledger's sets, and the multiclass
-    choice and edge weight on every edge equal the positive pair of the
-    oracle that rebuilds each head-of-line set, or (None, 0) without one."""
+    choice and the bound multiclass weight on every edge equal the positive
+    pair of the oracle that rebuilds each head-of-line set, or (None, 0)
+    without one."""
     trees = tree_packing(g)
     owner = tree_owners(g, trees)
     state = MultiClassState(g, classes if policy == "multiclass" else len(trees),
                             iter(()))
+    weight = in_order_rules(state)[2]
     ledger = PacketLedger(g)
     for kind, pick in moves:
         if kind == 0:
@@ -307,7 +308,7 @@ def test_histogram_matches_counts_and_ledger(policy, g, classes, moves):
         for e in range(g.m):
             ranked = rebuilding_multiclass_best(state, e)
             expected = ranked if ranked is not None and ranked[1] > 0 else (None, 0)
-            assert (multiclass_decide(state, e), edge_weight(state, e)) == expected
+            assert (multiclass_decide(state, e), weight(e)) == expected
 
 
 @pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
@@ -318,17 +319,23 @@ def test_bound_decide_matches_the_oracles(policy, g, classes, moves):
     oracles do while the state they close over changes: after every admit
     and every move of the bound ``apply``, the bound ``decide`` on every
     edge equals the positive pick of ``rebuilding_multiclass_best``
-    (multiclass) or the tree scan of ``scanning_tree_class`` (static-tree)."""
+    (multiclass) or the tree scan of ``scanning_tree_class`` (static-tree),
+    and the bound multiclass ``weight`` equals that pick's differential, or
+    0 without one."""
     trees = tree_packing(g)
     static = policy == "static-tree"
     state = MultiClassState(g, len(trees) if static else classes, iter(()))
-    decide, apply = in_order_rules(state, tree_owners(g, trees) if static else None)
+    decide, apply, weight = in_order_rules(state, tree_owners(g, trees) if static else None)
 
     def expected(eid):
         if static:
             return scanning_tree_class(state, trees, eid)
         ranked = rebuilding_multiclass_best(state, eid)
         return ranked[0] if ranked is not None and ranked[1] > 0 else None
+
+    def expected_weight(eid):
+        ranked = rebuilding_multiclass_best(state, eid)
+        return ranked[1] if ranked is not None and ranked[1] > 0 else 0
 
     for kind, pick in moves:
         if kind == 0:
@@ -339,6 +346,9 @@ def test_bound_decide_matches_the_oracles(policy, g, classes, moves):
             if c is not None:
                 apply(c, eid)
         assert [decide(e) for e in range(g.m)] == [expected(e) for e in range(g.m)]
+        if not static:
+            assert ([weight(e) for e in range(g.m)]
+                    == [expected_weight(e) for e in range(g.m)])
         assert state.histogram() == (state.counts, state.delivered)
 
 
@@ -742,7 +752,7 @@ class TestRandomizedDecide:
         zero-width pairs and the residual (idle) mass, in one block and one
         event a block; an empty entry draws nothing."""
         entry = tuple((1 << i, p) for i, p in enumerate(probs))
-        table = RandomizedTable.from_entries((entry,))
+        table = table_from_entries((entry,))
         g = Digraph(2, [(0, 1)], 0)
         state = VirtualQueueState(g)
         state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
@@ -770,7 +780,7 @@ class TestRandomizedDecide:
             probs = shapes[eid % len(shapes)]
             entries.append(tuple((1 << a | 1 << others[j], p)
                                  for j, p in enumerate(probs)))
-        table = RandomizedTable.from_entries(entries)
+        table = table_from_entries(entries)
         keys = table.search[0]
         assert len(keys) == sum(map(len, entries))
         assert (np.diff(keys) >= 0).all() and keys[0] >= 0
@@ -787,9 +797,9 @@ class TestRandomizedDecide:
                                        eids, draws, blocks)
 
     def test_search_refuses_more_edges_than_its_keys_hold(self):
-        assert len(RandomizedTable.from_entries(((),) * 1023).search[0]) == 0
+        assert len(table_from_entries(((),) * 1023).search[0]) == 0
         with pytest.raises(ValueError, match="at most 1023 edges"):
-            RandomizedTable.from_entries(((),) * 1024).search
+            table_from_entries(((),) * 1024).search
 
 
 class TestSampledSequences:
@@ -1045,6 +1055,6 @@ def test_one_class_per_packet_matches_max_weight(d4):
 def test_multiclass_edge_weight_floor(d4):
     state = mc_state(d4, [[2, 2, 1, 0]])
     # Only candidate move over ab has weight 0; floored result is 0.
-    assert edge_weight(state, AB) == 0
+    assert in_order_rules(state)[2](AB) == 0
     state2 = mc_state(d4, [[3, 0, 0, 0]])
-    assert edge_weight(state2, RA) == 3
+    assert in_order_rules(state2)[2](RA) == 3
