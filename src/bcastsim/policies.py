@@ -9,8 +9,8 @@ write path, ``apply``, and its slotted edge weight to a state once;
 ``multiclass_decide``, ``static_tree_decide`` and ``multiclass_apply`` are
 each one call of those rules. ``edge_weight`` is max-weight's slotted edge
 weight, the differential of ``max_weight_decide``'s move.
-``randomized_picks`` draws and resolves the randomized policy's picks a
-block of events at a time.
+``randomized_picks`` resolves the randomized policy's picks for a chunk of
+events at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -359,10 +359,11 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
     return 1 / (4 * n)
 
 
-# Values per block drawn by ``_block_arrays``. numpy's block forms of
+# Values per block drawn by ``_blocks``, and the most events in one chunk of
+# the randomized policy's draws (``sim.run``). numpy's block forms of
 # ``poisson``, ``integers`` and ``random`` consume a generator as repeated
 # scalar calls would, so the size is not observable.
-_BLOCK_DRAWS = 1024
+_BLOCK_DRAWS = 4096
 _WORD_MASK = 0xFFFF_FFFF
 # A draw of ``Generator.random`` times this is an integer; the table search
 # keys of consecutive edges are this plus one apart.
@@ -370,18 +371,12 @@ _DRAW_SCALE = float(1 << 53)
 _KEY_STRIDE = (1 << 53) + 1
 
 
-def _block_arrays(draw: Callable, *args, **kwargs) -> Iterator[np.ndarray]:
-    """Blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``, each drawn
-    only when the previous one is used up."""
-    while True:
-        yield draw(*args, size=_BLOCK_DRAWS, **kwargs)
-
-
 def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
     """The values of repeated scalar ``draw(*args, **kwargs)`` calls, one at
-    a time, taken from ``_block_arrays``."""
-    return chain.from_iterable(map(np.ndarray.tolist,
-                                   _block_arrays(draw, *args, **kwargs)))
+    a time, taken from blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``,
+    each drawn only when the previous one is used up."""
+    return chain.from_iterable(draw(*args, size=_BLOCK_DRAWS, **kwargs).tolist()
+                               for _ in repeat(None))
 
 
 @contextmanager
@@ -646,47 +641,42 @@ def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
     mass or when the picked set's queue is empty (the policy never
     substitutes a class, as that would change its stationary behavior).
 
-    The engine picks a block of events at a time instead; the benchmark
+    The engine picks a chunk of events at a time instead; the benchmark
     tracer swaps ``sim.randomized_decide`` by name (ROADMAP item 1).
     """
-    pick = next(randomized_picks(table, state.graph, [np.array([eid])], rng))
-    if pick is not None and state.counts.get(pick[0], 0) > 0:
-        return pick[0]
+    at, fsets, _ = randomized_picks(table, state.graph, np.array([eid]), rng)
+    if len(at) and state.counts.get(fset := int(fsets[0]), 0) > 0:
+        return fset
     return None
 
 
-def randomized_picks(table: RandomizedTable, g: Digraph,
-                     edge_blocks: Iterable[np.ndarray],
-                     rng: np.random.Generator) -> Iterator[tuple[int, int] | None]:
-    """The randomized policy's pick for each active edge of ``edge_blocks``
-    (int arrays of edge ids), in order: the pair's node set and the set it
-    grows to over the edge, or None to idle on an empty entry or the
-    residual mass. The pick reads no queue; the caller idles when the set's
-    queue is empty.
+def randomized_picks(table: RandomizedTable, g: Digraph, eids: np.ndarray,
+                     rng: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The randomized policy's picks for a chunk of events, one active edge
+    each in the int array ``eids``: ``(at, fsets, grown)``, the ascending
+    positions in ``eids`` of the events that pick a pair, each pick's node
+    set and the set it grows to over its edge. Every other event idles, on
+    an empty entry or the residual mass. The picks read no queue; the
+    caller idles when a set's queue is empty.
 
-    A block's events over a non-empty entry take one uniform each, in event
-    order, from one ``rng.random(size=count)``, which leaves the generator
-    where ``count`` scalar draws would; a block with no such event draws
-    none. One ``np.searchsorted`` over ``table.search``'s exact keys then
-    finds, for every event, the pair whose running sum first exceeds its
-    draw.
+    The events over a non-empty entry take one uniform each, in event order,
+    from one ``rng.random(size=count)``, which leaves the generator where
+    ``count`` scalar draws would; a chunk with no such event draws none. One
+    ``np.searchsorted`` over ``table.search``'s exact keys then finds the
+    pair whose running sum first exceeds each draw. Its queries go in
+    sorted, which searches several times faster than event order, and the
+    positions are scattered back to event order.
     """
     keys, fsets, sizes, ends = table.search
-    head_bits = np.array([1 << b for _, b in g.edges], dtype=np.int64)
-
-    def block_picks(block: np.ndarray) -> list[tuple[int, int] | None]:
-        live = np.flatnonzero(sizes[block])
-        eids = block[live]
-        draws = rng.random(size=len(live))
-        pos = np.searchsorted(
-            keys, eids * _KEY_STRIDE + (draws * _DRAW_SCALE).astype(np.int64),
-            side="right")
-        hit = pos < ends[eids]
-        fset = fsets[pos[hit]]
-        picks = np.full(len(block), None, dtype=object)
-        picks[live[hit]] = np.fromiter(
-            zip(fset.tolist(), (fset | head_bits[eids[hit]]).tolist()),
-            dtype=object, count=len(fset))
-        return picks.tolist()
-
-    return chain.from_iterable(map(block_picks, edge_blocks))
+    live = np.flatnonzero(sizes[eids])
+    live_eids = eids[live]
+    queries = live_eids * _KEY_STRIDE + (
+        rng.random(size=len(live)) * _DRAW_SCALE).astype(np.int64)
+    order = np.argsort(queries)
+    pos = np.empty_like(order)
+    pos[order] = np.searchsorted(keys, queries[order], side="right")
+    hit = pos < ends[live_eids]
+    picked = fsets[pos[hit]]
+    head_bits = np.left_shift(1, np.array(g.edges, dtype=np.int64)[:, 1])
+    return live[hit], picked, picked | head_bits[live_eids[hit]]

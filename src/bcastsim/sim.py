@@ -3,37 +3,43 @@
 ``run`` has one event loop for both time models. It drives every policy the
 same way: ``_set_up_policy`` returns the policy's state, whose
 ``admit(count)`` takes the arrivals, and a ``step(eid)`` function that
-decides the move over the active edge and applies it. Max-weight and the
-in-order policies are each one ``(decide, apply, weight)`` rule set, bound
-there once per run (the in-order one by ``policies.in_order_rules``); one
-``step`` composes ``apply`` after ``decide`` for both, the slotted weights
-are ``weight`` and the memo replays go through ``apply``. The time model
-sets only how many events a slot has and what one event does. A slotted
-slot's moves are a function of the part of the state its decides read, so a
-slot whose key was seen before replays the moves stored then instead of
-deciding them again.
+decides the move over the active edge and applies it. The loop makes one
+pass per sample interval, over that interval's events; an event admits its
+arrivals, then steps. Max-weight and the in-order policies are each one
+``(decide, apply, weight)`` rule set, bound there once per run (the
+in-order one by ``policies.in_order_rules``); one ``step`` composes
+``apply`` after ``decide`` for both, the slotted weights are ``weight`` and
+the memo replays go through ``apply``. The time model sets only how many
+events a slot has and what one event does. A slotted slot's moves are a
+function of the part of the state its decides read, so a slot whose key was
+seen before replays the moves stored then instead of deciding them again.
+The randomized policy's pass visits only the events that pick a pair
+(``run``), as an idle event changes no state.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
 identical arrival sample paths regardless of the policy under test.
 
-One draw rule covers every stream: values come from numpy's block forms
-and are used one at a time, in the order scalar calls would make. Each event
-takes one Poisson arrival count and, in mini-slot mode, one uniform active
-edge; each admitted packet of an in-order policy takes one class label;
-these come from blocks of one size (``policies._blocks``). The randomized
-policy's uniforms are drawn per block of active edges, one per event over a
-non-empty table entry, in event order (``policies.randomized_picks``).
-Set-up's sequence sampling takes its 32-bit words from the policy stream
-as one block of ``count * (n - 1)`` words, and row s of its lockstep reads
-from word ``s * (n - 1)``, since every step takes exactly one word unless
-its boundary has one edge or numpy's bounded rule redraws. The first row with
-such a step hands itself and every later row to the per-sequence loop: the
-stream is reset, advanced to that row's word and drawn on in blocks, then
-reset again and advanced by exactly the words used. So the uniforms start
-where scalar ``integers(k)`` calls would have left the stream.
-numpy's block forms consume a generator as the scalar calls do, so the block
-size is not observable.
+One draw rule covers every stream: values come from numpy's block forms,
+in the order scalar calls would make them, and no block holds more than
+``policies._BLOCK_DRAWS`` values. Each event takes one Poisson arrival count
+and, in mini-slot mode, one uniform active edge; each admitted packet of an
+in-order policy takes one class label. The queue-driven policies use these
+one at a time from blocks of that size (``policies._blocks``). The
+randomized policy draws a chunk of events at a time, of at most
+``_BLOCK_DRAWS`` events and never past a sample slot: the chunk's arrival
+counts and active edges as one block each, then one uniform per event over
+a non-empty table entry, in event order, as one block
+(``policies.randomized_picks``). Set-up's sequence sampling takes its 32-bit
+words from the policy stream as one block of ``count * (n - 1)`` words, and
+row s of its lockstep reads from word ``s * (n - 1)``, since every step
+takes exactly one word unless its boundary has one edge or numpy's bounded
+rule redraws. The first row with such a step hands itself and every later
+row to the per-sequence loop: the stream is reset, advanced to that row's
+word and drawn on in blocks, then reset again and advanced by exactly the
+words used. So the uniforms start where scalar ``integers(k)`` calls would
+have left the stream. numpy's block forms consume a generator as the scalar
+calls do, so neither the block size nor the chunk size is observable.
 """
 
 from __future__ import annotations
@@ -41,14 +47,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, SchedulingError
 from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
-from .policies import (MultiClassState, RandomizedTable, _block_arrays, _blocks,
+from . import policies
+from .policies import (MultiClassState, RandomizedTable, _blocks,
                        build_randomized_table, default_eps, edge_weight,
                        in_order_rules, max_weight_decide, randomized_picks,
                        sample_reachable_sequences, tree_owners)
@@ -232,10 +239,11 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     functions as this module names them at set-up), the in-order one is
     what ``in_order_rules`` binds. Their ``step`` is the one ``apply``
     after ``decide`` below, and ``replay`` is that ``apply``, so every move
-    passes one write path. The randomized ``step`` takes the edge's pick
-    from ``randomized_picks`` in place of the edge, and moves the packet
-    itself: a pair comes from a growth sequence, so its edge leaves its
-    set, and only the queue's count needs a check."""
+    passes one write path. The randomized ``step`` takes an event's pick
+    from ``randomized_picks``, a node set and its grown set (or None), in
+    place of the edge, and moves the packet itself: a pair comes from a
+    growth sequence, so its edge leaves its set, and only the queue's count
+    needs a check."""
     policy = config.policy
     table = weight = replay = None
     if policy in ("static-tree", "randomized"):
@@ -296,13 +304,19 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     """Simulate one run and return its sampled time series.
 
     One event loop drives the policy that ``_set_up_policy`` builds
-    through ``state.admit`` and ``step``; each event admits its arrivals,
-    then acts. Mini-slot: ``m`` events per slot,
-    each with Poisson(lam/m) arrivals and one uniform active edge. Slotted:
-    one event per slot, with Poisson(lam) arrivals and a max-weight feasible
-    activation whose edges step in ascending id order. The randomized
-    policy's events take their edges' picks, resolved a block of active
-    edges at a time by ``randomized_picks``, instead of the edges.
+    through ``state.admit`` and ``step``, one pass per sample interval;
+    each event admits its arrivals, then acts. Mini-slot: ``m`` events per
+    slot, each with Poisson(lam/m) arrivals and one uniform active edge.
+    Slotted: one event per slot, with Poisson(lam) arrivals and a max-weight
+    feasible activation whose edges step in ascending id order.
+
+    The randomized policy's pass visits only the events whose pick is a
+    pair. It draws the interval in chunks, each resolved by one
+    ``randomized_picks`` call. A picking event admits every arrival since
+    the previous pick, the ones of its own event included, then steps on its
+    pick; the arrivals after the interval's last pick are admitted before
+    its sample. An idle event changes no state, so the outputs are those of
+    stepping every event.
 
     The run memoises each slot's moves, the ``(move, eid)`` pairs its steps
     returned, by the part of the state its decides read: max-weight's by the
@@ -320,8 +334,9 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     before the next entry would take its summed size (key items plus moves)
     past ``MEMO_KEY_LIMIT``.
 
-    Every random value is used one at a time, in the order scalar calls
-    would make, from blocks of one size (the module docstring's draw rule).
+    Every random value is drawn in the order scalar calls would make it, in
+    blocks of at most ``policies._BLOCK_DRAWS`` values (the module
+    docstring's draw rule).
     The state is sampled at slot 0, every ``sample_every`` slots and at the
     horizon. Fully deterministic given the seed.
     """
@@ -413,23 +428,40 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
                 for move, eid in moves:
                     replay(move, eid)
 
-    arrivals = _blocks(arr_rng.poisson, config.lam / per_slot)
-    if not mini_slot:
-        edges = repeat(None)
-    elif table is None:
-        edges = _blocks(act_rng.integers, 0, m)
+    rate = config.lam / per_slot
+    if table is None:
+        edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)
+        interval = partial(islice, zip(_blocks(arr_rng.poisson, rate), edges))
     else:
-        edges = randomized_picks(table, g, _block_arrays(act_rng.integers, 0, m),
-                                 pol_rng)
-    events = zip(arrivals, edges)
+        def interval(count: int):
+            carry = 0  # the arrivals since the last pick
+            while count:
+                size = min(count, policies._BLOCK_DRAWS)
+                count -= size
+                arrived = arr_rng.poisson(rate, size=size)
+                at, fsets, grown = randomized_picks(
+                    table, g, act_rng.integers(0, m, size=size), pol_rng)
+                # Exact in int64 unless the chunk's total could pass it.
+                total = arrived.cumsum(
+                    dtype=object if int(arrived.max()) * size >= 1 << 63 else None)
+                # Each pick's arrivals since the previous one, then the rest.
+                cuts = np.concatenate(([0], total[at], total[-1:]))
+                admits = (cuts[1:] - cuts[:-1]).tolist()
+                admits[0] += carry
+                carry = admits.pop()
+                yield from zip(admits, zip(fsets.tolist(), grown.tolist()))
+            yield carry, None
+
     record(0)
-    for slot in range(1, config.horizon + 1):
-        for a, e in islice(events, per_slot):
+    done = 0
+    for slot in chain(range(config.sample_every, config.horizon, config.sample_every),
+                      [config.horizon]):
+        for a, e in interval((slot - done) * per_slot):
             if a:
                 admit(a)
             event(e)
-        if slot % config.sample_every == 0 or slot == config.horizon:
-            record(slot)
+        record(slot)
+        done = slot
 
     result = RunResult(config, g.n, tuple(samples), 0.0, table)
     return replace(result, rate=broadcast_rate(result))

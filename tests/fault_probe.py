@@ -129,6 +129,18 @@ FAULTS = (
     Fault("inline randomized move without its count check", SIM, (_drop(
         "            if have < 1:\n"
         "                return None\n"),), RANDOMIZED_TESTS),
+    Fault("randomized interval drops its leftover arrivals before the sample", SIM,
+          (_drop("            yield carry, None\n"),), RANDOMIZED_TESTS),
+    Fault("randomized pick admits its arrivals one event late", SIM, ((
+        "([0], total[at], ", "([0], total[at] - arrived[at], "),),
+        RANDOMIZED_TESTS),
+    Fault("picker: sorted search not scattered back to event order", POLICIES, ((
+        "pos[order] = np.searchsorted(", "pos[:] = np.searchsorted("),),
+        RANDOMIZED_TESTS),
+    Fault("randomized chunk sums its arrivals in int64 at any rate", SIM, ((
+        "dtype=object if int(arrived.max()) * size >= 1 << 63 else None)",
+        "dtype=None)"),),
+        RANDOMIZED_TESTS),
     Fault("Digraph without its duplicate-edge check", GRAPH, (_drop(
         "            if (a, b) in seen:\n"
         '                raise ValueError(f"duplicate edge ({a},{b})")\n'),),

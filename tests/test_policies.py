@@ -646,13 +646,29 @@ def _sent(pick, state):
     return None
 
 
+def _chunk_picks(table, g, eids, blocks, rng):
+    """Per event of ``eids``, cut into chunks of the sizes ``blocks``, the
+    pair ``randomized_picks`` picks, or None: its positions are ascending
+    and distinct, one node set and grown set each."""
+    picks = []
+    chunks = np.split(np.array(eids, dtype=np.int64), np.cumsum(blocks)[:-1])
+    for chunk in chunks:
+        at, fsets, grown = randomized_picks(table, g, chunk, rng)
+        assert len(at) == len(fsets) == len(grown)
+        assert (np.diff(at) > 0).all()
+        row = [None] * len(chunk)
+        for i, fset, nxt in zip(at.tolist(), fsets.tolist(), grown.tolist()):
+            row[i] = (fset, nxt)
+        picks += row
+    return picks
+
+
 def _assert_picks_match_linear_cdf(g, table, state, eids, draws, blocks):
     """``randomized_picks`` over ``eids``, cut into ``blocks``, against
     ``linear_cdf_decide``: the same pair on a state holding every set, the
     same move on ``state``, the grown set, and the same draws taken."""
     ours = _Draws(draws)
-    edge_blocks = np.split(np.array(eids, dtype=np.int64), np.cumsum(blocks)[:-1])
-    picks = list(randomized_picks(table, g, edge_blocks, ours))
+    picks = _chunk_picks(table, g, eids, blocks, ours)
     assert len(picks) == len(eids)
     every, exact, ref = _holding_every_set(g, table), _Draws(draws), _Draws(draws)
     for eid, pick in zip(eids, picks):
@@ -735,11 +751,12 @@ class TestRandomizedDecide:
         for entry in table.entries:
             for fset, _ in entry:
                 state.counts[fset] = int(rng.integers(2))
-        eids = list(range(g.m)) * 8
+        # Descending edge ids too, whose search keys come in descending order.
+        eids = list(range(g.m)) * 4 + list(range(g.m - 1, -1, -1)) * 4
         cuts = np.cumsum(blocks, dtype=np.int64)
-        edge_blocks = np.split(np.array(eids, dtype=np.int64), cuts[cuts <= len(eids)])
+        sizes = np.diff(cuts[cuts <= len(eids)], prepend=0, append=len(eids))
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        picks = list(randomized_picks(table, g, edge_blocks, ours))
+        picks = _chunk_picks(table, g, eids, sizes, ours)
         for eid, pick in zip(eids, picks, strict=True):
             assert _sent(pick, state) == linear_cdf_decide(table, state, eid, ref)
         assert ours.random() == ref.random()
@@ -750,7 +767,8 @@ class TestRandomizedDecide:
     def test_matches_linear_cdf_at_every_boundary(self, probs, held, extra):
         """Draws at, just below and just above every running sum, including
         zero-width pairs and the residual (idle) mass, in one block and one
-        event a block; an empty entry draws nothing."""
+        event a block, in ascending and in descending order; an empty entry
+        draws nothing."""
         entry = tuple((1 << i, p) for i, p in enumerate(probs))
         table = table_from_entries((entry,))
         g = Digraph(2, [(0, 1)], 0)
@@ -758,14 +776,14 @@ class TestRandomizedDecide:
         state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
         if not entry:
             none = _Draws([])
-            blocks = [np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64)]
-            assert list(randomized_picks(table, g, blocks, none)) == [None] * 3
+            assert _chunk_picks(table, g, [0] * 3, [3, 0], none) == [None] * 3
             assert none.taken == 0
             return
-        draws = _grid_draws(_search_sums(table, 0), extra)
-        for blocks in ([len(draws)], [1] * len(draws)):
-            _assert_picks_match_linear_cdf(g, table, state, [0] * len(draws),
-                                           draws, blocks)
+        ascending = _grid_draws(_search_sums(table, 0), extra)
+        for draws in (ascending, ascending[::-1]):
+            for blocks in ([len(draws)], [1] * len(draws)):
+                _assert_picks_match_linear_cdf(g, table, state, [0] * len(draws),
+                                               draws, blocks)
 
     def test_widest_table_keys_stay_exact(self):
         """600 entries, the most edges a 25-node simple digraph has: running

@@ -308,6 +308,18 @@ class TestLoopReplay:
         res = run(cfg, d4, fam)
         assert (run_csv(res), received_csv(res), res.rate) == replay_max_weight(cfg, d4, fam)
 
+    def test_huge_rate_randomized_run_matches_the_replay(self):
+        """One edge, 1e18 arrivals per event and a pick on about one event
+        in twenty: the arrivals between two picks pass 2**63, so the running
+        sums must stay exact past int64."""
+        g = Digraph(2, [(0, 1)], 0)
+        cfg = SimConfig(lam=1e18, horizon=300, seed=3, policy="randomized",
+                        eps=1.9, sample_every=100)
+        res = run(cfg, g)
+        table_csv = "\n".join(res.rand_table.csv_rows()) + "\n"
+        assert ((run_csv(res), received_csv(res), res.rate, table_csv)
+                == replay_randomized(cfg, g))
+
     @pytest.mark.parametrize("spec, lam", [
         ("diamond4", 1.6), ("random(6,10,1)", 0.85), ("random(6,10,5)", 0.85)])
     def test_randomized_outputs_match_the_replay(self, spec, lam):
@@ -474,6 +486,58 @@ class TestBlockDraws:
         default = outputs()
         monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
         assert outputs() == default
+
+    @pytest.mark.parametrize("block", [7, 13])
+    @pytest.mark.parametrize("spec, lam, horizon, sample_every", [
+        ("diamond4", 1.6, 60, 1), ("diamond4", 1.6, 61, 7),
+        ("random(6,10,1)", 0.85, 90, 200), ("random(6,10,1)", 0.0, 40, 7),
+        ("random(25,200,1)", 3.0, 20, 7)])
+    def test_randomized_chunks_match_the_replay(self, monkeypatch, block, spec, lam,
+                                                horizon, sample_every):
+        """Chunks of 7 or 13 events end inside slots of 6, 10 and 200
+        events and inside sample intervals: one sample per slot, a horizon
+        that is not a multiple of the cadence, a cadence above the horizon,
+        and no arrivals at all. The outputs equal the event-by-event replay."""
+        g = resolve_graph(spec)
+        monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
+        cfg = SimConfig(lam=lam, horizon=horizon, seed=3, policy="randomized",
+                        sample_every=sample_every)
+        res = run(cfg, g)
+        table_csv = "\n".join(res.rand_table.csv_rows()) + "\n"
+        assert ((run_csv(res), received_csv(res), res.rate, table_csv)
+                == replay_randomized(cfg, g))
+
+    def test_no_draw_exceeds_the_block_size(self, d4, monkeypatch):
+        """No draw of a run asks for more than ``_BLOCK_DRAWS`` values, also
+        when one sample interval spans the whole horizon, so the randomized
+        policy's chunks do not grow with the interval."""
+        block = 64
+        monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                draw = getattr(self._rng, name)
+                if name not in ("integers", "poisson", "random"):
+                    return draw
+
+                def counted(*args, size=None, **kwargs):
+                    sizes.append(1 if size is None else int(np.prod(size)))
+                    return draw(*args, size=size, **kwargs)
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: Counting(default_rng(seed)))
+        # Five extra sequences take 15 words of set-up, in one block.
+        for policy in sim.POLICIES:
+            for sample_every in (300, 10 ** 6):
+                run(SimConfig(lam=1.6, horizon=300, seed=5, policy=policy, classes=3,
+                              extra_sequences=5, sample_every=sample_every), d4)
+        assert max(sizes) == block
 
 
 class TestSweep:
