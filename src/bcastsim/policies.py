@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -280,20 +280,33 @@ def static_tree_decide(state: MultiClassState, owner: Sequence[int],
     return in_order_rules(state, owner)[0](eid)
 
 
+class TableSearch(NamedTuple):
+    """``RandomizedTable.search``: the flat edge-major search ``keys``, each
+    edge's index one past its last pair (``ends``) and head bit
+    (``head_bits``), and the int32 ``guide``: per edge and bucket of draws,
+    the pair every draw in the bucket picks, or -1 when a key boundary lies
+    inside the bucket."""
+
+    keys: np.ndarray
+    ends: np.ndarray
+    head_bits: np.ndarray
+    guide: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class RandomizedTable:
     """Stationary forwarding distribution for the randomized policy.
 
-    The table is three arrays, edge-major: ``fsets`` holds each pair's
+    The table is four arrays, edge-major: ``fsets`` holds each pair's
     node-set mask (int64, so of graphs up to 63 nodes), ``probs`` its
-    probability and ``sizes`` each edge's pair count. ``entries[eid]``,
-    built on first read, lists edge eid's (node-set mask, probability)
-    pairs: given that the edge is the active one, the probability of
-    attempting to move a packet of that class across it. Residual
-    probability means idle. A draw u in [0, 1) picks the first pair whose
-    running sum of the entry's probabilities, added left to right, exceeds
-    u, and idles when none does. Two tables are equal when their arrays
-    are.
+    probability, ``sizes`` each edge's pair count and ``heads`` each edge's
+    head node. ``entries[eid]``, built on first read, lists edge eid's
+    (node-set mask, probability) pairs: given that the edge is the active
+    one, the probability of attempting to move a packet of that class
+    across it. Residual probability means idle. A draw u in [0, 1) picks
+    the first pair whose running sum of the entry's probabilities, added
+    left to right, exceeds u, and idles when none does. Two tables are
+    equal when their arrays are.
 
     ``search`` holds those running sums as one flat edge-major int64 key
     each, ``eid * (2**53 + 1) + min(ceil(sum * 2**53), 2**53)``, so one
@@ -303,18 +316,21 @@ class RandomizedTable:
     2**53, and ``sum > u`` holds exactly when the key's second term exceeds
     it. The edge's offset is added as an integer, never to a float, so
     nothing rounds, and each edge's keys and draws stay below the next
-    edge's, up to 1023 edges.
+    edge's, up to 1023 edges. Its guide (Chen and Asau 1974) cuts each
+    edge's draws into ``_GUIDE_BUCKETS`` buckets by their top bits; a bucket
+    with no key boundary inside it holds the one pair all its draws pick.
     """
 
     fsets: np.ndarray
     probs: np.ndarray
     sizes: np.ndarray
+    heads: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RandomizedTable):
             return NotImplemented
-        return all(map(np.array_equal, (self.fsets, self.probs, self.sizes),
-                       (other.fsets, other.probs, other.sizes)))
+        return all(map(np.array_equal, (self.fsets, self.probs, self.sizes, self.heads),
+                       (other.fsets, other.probs, other.sizes, other.heads)))
 
     @cached_property
     def entries(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -324,15 +340,23 @@ class RandomizedTable:
                      for a, b in zip([0] + ends, ends))
 
     @cached_property
-    def search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, fsets, sizes, ends): the flat keys and node sets, and per
-        edge its pair count and the index one past its last pair. Each
-        edge's running sums are one ``np.cumsum``, which adds left to right."""
+    def search(self) -> TableSearch:
+        """Built on first read. Each edge's running sums are one
+        ``np.cumsum``, which adds left to right. ConstructionError when a
+        pair's edge head already lies in its node set, since every pick
+        must grow its set by exactly one node."""
         fsets, probs, sizes = self.fsets, self.probs, self.sizes
-        if len(sizes) * _KEY_STRIDE > 1 << 63:
-            raise ValueError(f"a table search holds at most 1023 edges, "
-                             f"got {len(sizes)}")
+        m = len(sizes)
+        if m * _KEY_STRIDE > 1 << 63:
+            raise ValueError(f"a table search holds at most 1023 edges, got {m}")
         ends = np.cumsum(sizes)
+        head_bits = np.left_shift(1, self.heads)
+        inside = np.flatnonzero(fsets & np.repeat(head_bits, sizes))
+        if len(inside):
+            pair = int(inside[0])
+            eid = int(np.searchsorted(ends, pair, side="right"))
+            raise ConstructionError(f"edge {eid}'s head {int(self.heads[eid])} already "
+                                    f"lies in node set {int(fsets[pair]):#x}")
         # In place, so no more than two arrays of the keys' size are alive.
         scaled = np.concatenate([np.cumsum(entry)
                                  for entry in np.split(probs, ends[:-1])])
@@ -341,8 +365,15 @@ class RandomizedTable:
         np.minimum(scaled, _DRAW_SCALE, out=scaled)
         keys = scaled.astype(np.int64)
         del scaled
-        keys += np.repeat(np.arange(len(sizes), dtype=np.int64) * _KEY_STRIDE, sizes)
-        return keys, fsets, sizes, ends
+        keys += np.repeat(np.arange(m, dtype=np.int64) * _KEY_STRIDE, sizes)
+        # A bucket's first and last draw find the same pair exactly when no
+        # key lies between them.
+        low = (np.arange(m, dtype=np.int64)[:, None] * _KEY_STRIDE
+               + (np.arange(_GUIDE_BUCKETS, dtype=np.int64) << _GUIDE_SHIFT)).ravel()
+        guide = np.searchsorted(keys, low, side="right")
+        low += (1 << _GUIDE_SHIFT) - 1
+        guide[guide != np.searchsorted(keys, low, side="right")] = -1
+        return TableSearch(keys, ends, head_bits, guide.astype(np.int32))
 
     def csv_rows(self) -> Iterator[str]:
         yield "edge,bits,probability"
@@ -369,6 +400,9 @@ _WORD_MASK = 0xFFFF_FFFF
 # keys of consecutive edges are this plus one apart.
 _DRAW_SCALE = float(1 << 53)
 _KEY_STRIDE = (1 << 53) + 1
+# A draw's guide bucket is ``int(u * 2**53) >> _GUIDE_SHIFT``: 128 per edge.
+_GUIDE_SHIFT = 46
+_GUIDE_BUCKETS = 1 << (53 - _GUIDE_SHIFT)
 
 
 def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
@@ -604,7 +638,8 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
     return RandomizedTable(*_summed_pairs(
         g.m, np.concatenate([tree_pairs[:, 0], sets.ravel()]),
         np.concatenate([tree_pairs[:, 1], eids.ravel()]),
-        np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])))
+        np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])),
+        np.array([b for _, b in g.edges], dtype=np.int64))
 
 
 def _summed_pairs(m: int, fsets: np.ndarray, edges: np.ndarray, probs: np.ndarray
@@ -641,42 +676,38 @@ def randomized_decide(table: RandomizedTable, state: VirtualQueueState,
     mass or when the picked set's queue is empty (the policy never
     substitutes a class, as that would change its stationary behavior).
 
-    The engine picks a chunk of events at a time instead; the benchmark
+    The engine settles a window of picks at a time instead; the benchmark
     tracer swaps ``sim.randomized_decide`` by name (ROADMAP item 1).
     """
-    at, fsets, _ = randomized_picks(table, state.graph, np.array([eid]), rng)
-    if len(at) and state.counts.get(fset := int(fsets[0]), 0) > 0:
+    at, pairs = randomized_picks(table, np.array([eid]), rng)
+    if len(at) and state.counts.get(fset := int(table.fsets[pairs[0]]), 0) > 0:
         return fset
     return None
 
 
-def randomized_picks(table: RandomizedTable, g: Digraph, eids: np.ndarray,
-                     rng: np.random.Generator
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def randomized_picks(table: RandomizedTable, eids: np.ndarray,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The randomized policy's picks for a chunk of events, one active edge
-    each in the int array ``eids``: ``(at, fsets, grown)``, the ascending
-    positions in ``eids`` of the events that pick a pair, each pick's node
-    set and the set it grows to over its edge. Every other event idles, on
-    an empty entry or the residual mass. The picks read no queue; the
-    caller idles when a set's queue is empty.
+    each in the int array ``eids``: ``(at, pairs)``, the ascending positions
+    in ``eids`` of the events that pick a pair, and each pick's index into
+    the table's pairs (``table.fsets`` holds its node set). Every other
+    event idles, on an empty entry or the residual mass. The picks read no
+    queue; a pick moves a packet only when its set's queue is not empty.
 
     The events over a non-empty entry take one uniform each, in event order,
     from one ``rng.random(size=count)``, which leaves the generator where
-    ``count`` scalar draws would; a chunk with no such event draws none. One
-    ``np.searchsorted`` over ``table.search``'s exact keys then finds the
-    pair whose running sum first exceeds each draw. Its queries go in
-    sorted, which searches several times faster than event order, and the
-    positions are scattered back to event order.
+    ``count`` scalar draws would; a chunk with no such event draws none.
+    ``table.search``'s guide resolves each draw whose bucket holds no key
+    boundary; one ``np.searchsorted`` over the exact keys finds the pair
+    whose running sum first exceeds each other draw.
     """
-    keys, fsets, sizes, ends = table.search
-    live = np.flatnonzero(sizes[eids])
+    search = table.search
+    live = np.flatnonzero(table.sizes[eids])
     live_eids = eids[live]
-    queries = live_eids * _KEY_STRIDE + (
-        rng.random(size=len(live)) * _DRAW_SCALE).astype(np.int64)
-    order = np.argsort(queries)
-    pos = np.empty_like(order)
-    pos[order] = np.searchsorted(keys, queries[order], side="right")
-    hit = pos < ends[live_eids]
-    picked = fsets[pos[hit]]
-    head_bits = np.left_shift(1, np.array(g.edges, dtype=np.int64)[:, 1])
-    return live[hit], picked, picked | head_bits[live_eids[hit]]
+    draws = (rng.random(size=len(live)) * _DRAW_SCALE).astype(np.int64)
+    pairs = search.guide[live_eids * _GUIDE_BUCKETS + (draws >> _GUIDE_SHIFT)]
+    open_ = np.flatnonzero(pairs < 0)
+    pairs[open_] = np.searchsorted(search.keys, live_eids[open_] * _KEY_STRIDE
+                                   + draws[open_], side="right")
+    hit = pairs < search.ends[live_eids]
+    return live[hit], pairs[hit]

@@ -1,20 +1,22 @@
 """The simulation engine, metrics, random graphs and sweeps.
 
-``run`` has one event loop for both time models. It drives every policy the
-same way: ``_set_up_policy`` returns the policy's state, whose
-``admit(count)`` takes the arrivals, and a ``step(eid)`` function that
-decides the move over the active edge and applies it. The loop makes one
-pass per sample interval, over that interval's events; an event admits its
-arrivals, then steps. Max-weight and the in-order policies are each one
-``(decide, apply, weight)`` rule set, bound there once per run (the
-in-order one by ``policies.in_order_rules``); one ``step`` composes
-``apply`` after ``decide`` for both, the slotted weights are ``weight`` and
-the memo replays go through ``apply``. The time model sets only how many
-events a slot has and what one event does. A slotted slot's moves are a
-function of the part of the state its decides read, so a slot whose key was
-seen before replays the moves stored then instead of deciding them again.
-The randomized policy's pass visits only the events that pick a pair
-(``run``), as an idle event changes no state.
+``run`` has one event loop for both time models, which drives the
+queue-driven policies the same way: ``_set_up_policy`` returns the
+policy's state, whose ``admit(count)`` takes the arrivals, and a
+``step(eid)`` function that decides the move over the active edge and
+applies it. The loop makes one pass per sample interval, over that
+interval's events; an event admits its arrivals, then steps. Max-weight and
+the in-order policies are each one ``(decide, apply, weight)`` rule set,
+bound there once per run (the in-order one by ``policies.in_order_rules``);
+one ``step`` composes ``apply`` after ``decide`` for both, the slotted
+weights are ``weight`` and the memo replays go through ``apply``. The time
+model sets only how many events a slot has and what one event does. A
+slotted slot's moves are a function of the part of the state its decides
+read, so a slot whose key was seen before replays the moves stored then
+instead of deciding them again. The randomized policy's picks read no
+queue, so it has no event loop: ``_settle_run`` settles its queues a window
+of events at a time in numpy (``_settle``) and records each sample from the
+settled counts.
 
 Each run owns four independent RNG streams (arrivals, edge activation, class
 labels, policy sampling) spawned from one seed, so runs with equal seeds see
@@ -26,20 +28,21 @@ in the order scalar calls would make them, and no block holds more than
 and, in mini-slot mode, one uniform active edge; each admitted packet of an
 in-order policy takes one class label. The queue-driven policies use these
 one at a time from blocks of that size (``policies._blocks``). The
-randomized policy draws a chunk of events at a time, of at most
-``_BLOCK_DRAWS`` events and never past a sample slot: the chunk's arrival
-counts and active edges as one block each, then one uniform per event over
-a non-empty table entry, in event order, as one block
-(``policies.randomized_picks``). Set-up's sequence sampling takes its 32-bit
-words from the policy stream as one block of ``count * (n - 1)`` words, and
-row s of its lockstep reads from word ``s * (n - 1)``, since every step
-takes exactly one word unless its boundary has one edge or numpy's bounded
-rule redraws. The first row with such a step hands itself and every later
-row to the per-sequence loop: the stream is reset, advanced to that row's
-word and drawn on in blocks, then reset again and advanced by exactly the
-words used. So the uniforms start where scalar ``integers(k)`` calls would
-have left the stream. numpy's block forms consume a generator as the scalar
-calls do, so neither the block size nor the chunk size is observable.
+randomized policy draws a window of events at a time (``_windows``: whole
+sample intervals, at most ``_WINDOW_EVENTS`` events, an interval longer
+than that cut into several windows), in blocks of at most ``_BLOCK_DRAWS``
+events: a block's arrival counts and active edges as one block each, then
+one uniform per event over a non-empty table entry, in event order, as one
+block (``policies.randomized_picks``). Set-up's sequence sampling takes its
+32-bit words from the policy stream as one block of ``count * (n - 1)``
+words, and row s of its lockstep reads from word ``s * (n - 1)``, since
+every step takes exactly one word unless its boundary has one edge or
+numpy's bounded rule redraws. The first row with such a step hands itself
+and every later row to the per-sequence loop: the stream is reset, advanced
+to that row's word and drawn on in blocks, then reset again and advanced by
+exactly the words used. So the uniforms start where scalar ``integers(k)``
+calls would have left the stream. numpy's block forms consume a generator as the scalar
+calls do, so neither the block size nor the window size is observable.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice, repeat
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, islice, pairwise, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +93,12 @@ MAX_EXTRA_SEQUENCES = 10_000
 # bytes in a count-keyed memo and 30-50 in an in-flight-keyed one, moves
 # included, so a full memo stays near 10 MB.
 MEMO_KEY_LIMIT = 1 << 16
+
+# The most events the randomized policy settles at once (``_windows``). A
+# window holds its arrivals and picks as arrays, about a third of its
+# events picking a pair on random(25,200,1), so a window costs a few MB at
+# most there.
+_WINDOW_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ class _Policy(NamedTuple):
     """What ``_set_up_policy`` builds for one run (see there)."""
 
     state: VirtualQueueState
-    step: Callable
+    step: Callable | None
     weight: Callable[[int], int] | None
     replay: Callable[[int, int], None] | None
     table: RandomizedTable | None
@@ -239,13 +248,9 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     functions as this module names them at set-up), the in-order one is
     what ``in_order_rules`` binds. Their ``step`` is the one ``apply``
     after ``decide`` below, and ``replay`` is that ``apply``, so every move
-    passes one write path. The randomized ``step`` takes an event's pick
-    from ``randomized_picks``, a node set and its grown set (or None), in
-    place of the edge, and moves the packet itself: a pair comes from a
-    growth sequence, so its edge leaves its set, and only the queue's count
-    needs a check."""
+    passes one write path. The randomized policy has only its state and
+    table: ``_settle_run`` moves its packets."""
     policy = config.policy
-    table = weight = replay = None
     if policy in ("static-tree", "randomized"):
         trees = tree_packing(g)
         if not trees:
@@ -264,59 +269,41 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
             bprime = 4 * g.m
         extra = sample_reachable_sequences(g, bprime, pol_rng)
         table = build_randomized_table(g, trees, extra, eps)
-        counts, full = state.counts, g.full_mask
-
-        def step(pick: tuple[int, int] | None):
-            if pick is None:
-                return None
-            fset, nxt = pick
-            have = counts.get(fset, 0)
-            if have < 1:
-                return None
-            if have == 1:
-                del counts[fset]
-            else:
-                counts[fset] = have - 1
-            if nxt == full:
-                state.delivered += 1
-            else:
-                counts[nxt] = counts.get(nxt, 0) + 1
-            return fset
+        return _Policy(state, None, None, None, table)
+    if policy == "max-weight":
+        decide, apply, weight = (partial(max_weight_decide, state), state.transmit,
+                                 partial(edge_weight, state))
     else:
-        if policy == "max-weight":
-            decide, apply, weight = (partial(max_weight_decide, state), state.transmit,
-                                     partial(edge_weight, state))
-        else:
-            owner = tree_owners(g, trees) if policy == "static-tree" else None
-            decide, apply, weight = in_order_rules(state, owner)
+        owner = tree_owners(g, trees) if policy == "static-tree" else None
+        decide, apply, weight = in_order_rules(state, owner)
 
-        def step(eid: int):
-            move = decide(eid)
-            if move is not None:
-                apply(move, eid)
-            return move
+    def step(eid: int):
+        move = decide(eid)
+        if move is not None:
+            apply(move, eid)
+        return move
 
-        replay = apply
-    return _Policy(state, step, weight, replay, table)
+    return _Policy(state, step, weight, apply, None)
 
 
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
     """Simulate one run and return its sampled time series.
 
-    One event loop drives the policy that ``_set_up_policy`` builds
-    through ``state.admit`` and ``step``, one pass per sample interval;
-    each event admits its arrivals, then acts. Mini-slot: ``m`` events per
-    slot, each with Poisson(lam/m) arrivals and one uniform active edge.
-    Slotted: one event per slot, with Poisson(lam) arrivals and a max-weight
-    feasible activation whose edges step in ascending id order.
+    One event loop drives the queue-driven policy that ``_set_up_policy``
+    builds through ``state.admit`` and ``step``, one pass per sample
+    interval; each event admits its arrivals, then acts. Mini-slot: ``m``
+    events per slot, each with Poisson(lam/m) arrivals and one uniform
+    active edge. Slotted: one event per slot, with Poisson(lam) arrivals and
+    a max-weight feasible activation whose edges step in ascending id order.
 
-    The randomized policy's pass visits only the events whose pick is a
-    pair. It draws the interval in chunks, each resolved by one
-    ``randomized_picks`` call. A picking event admits every arrival since
-    the previous pick, the ones of its own event included, then steps on its
-    pick; the arrivals after the interval's last pick are admitted before
-    its sample. An idle event changes no state, so the outputs are those of
-    stepping every event.
+    The randomized policy (mini-slot only) runs no event loop. A pick reads
+    no queue and moves a packet iff its set's queue holds one, so
+    ``_settle_run`` draws a window of events at a time and settles every
+    queue over the window at once, each a walk reflected at 0, one set size
+    after another (``_settle``). At each sample slot of the window the state
+    is set to the settled counts and recorded, so ``record`` checks the same
+    invariants for every policy, and the outputs are those of stepping
+    every event.
 
     The run memoises each slot's moves, the ``(move, eid)`` pairs its steps
     returned, by the part of the state its decides read: max-weight's by the
@@ -429,42 +416,244 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
                     replay(move, eid)
 
     rate = config.lam / per_slot
-    if table is None:
-        edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)
-        interval = partial(islice, zip(_blocks(arr_rng.poisson, rate), edges))
-    else:
-        def interval(count: int):
-            carry = 0  # the arrivals since the last pick
-            while count:
-                size = min(count, policies._BLOCK_DRAWS)
-                count -= size
-                arrived = arr_rng.poisson(rate, size=size)
-                at, fsets, grown = randomized_picks(
-                    table, g, act_rng.integers(0, m, size=size), pol_rng)
-                # Exact in int64 unless the chunk's total could pass it.
-                total = arrived.cumsum(
-                    dtype=object if int(arrived.max()) * size >= 1 << 63 else None)
-                # Each pick's arrivals since the previous one, then the rest.
-                cuts = np.concatenate(([0], total[at], total[-1:]))
-                admits = (cuts[1:] - cuts[:-1]).tolist()
-                admits[0] += carry
-                carry = admits.pop()
-                yield from zip(admits, zip(fsets.tolist(), grown.tolist()))
-            yield carry, None
-
+    slots = chain(range(config.sample_every, config.horizon, config.sample_every),
+                  [config.horizon])
     record(0)
-    done = 0
-    for slot in chain(range(config.sample_every, config.horizon, config.sample_every),
-                      [config.horizon]):
-        for a, e in interval((slot - done) * per_slot):
-            if a:
-                admit(a)
-            event(e)
-        record(slot)
-        done = slot
+    if table is not None:
+        _settle_run(table, g, state, record, slots, rate, arr_rng, act_rng, pol_rng)
+    else:
+        edges = _blocks(act_rng.integers, 0, m) if mini_slot else repeat(None)
+        events = zip(_blocks(arr_rng.poisson, rate), edges)
+        done = 0
+        for slot in slots:
+            for a, e in islice(events, (slot - done) * per_slot):
+                if a:
+                    admit(a)
+                event(e)
+            record(slot)
+            done = slot
 
     result = RunResult(config, g.n, tuple(samples), 0.0, table)
     return replace(result, rate=broadcast_rate(result))
+
+
+def _windows(slots: Iterable[int], per_slot: int, cap: int
+             ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """The run's events cut into the randomized policy's windows, in order:
+    ``(events, samples)``, where ``samples`` lists ``(offset, slot)`` for
+    each sample slot that ends inside the window, ``offset`` events after
+    its start. A window covers as many whole sample intervals as fit in
+    ``cap`` events; an interval longer than that is cut into windows of
+    ``cap`` events, the last of which ends at its sample."""
+    start = 0  # the window's first event
+    samples: list[tuple[int, int]] = []
+    for slot in slots:
+        end = slot * per_slot
+        if samples and end - start > cap:
+            size = samples[-1][0]
+            yield size, samples
+            start += size
+            samples = []
+        while end - start > cap:
+            yield cap, []
+            start += cap
+        samples.append((end - start, slot))
+    yield samples[-1][0], samples
+
+
+class _SetIndex(NamedTuple):
+    """Dense ids for the node sets a randomized run's packets can occupy:
+    every table pair's set and grown set, the source singleton and the full
+    set, ordered by size, then mask. ``set_ids`` and ``grown_ids`` map each
+    pair to its two ids, ``masks`` each id to its set, and ``levels`` holds
+    the first id of each set size, then the id count."""
+
+    set_ids: np.ndarray
+    grown_ids: np.ndarray
+    masks: np.ndarray
+    levels: list[int]
+    source: int
+    full: int
+
+
+# ``_set_index`` sorts the sets by ``size << _SIZE_SHIFT | mask``, exact for
+# masks of up to MAX_WEIGHT_NODE_LIMIT nodes.
+_SIZE_SHIFT = 58
+
+
+def _set_index(table: RandomizedTable, g: Digraph) -> _SetIndex:
+    """The run's ``_SetIndex``. A pick's grown set is one node larger than
+    its set (``RandomizedTable.search`` checks it), so only the pairs' sets
+    are counted, by the SWAR popcount (each byte's count, then their sum in
+    the top byte)."""
+    fsets = table.fsets
+    size = fsets - ((fsets >> 1) & 0x5555_5555_5555_5555)
+    size = (size & 0x3333_3333_3333_3333) + ((size >> 2) & 0x3333_3333_3333_3333)
+    size = (size + (size >> 4)) & 0x0F0F_0F0F_0F0F_0F0F
+    size *= 0x0101_0101_0101_0101
+    size >>= 56
+    size <<= _SIZE_SHIFT
+    set_keys = size | fsets
+    grown_keys = (size + (1 << _SIZE_SHIFT)) | fsets
+    grown_keys |= np.repeat(table.search.head_bits, table.sizes)
+    source, full = 1 << _SIZE_SHIFT | g.source_mask, g.n << _SIZE_SHIFT | g.full_mask
+    keys = np.concatenate((set_keys, grown_keys, [source, full]))
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    levels = np.flatnonzero(np.diff(keys >> _SIZE_SHIFT)) + 1
+    return _SetIndex(
+        np.searchsorted(keys, set_keys).astype(np.min_scalar_type(len(keys))),
+        np.searchsorted(keys, grown_keys), keys & ((1 << _SIZE_SHIFT) - 1),
+        [0, *levels.tolist(), len(keys)],
+        int(np.searchsorted(keys, source)), int(np.searchsorted(keys, full)))
+
+
+def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,
+            bounds: np.ndarray, draws: Iterable[np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Settle one window of the randomized policy: ``(ids, counts,
+    arrived)``, the ids of the sets that hold a packet at some point in the
+    window, ascending; ``counts[i, j]``, set ``ids[i]``'s packets after the
+    window's first ``bounds[j]`` events (the full set's count is the
+    packets delivered in them); and ``arrived[j]``, the packets that arrive
+    in those events.
+
+    The window starts with ``carry_n[i]`` packets at set ``carry_ids[i]``
+    (ids ascending, the full set not among them). ``draws`` yields four
+    arrays: ``arr_n[i]`` packets arrive at the source at event
+    ``arr_at[i]``, and the event at ``pick_at[i]`` picks table pair
+    ``pick_pairs[i]``; both positions ascend. They are unpacked here, so
+    the window's draws are freed once their keys are built. Within an event
+    the arrival comes first. A pick moves one packet from its set to its
+    grown set when the set's queue holds one, and nothing otherwise, so
+    each set's queue is a walk reflected at 0 (Lindley 1952): its count
+    after an element is the running sum of its elements (carried count,
+    arrivals, -1 per pick) less the running minimum of that sum, where the
+    minimum starts at 0, and a pick moves a packet iff the count before it
+    is at least 1.
+
+    A pick grows its set by one node, so the sets are settled a size
+    (level) at a time, and one level's moves are the next level's arrivals.
+    A level keys its elements ``id * stride + k``, ``k`` being 0 for the
+    set's zero point, 2 for its carried count, ``2 * event + 4`` for an
+    arrival and ``2 * event + 5`` for a pick; one stable sort merges them,
+    as each part is already sorted set by set. One running sum and one
+    running minimum then serve every set of the level: each set's zero
+    point adds ``-big``, more negative than any set's carried count and
+    arrivals are positive, so it lies below every earlier sum and the
+    minimum restarts there. The sums are Python ints (object arrays) when
+    they could pass int64.
+    """
+    arr_at, arr_n, pick_at, pick_pairs = draws
+    stride = 2 * int(bounds[-1]) + 6
+    widest = int(np.diff(index.levels).max())
+    arrivals = int(arr_n.max()) * len(arr_n) if len(arr_n) else 0
+    big = int(carry_n.sum()) + arrivals + len(pick_pairs) + 1
+    dtype = object if big * (widest + 2) >= 1 << 63 else np.int64
+    arrived = np.concatenate(([0], arr_n.cumsum(dtype=dtype))
+                             )[np.searchsorted(arr_at, bounds)].tolist()
+    source_keys = index.source * stride + 2 * arr_at + 4
+    sid = index.set_ids[pick_pairs]
+    order = sid.argsort(kind="stable")  # by set, each set's picks by event
+    sid = sid[order]
+    grown = index.grown_ids[pick_pairs[order]]
+    pick_keys = pick_at[order]
+    del order, arr_at, pick_at, pick_pairs
+    pick_keys *= 2
+    pick_keys += 5
+    pick_keys += sid * np.int64(stride)
+    # The key of the arrival at the grown set, if the pick moves a packet.
+    moved_keys = (grown - sid) * stride
+    moved_keys += pick_keys
+    moved_keys -= 1
+    pick_cuts = np.searchsorted(sid, index.levels)
+    most = int(np.diff(pick_cuts).max())
+    pick_cuts = pick_cuts.tolist()
+    carry_cuts = np.searchsorted(carry_ids, index.levels).tolist()
+    set_keys = np.arange(index.levels[-1], dtype=np.int64) * stride
+    carry_keys = set_keys[carry_ids] + 2
+    zeros = np.full(widest, -big, dtype=dtype)
+    minus, ones = np.full(most, -1, dtype=dtype), np.ones(most, dtype=np.int64)
+    queries = 2 * bounds + 4
+    inc_ids = inc_keys = inc_n = np.empty(0, dtype=np.int64)
+    ids, counts = [inc_ids], [np.empty((0, len(bounds)), dtype=dtype)]
+    for level, (lo, hi) in enumerate(pairwise(index.levels)):
+        if lo <= index.source < hi:
+            inc_ids = np.full(len(arr_n), index.source)
+            inc_keys, inc_n = source_keys, arr_n
+        c0, c1 = carry_cuts[level], carry_cuts[level + 1]
+        if c0 == c1 and not len(inc_keys):
+            continue
+        p0, p1 = pick_cuts[level], pick_cuts[level + 1]
+        keys = np.concatenate((set_keys[lo:hi], carry_keys[c0:c1], inc_keys,
+                               pick_keys[p0:p1]))
+        order = keys.argsort(kind="stable")
+        walk = np.concatenate((zeros[:hi - lo], carry_n[c0:c1], inc_n, minus[:p1 - p0])
+                              )[order].cumsum()
+        queue = walk - np.minimum.accumulate(walk)
+        # A pick moves a packet iff the element before it left a packet.
+        first = hi - lo + c1 - c0 + len(inc_keys)  # the first pick's element
+        moved = order[1:][queue[:-1] > 0]
+        moved = moved[moved >= first] - (first - p0)
+        held = np.zeros(hi - lo, dtype=bool)
+        held[carry_ids[c0:c1] - lo] = True
+        held[inc_ids - lo] = True
+        held = np.flatnonzero(held) + lo
+        at = np.searchsorted(keys[order], (set_keys[held, None] + queries).ravel())
+        ids.append(held)
+        counts.append(queue[at - 1].reshape(len(held), len(bounds)))
+        inc_ids, inc_keys, inc_n = grown[moved], moved_keys[moved], ones[:len(moved)]
+    return np.concatenate(ids), np.concatenate(counts), arrived
+
+
+def _settle_run(table: RandomizedTable, g: Digraph, state: VirtualQueueState,
+                record: Callable[[int], None], slots: Iterable[int], rate: float,
+                arr_rng, act_rng, pol_rng):
+    """The randomized policy's run after its first sample: each window
+    (``_windows``, at most ``_WINDOW_EVENTS`` events) draws its events in
+    blocks of at most ``policies._BLOCK_DRAWS``, each block's arrival
+    counts, active edges, then picks (``randomized_picks``); ``_settle``
+    then gives the queue counts at each of its sample slots and at its end,
+    and each sample is recorded from the state set to those counts."""
+    index = _set_index(table, g)
+    m, full = g.m, index.full
+
+    def draw(size: int) -> Iterator[np.ndarray]:
+        """The window's arrival positions and counts (the non-zero ones),
+        then its pick positions and pairs."""
+        block = policies._BLOCK_DRAWS
+        arr_at, arr_n, pick_at, pick_pairs = [], [], [], []
+        for start in range(0, size, block):
+            count = min(block, size - start)
+            arrived = arr_rng.poisson(rate, size=count)
+            nonzero = np.flatnonzero(arrived)
+            arr_at.append(nonzero + start)
+            arr_n.append(arrived[nonzero])
+            at, pairs = randomized_picks(table, act_rng.integers(0, m, size=count),
+                                         pol_rng)
+            pick_at.append(at + start)
+            pick_pairs.append(pairs)
+        return map(np.concatenate, (arr_at, arr_n, pick_at, pick_pairs))
+
+    carry_ids = carry_n = np.empty(0, dtype=np.int64)
+    admitted = delivered = 0
+    for size, samples in _windows(slots, m, _WINDOW_EVENTS):
+        bounds = [offset for offset, _ in samples]
+        if bounds[-1:] != [size]:
+            bounds.append(size)
+        ids, counts, arrived = _settle(index, carry_ids, carry_n,
+                                       np.array(bounds, dtype=np.int64), draw(size))
+        masks = index.masks[ids].tolist()
+        for (_, slot), column, new in zip(samples, counts.T.tolist(), arrived):
+            state.counts = {mask: c for mask, c in zip(masks, column) if c}
+            state.delivered = delivered + state.counts.pop(g.full_mask, 0)
+            state.admitted = admitted + new
+            record(slot)
+        last = counts[:, -1]
+        keep = (last > 0) & (ids != full)
+        carry_ids, carry_n = ids[keep], last[keep]
+        delivered += int(last[ids == full].sum())
+        admitted += arrived[-1]
 
 
 def random_digraph(n: int, m: int, seed: int) -> Digraph:

@@ -109,7 +109,13 @@ FAULTS = (
          "                if w > best_w or w == best_w > 0:\n")),
         DECIDE_TESTS),
     Fault("picker: side='left' in searchsorted", POLICIES, ((
-        'side="right")', 'side="left")'),), RANDOMIZED_TESTS),
+        '+ draws[open_], side="right")', '+ draws[open_], side="left")'),),
+        RANDOMIZED_TESTS),
+    Fault("guide: a bucket with a key boundary inside it taken as resolved", POLICIES,
+          (_drop('        guide[guide != np.searchsorted(keys, low, side="right")] = -1\n'),),
+          RANDOMIZED_TESTS),
+    Fault("table search without its head-in-set check", POLICIES, ((
+        "        if len(inside):\n", "        if False:\n"),), RANDOMIZED_TESTS),
     Fault("table search: floor for ceil", POLICIES, ((
         "np.ceil(scaled, out=scaled)", "np.floor(scaled, out=scaled)"),),
         RANDOMIZED_TESTS),
@@ -117,30 +123,29 @@ FAULTS = (
         "return tuple(map(tuple, state.inflight))",
         "return tuple(map(tuple, state.inflight[1:]))"),), REPLAY_TESTS),
     Fault("max-weight replay skips transmit on a hit", SIM, ((
-        "        replay = apply\n",
-        '        replay = apply if policy != "max-weight" else lambda fset, eid: None\n'),),
+        "    return _Policy(state, step, weight, apply, None)\n",
+        "    replay = apply if policy != \"max-weight\" else lambda fset, eid: None\n"
+        "    return _Policy(state, step, weight, replay, None)\n"),),
         REPLAY_TESTS),
     Fault("shared step returns the move without applying it", SIM, (_drop(
-        "            if move is not None:\n"
-        "                apply(move, eid)\n"),), REPLAY_TESTS),
+        "        if move is not None:\n"
+        "            apply(move, eid)\n"),), REPLAY_TESTS),
     Fault("in-order weight reads the head-of-line set one position late", POLICIES, ((
         "fset = inflight[c][row[heads[eid]] - row[src]]",
         "fset = inflight[c][row[heads[eid]] - row[src] + 1]"),), DECIDE_TESTS),
-    Fault("inline randomized move without its count check", SIM, (_drop(
-        "            if have < 1:\n"
-        "                return None\n"),), RANDOMIZED_TESTS),
-    Fault("randomized interval drops its leftover arrivals before the sample", SIM,
-          (_drop("            yield carry, None\n"),), RANDOMIZED_TESTS),
-    Fault("randomized pick admits its arrivals one event late", SIM, ((
-        "([0], total[at], ", "([0], total[at] - arrived[at], "),),
-        RANDOMIZED_TESTS),
-    Fault("picker: sorted search not scattered back to event order", POLICIES, ((
-        "pos[order] = np.searchsorted(", "pos[:] = np.searchsorted("),),
-        RANDOMIZED_TESTS),
-    Fault("randomized chunk sums its arrivals in int64 at any rate", SIM, ((
-        "dtype=object if int(arrived.max()) * size >= 1 << 63 else None)",
-        "dtype=None)"),),
-        RANDOMIZED_TESTS),
+    Fault("settle: an arrival ordered after the pick of its own event", SIM, ((
+        "source_keys = index.source * stride + 2 * arr_at + 4",
+        "source_keys = index.source * stride + 2 * arr_at + 6"),), RANDOMIZED_TESTS),
+    Fault("settle: the running minimum not reset at a set's first element", SIM, ((
+        "zeros = np.full(widest, -big, dtype=dtype)",
+        "zeros = np.full(widest, 0, dtype=dtype)"),), RANDOMIZED_TESTS),
+    Fault("settle: a snapshot reads the element after its sample slot", SIM, ((
+        "queries = 2 * bounds + 4", "queries = 2 * bounds + 6"),), RANDOMIZED_TESTS),
+    Fault("settle: no object-dtype fallback for huge arrival sums", SIM, ((
+        "dtype = object if big * (widest + 2) >= 1 << 63 else np.int64",
+        "dtype = np.int64"),), RANDOMIZED_TESTS),
+    Fault("settle: a pick on an empty queue still moves a packet", SIM, ((
+        "moved = order[1:][queue[:-1] > 0]", "moved = order[1:]"),), RANDOMIZED_TESTS),
     Fault("Digraph without its duplicate-edge check", GRAPH, (_drop(
         "            if (a, b) in seen:\n"
         '                raise ValueError(f"duplicate edge ({a},{b})")\n'),),

@@ -421,16 +421,17 @@ def exact_randomized_table(g, trees, extra_sequences, eps):
     return table
 
 
-def table_from_entries(entries):
-    """The ``RandomizedTable`` whose ``entries`` are ``entries``: per edge, a
-    sequence of (node-set mask, probability) pairs."""
+def table_from_entries(entries, g):
+    """The ``RandomizedTable`` of graph ``g`` whose ``entries`` are
+    ``entries``: per edge, a sequence of (node-set mask, probability) pairs."""
     sizes = np.array([len(entry) for entry in entries], dtype=np.int64)
     count = int(sizes.sum())
     fsets = np.fromiter((fset for entry in entries for fset, _ in entry),
                         dtype=np.int64, count=count)
     probs = np.fromiter((p for entry in entries for _, p in entry),
                         dtype=np.float64, count=count)
-    return RandomizedTable(fsets, probs, sizes)
+    heads = np.array([b for _, b in g.edges], dtype=np.int64)
+    return RandomizedTable(fsets, probs, sizes, heads)
 
 
 def dict_randomized_table(g, trees, extra_sequences, eps):
@@ -459,7 +460,7 @@ def dict_randomized_table(g, trees, extra_sequences, eps):
         if total > 1.0 + 1e-9:
             raise ConstructionError(
                 f"edge {eid} carries total probability {total:.6f} > 1")
-    return table_from_entries([sorted(entry.items()) for entry in acc])
+    return table_from_entries([sorted(entry.items()) for entry in acc], g)
 
 
 def linear_cdf_decide(table, state, eid, rng):

@@ -9,7 +9,7 @@ from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
 from bcastsim.cli import resolve_graph
 from bcastsim.fixtures import path_graph
-from bcastsim import sim
+from bcastsim import policies, sim
 from bcastsim.policies import (MultiClassState, _bounded_indices, build_randomized_table,
                                default_eps, edge_weight, in_order_rules,
                                max_weight_decide, multiclass_apply,
@@ -531,8 +531,9 @@ GRID = 2 ** 53
 def _search_sums(table, eid):
     """The edge's running sums as ``table.search`` keys them, in units of
     2**-53: each key less the edge's offset ``eid * (2**53 + 1)``."""
-    keys, _, sizes, ends = table.search
-    return [int(k) - eid * (GRID + 1) for k in keys[ends[eid] - sizes[eid]:ends[eid]]]
+    search = table.search
+    end = search.ends[eid]
+    return [int(k) - eid * (GRID + 1) for k in search.keys[end - table.sizes[eid]:end]]
 
 
 def _assert_matches_exact_rule(g, trees, extra, eps):
@@ -639,26 +640,29 @@ def _holding_every_set(g, table):
 
 
 def _sent(pick, state):
-    """The set the randomized step moves on ``pick``: none when the pick
-    idles or the set's queue is empty."""
-    if pick is not None and state.counts.get(pick[0], 0) >= 1:
-        return pick[0]
+    """The set a randomized pick of node set ``pick`` moves a packet from:
+    none when the pick idles or the set's queue is empty."""
+    if pick is not None and state.counts.get(pick, 0) >= 1:
+        return pick
     return None
 
 
-def _chunk_picks(table, g, eids, blocks, rng):
+def _chunk_picks(table, eids, blocks, rng):
     """Per event of ``eids``, cut into chunks of the sizes ``blocks``, the
-    pair ``randomized_picks`` picks, or None: its positions are ascending
-    and distinct, one node set and grown set each."""
+    node set of the pair ``randomized_picks`` picks, or None: its positions
+    are ascending and distinct, one pair each, of the event's edge."""
     picks = []
+    ends = table.search.ends
     chunks = np.split(np.array(eids, dtype=np.int64), np.cumsum(blocks)[:-1])
     for chunk in chunks:
-        at, fsets, grown = randomized_picks(table, g, chunk, rng)
-        assert len(at) == len(fsets) == len(grown)
+        at, pairs = randomized_picks(table, chunk, rng)
+        assert len(at) == len(pairs)
         assert (np.diff(at) > 0).all()
         row = [None] * len(chunk)
-        for i, fset, nxt in zip(at.tolist(), fsets.tolist(), grown.tolist()):
-            row[i] = (fset, nxt)
+        for i, pair in zip(at.tolist(), pairs.tolist()):
+            eid = chunk[i]
+            assert ends[eid] - table.sizes[eid] <= pair < ends[eid]
+            row[i] = int(table.fsets[pair])
         picks += row
     return picks
 
@@ -666,17 +670,14 @@ def _chunk_picks(table, g, eids, blocks, rng):
 def _assert_picks_match_linear_cdf(g, table, state, eids, draws, blocks):
     """``randomized_picks`` over ``eids``, cut into ``blocks``, against
     ``linear_cdf_decide``: the same pair on a state holding every set, the
-    same move on ``state``, the grown set, and the same draws taken."""
+    same move on ``state``, and the same draws taken."""
     ours = _Draws(draws)
-    picks = _chunk_picks(table, g, eids, blocks, ours)
+    picks = _chunk_picks(table, eids, blocks, ours)
     assert len(picks) == len(eids)
     every, exact, ref = _holding_every_set(g, table), _Draws(draws), _Draws(draws)
     for eid, pick in zip(eids, picks):
-        chosen = None if pick is None else pick[0]
-        assert chosen == linear_cdf_decide(table, every, eid, exact)
+        assert pick == linear_cdf_decide(table, every, eid, exact)
         assert _sent(pick, state) == linear_cdf_decide(table, state, eid, ref)
-        if pick is not None:
-            assert pick[1] == pick[0] | 1 << g.edges[eid][1]
     assert ours.taken == exact.taken == ref.taken
 
 
@@ -756,7 +757,7 @@ class TestRandomizedDecide:
         cuts = np.cumsum(blocks, dtype=np.int64)
         sizes = np.diff(cuts[cuts <= len(eids)], prepend=0, append=len(eids))
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        picks = _chunk_picks(table, g, eids, sizes, ours)
+        picks = _chunk_picks(table, eids, sizes, ours)
         for eid, pick in zip(eids, picks, strict=True):
             assert _sent(pick, state) == linear_cdf_decide(table, state, eid, ref)
         assert ours.random() == ref.random()
@@ -769,14 +770,15 @@ class TestRandomizedDecide:
         zero-width pairs and the residual (idle) mass, in one block and one
         event a block, in ascending and in descending order; an empty entry
         draws nothing."""
+        # The head, node 7, lies in none of the sets.
+        g = Digraph(8, [(0, 7)], 0)
         entry = tuple((1 << i, p) for i, p in enumerate(probs))
-        table = table_from_entries((entry,))
-        g = Digraph(2, [(0, 1)], 0)
+        table = table_from_entries((entry,), g)
         state = VirtualQueueState(g)
         state.counts.update({1 << i: 1 for i in range(6) if (held >> i) & 1})
         if not entry:
             none = _Draws([])
-            assert _chunk_picks(table, g, [0] * 3, [3, 0], none) == [None] * 3
+            assert _chunk_picks(table, [0] * 3, [3, 0], none) == [None] * 3
             assert none.taken == 0
             return
         ascending = _grid_draws(_search_sums(table, 0), extra)
@@ -798,8 +800,8 @@ class TestRandomizedDecide:
             probs = shapes[eid % len(shapes)]
             entries.append(tuple((1 << a | 1 << others[j], p)
                                  for j, p in enumerate(probs)))
-        table = table_from_entries(entries)
-        keys = table.search[0]
+        table = table_from_entries(entries, g)
+        keys = table.search.keys
         assert len(keys) == sum(map(len, entries))
         assert (np.diff(keys) >= 0).all() and keys[0] >= 0
         eids, draws = [], []
@@ -814,10 +816,24 @@ class TestRandomizedDecide:
         _assert_picks_match_linear_cdf(g, table, _holding_every_set(g, table),
                                        eids, draws, blocks)
 
+    def test_search_refuses_a_pair_whose_head_lies_in_its_set(self):
+        """Every pick must grow its set by exactly one node, as the settle
+        takes the sets one size at a time: edge 1 (0 -> 2)'s second pair
+        already holds node 2."""
+        g = Digraph(3, [(0, 1), (0, 2)], 0)
+        grows = ((0b001, 0.5),), ((0b001, 0.25), (0b011, 0.25))
+        assert len(table_from_entries(grows, g).search.keys) == 3
+        holds = ((0b001, 0.5),), ((0b001, 0.25), (0b101, 0.25))
+        with pytest.raises(ConstructionError,
+                           match="edge 1's head 2 already lies in node set 0x5"):
+            table_from_entries(holds, g).search
+
     def test_search_refuses_more_edges_than_its_keys_hold(self):
-        assert len(table_from_entries(((),) * 1023).search[0]) == 0
+        pairs = [(a, b) for a in range(33) for b in range(33) if a != b]
+        widest = table_from_entries(((),) * 1023, Digraph(33, pairs[:1023], 0))
+        assert len(widest.search.keys) == 0
         with pytest.raises(ValueError, match="at most 1023 edges"):
-            table_from_entries(((),) * 1024).search
+            table_from_entries(((),) * 1024, Digraph(33, pairs[:1024], 0)).search
 
 
 class TestSampledSequences:
@@ -963,8 +979,10 @@ class TestLockstepHandOff:
     ROWS = 8
 
     def _words(self, forced):
+        # One block past the lockstep's words, the most the hand-off reads.
         words = np.random.default_rng(3).integers(
-            1, 1 << 32, size=self.ROWS * 5 + 4096, dtype=np.uint32).tolist()
+            1, 1 << 32, size=self.ROWS * 5 + policies._BLOCK_DRAWS,
+            dtype=np.uint32).tolist()
         for position, word in forced.items():
             words[position] = word
         return words

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from bcastsim.cli import resolve_graph
 from bcastsim.wireless import (make_family, primary_interference_family,
                                 wireline_family)
 from conftest import small_graphs
-from oracles import replay_in_order, replay_max_weight, replay_randomized
+from oracles import (replay_in_order, replay_max_weight, replay_randomized,
+                     table_from_entries)
 
 # D4 minus the return edge ca: an acyclic graph with capacity 1.
 DAG4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)], 0)
@@ -494,7 +496,7 @@ class TestBlockDraws:
         ("random(25,200,1)", 3.0, 20, 7)])
     def test_randomized_chunks_match_the_replay(self, monkeypatch, block, spec, lam,
                                                 horizon, sample_every):
-        """Chunks of 7 or 13 events end inside slots of 6, 10 and 200
+        """Draw blocks of 7 or 13 events end inside slots of 6, 10 and 200
         events and inside sample intervals: one sample per slot, a horizon
         that is not a multiple of the cadence, a cadence above the horizon,
         and no arrivals at all. The outputs equal the event-by-event replay."""
@@ -510,7 +512,7 @@ class TestBlockDraws:
     def test_no_draw_exceeds_the_block_size(self, d4, monkeypatch):
         """No draw of a run asks for more than ``_BLOCK_DRAWS`` values, also
         when one sample interval spans the whole horizon, so the randomized
-        policy's chunks do not grow with the interval."""
+        policy's draws do not grow with its windows."""
         block = 64
         monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
         sizes = []
@@ -538,6 +540,107 @@ class TestBlockDraws:
                 run(SimConfig(lam=1.6, horizon=300, seed=5, policy=policy, classes=3,
                               extra_sequences=5, sample_every=sample_every), d4)
         assert max(sizes) == block
+
+
+def _replayed(cfg, g):
+    res = run(cfg, g)
+    table_csv = "\n".join(res.rand_table.csv_rows()) + "\n"
+    return (run_csv(res), received_csv(res), res.rate, table_csv) == replay_randomized(cfg, g)
+
+
+class TestSettle:
+    """The randomized policy's windows (``sim._windows``) and the numpy
+    settle of its queues (``sim._settle``)."""
+
+    def test_windows_cut_intervals_at_the_cap(self):
+        # Slots of 4 events, samples at slots 3, 6 and 7, windows of at most
+        # 10 events: the first two intervals are cut, the last two share one.
+        assert list(sim._windows([3, 6, 7], 4, 10)) == [
+            (10, []), (2, [(2, 3)]), (10, []), (6, [(2, 6), (6, 7)])]
+        assert list(sim._windows([2, 4, 5], 3, 100)) == [
+            (15, [(6, 2), (12, 4), (15, 5)])]
+        assert list(sim._windows([1, 2], 7, 7)) == [(7, [(7, 1)]), (7, [(7, 2)])]
+
+    @pytest.mark.parametrize("cap", [5, 64, 1000])
+    @pytest.mark.parametrize("spec, lam, horizon, sample_every", [
+        ("diamond4", 1.6, 60, 1), ("diamond4", 1.6, 61, 7),
+        ("random(6,10,1)", 0.85, 90, 200), ("random(6,10,1)", 0.0, 40, 7),
+        ("random(25,200,1)", 3.0, 12, 7)])
+    def test_windows_match_the_replay(self, monkeypatch, cap, spec, lam, horizon,
+                                      sample_every):
+        """Windows of 5, 64 and 1000 events end inside slots, inside sample
+        intervals and past several sample slots, and every one but the last
+        carries its queue counts to the next. The outputs equal the
+        event-by-event replay."""
+        monkeypatch.setattr(sim, "_WINDOW_EVENTS", cap)
+        cfg = SimConfig(lam=lam, horizon=horizon, seed=3, policy="randomized",
+                        sample_every=sample_every)
+        assert _replayed(cfg, resolve_graph(spec))
+
+    @pytest.mark.parametrize("cap", [5, 64, 1000])
+    def test_huge_rate_windows_match_the_replay(self, monkeypatch, cap):
+        """The arrivals pass 2**63 within a few windows, so the settle's sums
+        switch to Python ints."""
+        monkeypatch.setattr(sim, "_WINDOW_EVENTS", cap)
+        cfg = SimConfig(lam=1e18, horizon=300, seed=3, policy="randomized",
+                        eps=1.9, sample_every=100)
+        assert _replayed(cfg, Digraph(2, [(0, 1)], 0))
+
+    # The path 0 -> 1 -> 2 with a branch 0 -> 2 and its mirror 2 -> 1: two
+    # two-node sets, {0,1} (id 2) and {0,2} (id 3), share one level.
+    G = Digraph(3, [(0, 1), (0, 2), (1, 2), (2, 1)], 0)
+    ENTRIES = (((0b001, 1.0),), ((0b001, 1.0),), ((0b011, 1.0),), ((0b101, 1.0),))
+
+    def _settle(self, carry, arrivals, picks, bounds):
+        """``sim._settle`` on a hand-built window: ``carry`` maps node sets
+        to packets, ``arrivals`` events to packet counts and ``picks`` events
+        to edges, each edge's one pair. Returns the settled counts as
+        ``{set: [count at each bound]}`` (the zero rows dropped) and the
+        arrivals before each bound."""
+        table = table_from_entries(self.ENTRIES, self.G)
+        index = sim._set_index(table, self.G)
+        masks = index.masks.tolist()
+        carry_ids = np.array(sorted(masks.index(fset) for fset in carry), dtype=np.int64)
+        carry_n = np.array([carry[masks[i]] for i in carry_ids], dtype=np.int64)
+        draws = iter([np.array(list(arrivals), dtype=np.int64),
+                      np.array(list(arrivals.values()), dtype=np.int64),
+                      np.array(list(picks), dtype=np.int64),
+                      np.array(list(picks.values()), dtype=np.int64)])
+        ids, counts, arrived = sim._settle(index, carry_ids, carry_n,
+                                           np.array(bounds, dtype=np.int64), draws)
+        assert (np.diff(ids) > 0).all()
+        return ({masks[i]: row for i, row in zip(ids.tolist(), counts.tolist()) if any(row)},
+                arrived)
+
+    def test_an_arrival_is_picked_at_its_own_event(self):
+        """Event 0's arrival comes before its pick, which moves it; event 1
+        delivers it; event 2 picks the empty source set and moves nothing."""
+        got = self._settle({}, {0: 1}, {0: 0, 1: 2, 2: 0}, [1, 2, 3])
+        assert got == ({0b011: [1, 0, 0], 0b111: [0, 1, 1]}, [1, 1, 1])
+
+    def test_each_set_keeps_its_own_queue(self):
+        """{0,1} keeps its carried packet. The empty {0,2}, next in the same
+        level, moves nothing at event 0, receives the source's packet at
+        event 1, delivers it at event 2 and is empty again at event 3."""
+        got = self._settle({0b011: 1}, {0: 1}, {0: 3, 1: 1, 2: 3, 3: 3}, [1, 2, 3, 4])
+        assert got == ({0b001: [1, 0, 0, 0], 0b011: [1, 1, 1, 1],
+                        0b101: [0, 1, 0, 0], 0b111: [0, 0, 1, 1]}, [1, 1, 1, 1])
+
+    def test_window_memory_is_bounded_by_the_cap(self):
+        """One sample interval of 600,000 events settles in windows of
+        ``_WINDOW_EVENTS`` events, whose arrays stay below 64 bytes per
+        window event (about 4 MB), set-up included."""
+        g = resolve_graph("random(25,200,1)")
+        cfg = SimConfig(lam=3.0, horizon=3000, seed=1, policy="randomized",
+                        sample_every=3000)
+        run(replace(cfg, horizon=10, sample_every=10), g)
+        tracemalloc.start()
+        try:
+            run(cfg, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * sim._WINDOW_EVENTS
 
 
 class TestSweep:
