@@ -1,4 +1,4 @@
-"""Directed graphs, flows, arborescence packing and growth sequences.
+"""Directed graphs, flows and arborescence packing.
 
 Node subsets are plain integer bitmasks (bit ``i`` set means node ``i`` is in
 the set). An edge's id is its position in the edge list, and every
@@ -229,7 +229,11 @@ def out_edges(g: Digraph, fset: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Arborescence:
-    """Source-rooted directed spanning tree, stored as edge ids."""
+    """Source-rooted directed spanning tree, stored as edge ids.
+
+    ``tree_packing`` stores each tree's edges in its canonical growth order,
+    which ``build_randomized_table`` reads as the tree's growth sequence.
+    """
 
     edge_ids: tuple[int, ...]
 
@@ -275,6 +279,11 @@ def tree_packing(g: Digraph) -> list[Arborescence]:
     repairing one witness flow per sink by a walk and one augmenting search.
     Whether an edge may be taken is a fact about the remaining edges, so the
     trees do not depend on which witness flows are kept.
+
+    Each tree's ``edge_ids`` are in the order its edges were taken, which is
+    its canonical growth order: from the source singleton, every step takes
+    the lowest-id tree edge that leaves the nodes reached so far
+    (``_extract_arborescence`` says why).
     """
     avail = set(range(g.m))
     trees = []
@@ -323,6 +332,13 @@ def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[in
     Fulkerson the search succeeds exactly when the rest without e carries
     ``residual`` units to t, and its flow becomes t's witness. A sink with
     no witness yet runs ``residual`` searches from the empty flow.
+
+    The edges come back in the tree's canonical growth order. Each step
+    takes the lowest-id crossing edge e that is safe. A tree edge f with a
+    lower id that also crosses at that step was found unsafe there. ``rest``
+    only shrinks, so the rest without f can only lose flow from then on, and
+    f stays unsafe; f is never taken, a contradiction. So no lower-id tree
+    edge crosses at the step that takes e.
     """
     s = g.source
     sinks = [t for t in range(g.n) if t != s]
@@ -369,28 +385,3 @@ def _extract_arborescence(g: Digraph, avail: set[int], residual: int) -> list[in
         mask |= 1 << b
     return tree
 
-
-ReachableSequence = tuple[tuple[int, int], ...]
-
-
-def sequence_from_arborescence(g: Digraph, tree: Arborescence) -> ReachableSequence:
-    """Growth sequence of (node set, edge id) steps covering the tree.
-
-    Starting from the source singleton, repeatedly crosses the lowest-id tree
-    edge whose tail is already covered, so the result is deterministic and its
-    edges are exactly the tree's.
-    """
-    fset = g.source_mask
-    seq: list[tuple[int, int]] = []
-    remaining = sorted(tree.edge_ids)
-    while remaining:
-        for pos, eid in enumerate(remaining):
-            a, b = g.edges[eid]
-            if (fset >> a) & 1 and not (fset >> b) & 1:
-                seq.append((fset, eid))
-                fset |= 1 << b
-                del remaining[pos]
-                break
-        else:
-            raise ValueError("edge set is not a source-rooted arborescence")
-    return tuple(seq)

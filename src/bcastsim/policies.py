@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConstructionError, SchedulingError
-from .graph import Arborescence, Digraph, out_edges, sequence_from_arborescence
+from .graph import Arborescence, Digraph, out_edges
 from .queues import VirtualQueueState
 
 
@@ -390,8 +390,8 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
     return 1 / (4 * n)
 
 
-# Values per block drawn by ``_blocks``, and the most events in one chunk of
-# the randomized policy's draws (``sim.run``). numpy's block forms of
+# Values per block drawn by ``_blocks``, and the most events in one block of
+# the randomized policy's draws (``sim._settle_run``). numpy's block forms of
 # ``poisson``, ``integers`` and ``random`` consume a generator as repeated
 # scalar calls would, so the size is not observable.
 _BLOCK_DRAWS = 4096
@@ -455,9 +455,7 @@ def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]
             rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
 
 
-# ``_POPCOUNT8[v]`` is the number of set bits of byte ``v``, and
-# ``_SELECT8[v, r]`` the position of its ``r``-th lowest set bit.
-_POPCOUNT8 = np.array([v.bit_count() for v in range(256)], dtype=np.int64)
+# ``_SELECT8[v, r]`` is the position of byte ``v``'s ``r``-th lowest set bit.
 _SELECT8 = np.array([[i for i in range(8) if v >> i & 1] + [0] * (8 - v.bit_count())
                      for v in range(256)], dtype=np.int64)
 _TWO32 = np.uint64(1 << 32)
@@ -568,7 +566,7 @@ def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int
     bnd = np.repeat(as_words([start]), live, axis=0)
     for t in range(sets.shape[1]):
         octets = bnd.view(np.uint8)
-        bits = np.take(_POPCOUNT8, octets)
+        bits = np.bitwise_count(octets).astype(np.int64)
         below = bits.cumsum(axis=1)
         k = below[:, -1].astype(np.uint64)
         x = words[:live, t] * k
@@ -600,46 +598,56 @@ def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],
                            eps: float) -> RandomizedTable:
     """Build the stationary randomized forwarding table.
 
-    Each spanning tree contributes its canonical growth sequence: the pair at
-    position j (1-based) gets conditional probability 1 - eps*(n-j)/n, so one
-    slot drains each tree stage at rate 1 - eps*(n-j)/n and every stage keeps
-    a positive per-slot margin of eps/n over the stage feeding it. Each extra
-    sequence adds eps*j/(2*n^2*B') at position j, with B' the number of extra
+    Each spanning tree contributes its growth sequence, its ``edge_ids`` in
+    the order ``tree_packing`` gives them: the pair at position j (1-based)
+    gets conditional probability 1 - eps*(n-j)/n, so one slot drains each
+    tree stage at rate 1 - eps*(n-j)/n and every stage keeps a positive
+    per-slot margin of eps/n over the stage feeding it. Each extra sequence
+    adds eps*j/(2*n^2*B') at position j, with B' the number of extra
     sequences, spreading a small stabilizing mass over node sets off the
     trees. ``extra_sequences`` is ``sample_reachable_sequences``' pair of
-    ``(B', n - 1)`` arrays, node sets and edge ids. Raises ConstructionError
-    when a probability would be negative or a per-edge total would exceed 1
-    (the table must stay realizable by a single transmission per activation).
+    ``(B', n - 1)`` arrays, node sets and edge ids, and the trees become
+    the same pair of ``(c, n - 1)`` rows: a row's sets are the source
+    singleton, then the running OR of its edges' head bits. Raises
+    ConstructionError when a tree is not n - 1 edges each leaving the set
+    before it, when a probability would be negative (p_j never decreases in
+    j, so position 1 is tested), or when a per-edge total would exceed 1
+    (the table must stay realizable by a single transmission per
+    activation).
 
     Every (edge, set) pair's probability is summed from 0.0 in one order:
-    the trees' pairs, tree by tree, then the extra sequences' row by row
-    (``np.add.at`` adds in index order); each edge's total, for the check,
-    is Python's ``sum`` of its pairs in the order each first occurs.
+    the trees' rows, then the extra sequences' (``np.add.at`` adds in index
+    order); each edge's total, for the check, is Python's ``sum`` of its
+    pairs in the order each first occurs.
     """
     if not eps > 0:
         raise ConstructionError("rate margin eps must be positive")
     n = g.n
-    tree_pairs = []
-    tree_probs = []
-    for tree in trees:
-        seq = sequence_from_arborescence(g, tree)
-        for j, pair in enumerate(seq, start=1):
-            p = 1.0 - eps * (n - j) / n
-            if p < 0:
-                raise ConstructionError(
-                    f"eps={eps} makes the tree allocation negative at step {j}")
-            tree_pairs.append(pair)
-            tree_probs.append(p)
+    tails, heads = np.array(g.edges, dtype=np.int64).reshape(g.m, 2).T.copy()
+    for i, tree in enumerate(trees):
+        if len(tree.edge_ids) != n - 1:
+            raise ConstructionError(f"tree {i} has {len(tree.edge_ids)} edges, not {n - 1}")
+    tree_eids = np.array([tree.edge_ids for tree in trees], dtype=np.int64
+                         ).reshape(len(trees), n - 1)
+    bits = np.left_shift(1, heads[tree_eids])
+    tree_sets = np.full_like(tree_eids, g.source_mask)
+    tree_sets[:, 1:] |= np.bitwise_or.accumulate(bits[:, :-1], axis=1)
+    grows = ((tree_sets >> tails[tree_eids]) & 1 == 1) & (tree_sets & bits == 0)
+    if not grows.all():
+        i = int(grows.all(axis=1).argmin())
+        raise ConstructionError(f"tree {i}'s edges do not each leave the set before it")
+    tree_p = 1.0 - eps * (n - np.arange(1, n)) / n
+    if tree_sets.size and tree_p[0] < 0:
+        raise ConstructionError(f"eps={eps} makes the tree allocation negative at step 1")
     sets, eids = extra_sequences
     # Every sequence has n - 1 positions, and position j adds the same float
     # in each of them; with no sequence the divisor is never used.
     extra_p = eps * np.arange(1, n) / (2 * n * n * max(len(sets), 1))
-    tree_pairs = np.array(tree_pairs, dtype=np.int64).reshape(-1, 2)
     return RandomizedTable(*_summed_pairs(
-        g.m, np.concatenate([tree_pairs[:, 0], sets.ravel()]),
-        np.concatenate([tree_pairs[:, 1], eids.ravel()]),
-        np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])),
-        np.array([b for _, b in g.edges], dtype=np.int64))
+        g.m, np.concatenate((tree_sets, sets)).ravel(),
+        np.concatenate((tree_eids, eids)).ravel(),
+        np.concatenate((np.broadcast_to(tree_p, tree_sets.shape),
+                        np.broadcast_to(extra_p, sets.shape))).ravel()), heads)
 
 
 def _summed_pairs(m: int, fsets: np.ndarray, edges: np.ndarray, probs: np.ndarray

@@ -482,30 +482,22 @@ _SIZE_SHIFT = 58
 
 
 def _set_index(table: RandomizedTable, g: Digraph) -> _SetIndex:
-    """The run's ``_SetIndex``. A pick's grown set is one node larger than
-    its set (``RandomizedTable.search`` checks it), so only the pairs' sets
-    are counted, by the SWAR popcount (each byte's count, then their sum in
-    the top byte)."""
+    """The run's ``_SetIndex``, from one ``np.unique`` of the sets' keys. A
+    pick's grown set is one node larger than its set
+    (``RandomizedTable.search`` checks it), so only the pairs' sets are
+    counted."""
     fsets = table.fsets
-    size = fsets - ((fsets >> 1) & 0x5555_5555_5555_5555)
-    size = (size & 0x3333_3333_3333_3333) + ((size >> 2) & 0x3333_3333_3333_3333)
-    size = (size + (size >> 4)) & 0x0F0F_0F0F_0F0F_0F0F
-    size *= 0x0101_0101_0101_0101
-    size >>= 56
-    size <<= _SIZE_SHIFT
-    set_keys = size | fsets
+    size = np.bitwise_count(fsets).astype(np.int64) << _SIZE_SHIFT
     grown_keys = (size + (1 << _SIZE_SHIFT)) | fsets
     grown_keys |= np.repeat(table.search.head_bits, table.sizes)
     source, full = 1 << _SIZE_SHIFT | g.source_mask, g.n << _SIZE_SHIFT | g.full_mask
-    keys = np.concatenate((set_keys, grown_keys, [source, full]))
-    keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keys, ids = np.unique(np.concatenate((size | fsets, grown_keys, [source, full])),
+                          return_inverse=True)
+    pairs = len(fsets)
     levels = np.flatnonzero(np.diff(keys >> _SIZE_SHIFT)) + 1
-    return _SetIndex(
-        np.searchsorted(keys, set_keys).astype(np.min_scalar_type(len(keys))),
-        np.searchsorted(keys, grown_keys), keys & ((1 << _SIZE_SHIFT) - 1),
-        [0, *levels.tolist(), len(keys)],
-        int(np.searchsorted(keys, source)), int(np.searchsorted(keys, full)))
+    return _SetIndex(ids[:pairs].astype(np.min_scalar_type(len(keys))),
+                     ids[pairs:-2], keys & ((1 << _SIZE_SHIFT) - 1),
+                     [0, *levels.tolist(), len(keys)], int(ids[-2]), int(ids[-1]))
 
 
 def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,

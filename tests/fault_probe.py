@@ -182,14 +182,24 @@ FAULTS = (
         "byte = (below <= j[:, None]).sum(axis=1)",
         "byte = (below < j[:, None]).sum(axis=1)"),),
         SAMPLER_TESTS),
-    Fault("table: tree pairs summed after the extra pairs", POLICIES, (
-        ("np.concatenate([tree_pairs[:, 0], sets.ravel()])",
-         "np.concatenate([sets.ravel(), tree_pairs[:, 0]])"),
-        ("np.concatenate([tree_pairs[:, 1], eids.ravel()])",
-         "np.concatenate([eids.ravel(), tree_pairs[:, 1]])"),
-        ("np.concatenate([tree_probs, np.broadcast_to(extra_p, sets.shape).ravel()])",
-         "np.concatenate([np.broadcast_to(extra_p, sets.shape).ravel(), tree_probs])")),
+    Fault("table: tree rows summed after the extra rows", POLICIES, (
+        ("np.concatenate((tree_sets, sets))", "np.concatenate((sets, tree_sets))"),
+        ("np.concatenate((tree_eids, eids))", "np.concatenate((eids, tree_eids))"),
+        ("np.concatenate((np.broadcast_to(tree_p, tree_sets.shape),\n"
+         "                        np.broadcast_to(extra_p, sets.shape)))",
+         "np.concatenate((np.broadcast_to(extra_p, sets.shape),\n"
+         "                        np.broadcast_to(tree_p, tree_sets.shape)))")),
         RANDOMIZED_TESTS),
+    Fault("table: tree sets include the row's own head", POLICIES, ((
+        "tree_sets[:, 1:] |= np.bitwise_or.accumulate(bits[:, :-1], axis=1)",
+        "tree_sets |= np.bitwise_or.accumulate(bits, axis=1)"),), RANDOMIZED_TESTS),
+    Fault("table: the growth-order check dropped", POLICIES, ((
+        "    if not grows.all():\n", "    if False:\n"),), RANDOMIZED_TESTS),
+    Fault("table: the negative check read at the last position", POLICIES, ((
+        "if tree_sets.size and tree_p[0] < 0:", "if tree_sets.size and tree_p[-1] < 0:"),),
+        RANDOMIZED_TESTS),
+    Fault("set index: sizes counted without the lowest node", SIM, ((
+        "np.bitwise_count(fsets)", "np.bitwise_count(fsets >> 1)"),), RANDOMIZED_TESTS),
     Fault("activation parser: a duplicate's line without the empty-set shift",
           WIRELESS, ((
               "lineno = linenos[exc.index - (0 not in masks)]",
@@ -208,6 +218,9 @@ FAULTS = (
     Fault("packing scans its sorted list from the highest id", GRAPH, ((
         "        for eid in rest:\n", "        for eid in reversed(rest):\n"),),
         FLOW_TESTS),
+    Fault("packing stores each tree's edges by id, not in growth order", GRAPH, ((
+        "trees.append(Arborescence(tuple(tree)))",
+        "trees.append(Arborescence(tuple(sorted(tree))))"),), FLOW_TESTS),
 )
 
 

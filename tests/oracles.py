@@ -17,6 +17,10 @@ differentials included. The fast forms must give the same trees,
 sequences, decisions and activations, and the same (class, differential)
 pair or set wherever the ranked differential is positive.
 
+``sequence_from_arborescence`` rescans a tree for its canonical growth
+order, the order ``tree_packing`` must give each tree's edges in and the
+order the table oracles read.
+
 ``assign_class`` draws one class label per scalar call; the engine draws
 the same stream in blocks.
 
@@ -46,8 +50,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from bcastsim.errors import ConstructionError
-from bcastsim.graph import (Arborescence, Digraph, broadcast_capacity, max_flow, out_edges,
-                            sequence_from_arborescence)
+from bcastsim.graph import Arborescence, Digraph, broadcast_capacity, max_flow, out_edges
 from bcastsim.policies import RandomizedTable, default_eps
 
 
@@ -155,6 +158,28 @@ def independent_arborescence_check(g, edge_ids):
             seen.add(node)
             node = parent[node]
     return True
+
+
+def sequence_from_arborescence(g, tree):
+    """The tree's canonical growth sequence of (node set, edge id) steps, by
+    rescanning: from the source singleton, each step crosses the lowest-id
+    tree edge whose tail is covered and head is not. Raises ValueError when
+    the edges are not a source-rooted arborescence. ``tree_packing`` gives
+    every tree's edges in this order."""
+    fset = g.source_mask
+    seq = []
+    remaining = sorted(tree.edge_ids)
+    while remaining:
+        for pos, eid in enumerate(remaining):
+            a, b = g.edges[eid]
+            if (fset >> a) & 1 and not (fset >> b) & 1:
+                seq.append((fset, eid))
+                fset |= 1 << b
+                del remaining[pos]
+                break
+        else:
+            raise ValueError("edge set is not a source-rooted arborescence")
+    return tuple(seq)
 
 
 def all_growth_sequences(g):

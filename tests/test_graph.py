@@ -9,8 +9,7 @@ from bcastsim import (Arborescence, Digraph, ParseError, broadcast_capacity,
                       capacity_bottleneck, parse_graph, random_digraph,
                       tree_packing)
 from bcastsim.fixtures import path_graph, star_graph
-from bcastsim.graph import (_augment, _out_masks, is_arborescence, max_flow,
-                            out_edges, sequence_from_arborescence)
+from bcastsim.graph import _augment, _out_masks, is_arborescence, max_flow, out_edges
 from bcastsim.wireless import parse_activation_family
 
 from conftest import (AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB,
@@ -18,7 +17,8 @@ from conftest import (AB, BC, CA, FULL, R_, RA, RAB, RAC, RBC, RA_SET, RB,
 from oracles import (all_growth_sequences, brute_cut_value, brute_min_cut, brute_st_cut,
                      edge_subgraph, independent_arborescence_check, max_disjoint_paths,
                      reachable_fixed_point, reachable_sets,
-                     rescanning_tree_packing, validate_reachable_sequence)
+                     rescanning_tree_packing, sequence_from_arborescence,
+                     validate_reachable_sequence)
 
 # Graphs of both kinds: ``any_digraphs`` may hold both edges of a pair, so
 # an augmenting path can cancel a unit on an edge whose reverse also exists,
@@ -319,6 +319,21 @@ class TestTreePacking:
         trees equal those of re-running every sink's max-flow per edge."""
         assert tree_packing(g) == rescanning_tree_packing(g)
 
+    @staticmethod
+    def assert_in_growth_order(g, trees):
+        for tree in trees:
+            assert tree.edge_ids == tuple(
+                eid for _, eid in sequence_from_arborescence(g, tree))
+
+    @settings(max_examples=150, deadline=2000)
+    @given(g=any_digraphs(9).filter(lambda g: g.n >= 2))
+    def test_trees_come_in_their_canonical_growth_order(self, g):
+        """Each tree's edges in the order it took them, as the rescanning
+        oracle orders them: the lowest-id tree edge leaving the set so far
+        at every step. Graphs with antiparallel pairs reach the steps where
+        a lower-id crossing edge is unsafe."""
+        self.assert_in_growth_order(g, tree_packing(g))
+
     @pytest.mark.parametrize("spec, count, digest", [
         ((25, 200, 1), 4, "b9473d02d2d3ae24e25896663be17a126795ed2eeb8dd33c642acbd6175532d0"),
         ((14, 70, 4), 3, "77a43fdba8153edf29006ffa048a2169fed282d6ff4680fa3ca53b1f4de0840d"),
@@ -327,10 +342,12 @@ class TestTreePacking:
     def test_packings_of_larger_graphs_are_pinned(self, spec, count, digest):
         """sha256 of the repr of the trees' edge-id tuples, as packed by
         a max-flow per sink and candidate edge; the property tests never
-        pack a graph above 7 nodes."""
-        trees = tree_packing(random_digraph(*spec))
+        pack a graph above 9 nodes."""
+        g = random_digraph(*spec)
+        trees = tree_packing(g)
         ids = tuple(t.edge_ids for t in trees)
         assert len(ids) == count
+        self.assert_in_growth_order(g, trees)
         assert hashlib.sha256(repr(ids).encode()).hexdigest() == digest
 
 

@@ -507,6 +507,15 @@ class TestRandomizedTable:
         with pytest.raises(ConstructionError):
             build_randomized_table(d4, [BLUE, RED], NONE, float("nan"))
 
+    @pytest.mark.parametrize("bad, message", [
+        (Arborescence((BC, AB, RA)), "tree 1's edges do not each leave the set before it"),
+        (Arborescence((RB, RC)), "tree 1 has 2 edges, not 3"),
+    ], ids=["blue-reversed", "one-edge-short"])
+    def test_a_tree_not_in_growth_order_is_refused(self, d4, bad, message):
+        with pytest.raises(ConstructionError) as refusal:
+            build_randomized_table(d4, [RED, bad], NONE, 0.1)
+        assert str(refusal.value) == message
+
     def test_csv_rows(self, d4):
         table = build_randomized_table(d4, [BLUE, RED], NONE, 0.1)
         rows = list(table.csv_rows())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bcastsim import (CapabilityError, SchedulingError, SimConfig,
                       broadcast_capacity, broadcast_rate, parse_graph,
-                      random_digraph, run, sweep_k)
+                      random_digraph, run, sweep_k, tree_packing)
 from bcastsim import graph, policies, sim
 from bcastsim.graph import Digraph, reaches_all
 from bcastsim.sim import (MAX_ARRIVAL_RATE, MAX_IN_ORDER_RATE, TIME_MODELS,
@@ -611,6 +611,40 @@ class TestSettle:
         assert (np.diff(ids) > 0).all()
         return ({masks[i]: row for i, row in zip(ids.tolist(), counts.tolist()) if any(row)},
                 arrived)
+
+    @pytest.mark.parametrize("built", [True, False], ids=["random(25,200,1)", "G"])
+    def test_set_index_matches_a_plain_oracle(self, built):
+        """Ids ordered by (size, mask) over every pair's set and grown set,
+        the source singleton and the full set, each set's id found by a dict
+        lookup, and levels cut where the size changes."""
+        if built:
+            g = resolve_graph("random(25,200,1)")
+            trees = tree_packing(g)
+            extra = policies.sample_reachable_sequences(g, 4 * g.m, np.random.default_rng(1))
+            table = policies.build_randomized_table(
+                g, trees, extra, policies.default_eps(len(trees), 3.0, g.n))
+        else:
+            table, g = table_from_entries(self.ENTRIES, self.G), self.G
+        index = sim._set_index(table, g)
+        heads = table.heads.tolist()
+        pair_edges = [eid for eid, size in enumerate(table.sizes.tolist())
+                      for _ in range(size)]
+        fsets = table.fsets.tolist()
+        grown = [fset | 1 << heads[eid] for fset, eid in zip(fsets, pair_edges)]
+        masks = sorted({*fsets, *grown, g.source_mask, g.full_mask},
+                       key=lambda mask: (mask.bit_count(), mask))
+        id_of = {mask: i for i, mask in enumerate(masks)}
+        assert index.masks.tolist() == masks
+        assert index.levels == [i for i in range(len(masks)) if i == 0 or
+                                masks[i].bit_count() != masks[i - 1].bit_count()
+                                ] + [len(masks)]
+        assert index.set_ids.tolist() == [id_of[fset] for fset in fsets]
+        assert index.grown_ids.tolist() == [id_of[fset] for fset in grown]
+        assert (index.source, index.full) == (id_of[g.source_mask], id_of[g.full_mask])
+        # The settle's stable argsort of the set ids is a radix sort only
+        # for ids of 16 bits or less.
+        assert index.set_ids.dtype == np.min_scalar_type(len(masks))
+        assert index.set_ids.dtype == (np.uint16 if built else np.uint8)
 
     def test_an_arrival_is_picked_at_its_own_event(self):
         """Event 0's arrival comes before its pick, which moves it; event 1
