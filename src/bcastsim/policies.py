@@ -459,6 +459,9 @@ def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]
 _SELECT8 = np.array([[i for i in range(8) if v >> i & 1] + [0] * (8 - v.bit_count())
                      for v in range(256)], dtype=np.int64)
 _TWO32 = np.uint64(1 << 32)
+# Every byte of a word 0x01, and every byte 0x80.
+_BYTE_ONES = np.uint64(0x0101_0101_0101_0101)
+_BYTE_TOPS = np.uint64(0x8080_8080_8080_8080)
 
 
 def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
@@ -478,9 +481,13 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     joins, ``bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)``.
 
     Two samplers apply that rule. The lockstep (``_lockstep``) takes one
-    step of every row at a time in numpy: each row's boundary is m // 64 + 1
-    little-endian uint64 words, and its j-th set bit is found from the
-    cumulative popcount of its bytes and a per-byte select table. A set
+    step of every row at a time in numpy. Each row's boundary is a column of
+    m // 64 + 1 uint64 words, word-major, so each step sums every row's word
+    popcounts down one axis. Its j-th set bit is found word first, then
+    byte: the running count of the row's words picks the word holding the
+    bit and the bit's rank in it; one multiply turns the word's byte
+    popcounts into their running counts (at most 64, so no byte carries),
+    which pick the byte, and a per-byte select table gives the bit. A set
     holding the source has at least c out-edges, c the broadcast capacity,
     so when c >= 2 every step takes exactly one word unless numpy's bounded
     rule (``_bounded_indices``) redraws it, which happens with probability
@@ -553,43 +560,55 @@ def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int
     one word (``sample_reachable_sequences``)."""
     n_words = g.m // 64 + 1
 
-    def as_words(masks: list[int]) -> np.ndarray:
+    def as_words(masks: list[int]) -> np.ndarray:  # column i holds masks[i]
         return np.frombuffer(b"".join(mask.to_bytes(8 * n_words, "little")
                                       for mask in masks),
-                             dtype="<u8").reshape(len(masks), n_words)
+                             dtype="<u8").reshape(len(masks), n_words).T.copy()
 
-    in_words, out_words = as_words(inmask), as_words(outmask)
+    not_in, out_words = ~as_words(inmask), as_words(outmask)
     head_of = np.array(heads, dtype=np.int64)
+    words = words.T.copy()
     live = len(sets)
     fset = np.full(live, g.source_mask, dtype=np.int64)
-    entered = np.repeat(in_words[g.source:g.source + 1], live, axis=0)
-    bnd = np.repeat(as_words([start]), live, axis=0)
+    # Per row: the edges whose head is not in the set yet, and the boundary.
+    open_ = np.repeat(not_in[:, g.source:g.source + 1], live, axis=1)
+    bnd = np.repeat(as_words([start]), live, axis=1)
+    # ``below[w]`` counts a row's boundary edges in the words below word w.
+    below = np.zeros((n_words + 1, live), dtype=np.uint64)
     for t in range(sets.shape[1]):
-        octets = bnd.view(np.uint8)
-        bits = np.bitwise_count(octets).astype(np.int64)
-        below = bits.cumsum(axis=1)
-        k = below[:, -1].astype(np.uint64)
-        x = words[:live, t] * k
+        np.cumsum(np.bitwise_count(bnd), axis=0, out=below[1:])
+        k = below[-1]
+        x = words[t, :live] * k
         # numpy's bounded rule takes no word for k == 1, and redraws while
         # the product's low half is below (2**32 - k) % k.
         deviates = (k < 2) | (x & _WORD_MASK < (_TWO32 - k) % np.maximum(k, 1))
         if deviates.any():
             live = int(deviates.argmax())
-            fset, entered, bnd, octets, bits, below, x = (
-                a[:live] for a in (fset, entered, bnd, octets, bits, below, x))
             if not live:
                 break
-        j = (x >> 32).astype(np.int64)
+            fset, x = fset[:live], x[:live]
+            open_, bnd, below = open_[:, :live], bnd[:, :live], below[:, :live]
+        j = x >> 32
         rows = np.arange(live)
-        byte = (below <= j[:, None]).sum(axis=1)
-        rank = j - below[rows, byte] + bits[rows, byte]
-        eid = 8 * byte + _SELECT8[octets[rows, byte], rank]
+        word = (below[1:] <= j).sum(axis=0)  # the word holding set bit j
+        rank = j - below[word, rows]
+        chosen = bnd[word, rows]
+        # Byte i of ``ends`` counts the word's set bits in its bytes 0..i;
+        # at most 64, so no byte carries into the next.
+        ends = np.bitwise_count(chosen.view(np.uint8)).view(np.uint64) * _BYTE_ONES
+        # The bytes whose count ends at or below ``rank`` lie below the byte
+        # holding the bit: per byte, (0x80 + rank) - end keeps its top bit.
+        shift = np.bitwise_count(((rank * _BYTE_ONES | _BYTE_TOPS) - ends) & _BYTE_TOPS) * 8
+        rank -= (ends << 8 >> shift) & 0xFF
+        eid = 64 * word + shift + _SELECT8[(chosen >> shift) & 0xFF, rank]
         sets[:live, t] = fset
         eids[:live, t] = eid
         b = head_of[eid]
         fset |= np.left_shift(1, b)
-        entered |= in_words[b]
-        bnd = (bnd & ~in_words[b]) | (out_words[b] & ~entered)
+        not_in_b = not_in.take(b, axis=1)
+        open_ &= not_in_b
+        bnd &= not_in_b
+        bnd |= out_words.take(b, axis=1) & open_
     return live
 
 

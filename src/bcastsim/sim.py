@@ -94,11 +94,12 @@ MAX_EXTRA_SEQUENCES = 10_000
 # included, so a full memo stays near 10 MB.
 MEMO_KEY_LIMIT = 1 << 16
 
-# The most events the randomized policy settles at once (``_windows``). A
-# window holds its arrivals and picks as arrays, about a third of its
-# events picking a pair on random(25,200,1), so a window costs a few MB at
-# most there.
-_WINDOW_EVENTS = 1 << 16
+# The most events the randomized policy settles at once (``_windows``), so
+# ten sample intervals of 20,000 events settle as one window. On
+# random(25,200,1), where 36 % of events pick a pair, a window's draws and
+# settle arrays peak at 8.0 bytes per window event by tracemalloc, 2.1 MB
+# at the cap, above the 0.7 MB the run holds once its set index is built.
+_WINDOW_EVENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -495,9 +496,23 @@ def _set_index(table: RandomizedTable, g: Digraph) -> _SetIndex:
                           return_inverse=True)
     pairs = len(fsets)
     levels = np.flatnonzero(np.diff(keys >> _SIZE_SHIFT)) + 1
-    return _SetIndex(ids[:pairs].astype(np.min_scalar_type(len(keys))),
-                     ids[pairs:-2], keys & ((1 << _SIZE_SHIFT) - 1),
+    dtype = np.min_scalar_type(len(keys))
+    return _SetIndex(ids[:pairs].astype(dtype), ids[pairs:-2].astype(dtype),
+                     keys & ((1 << _SIZE_SHIFT) - 1),
                      [0, *levels.tolist(), len(keys)], int(ids[-2]), int(ids[-1]))
+
+
+def _stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for integer ids in ``[0, bound)``:
+    a least-significant-digit radix sort, one stable argsort of a 16-bit
+    digit per pass. numpy sorts a stable key of 16 bits or less by radix and
+    a wider one by timsort, ten times slower on a window's picks, so ids
+    below 2**16 take one pass whatever their dtype."""
+    order = ids.astype(np.uint16, copy=False).argsort(kind="stable")
+    for shift in range(16, (bound - 1).bit_length(), 16):
+        digit = (ids[order] >> shift).astype(np.uint16, copy=False)
+        order = order[digit.argsort(kind="stable")]
+    return order
 
 
 def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,
@@ -514,11 +529,11 @@ def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,
     (ids ascending, the full set not among them). ``draws`` yields four
     arrays: ``arr_n[i]`` packets arrive at the source at event
     ``arr_at[i]``, and the event at ``pick_at[i]`` picks table pair
-    ``pick_pairs[i]``; both positions ascend. They are unpacked here, so
-    the window's draws are freed once their keys are built. Within an event
-    the arrival comes first. A pick moves one packet from its set to its
-    grown set when the set's queue holds one, and nothing otherwise, so
-    each set's queue is a walk reflected at 0 (Lindley 1952): its count
+    ``pick_pairs[i]`` (both int32); both positions ascend. They are unpacked
+    here, so the window's draws are freed once their keys are built. Within
+    an event the arrival comes first. A pick moves one packet from its set
+    to its grown set when the set's queue holds one, and nothing otherwise,
+    so each set's queue is a walk reflected at 0 (Lindley 1952): its count
     after an element is the running sum of its elements (carried count,
     arrivals, -1 per pick) less the running minimum of that sum, where the
     minimum starts at 0, and a pick moves a packet iff the count before it
@@ -528,16 +543,21 @@ def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,
     (level) at a time, and one level's moves are the next level's arrivals.
     A level keys its elements ``id * stride + k``, ``k`` being 0 for the
     set's zero point, 2 for its carried count, ``2 * event + 4`` for an
-    arrival and ``2 * event + 5`` for a pick; one stable sort merges them,
-    as each part is already sorted set by set. One running sum and one
-    running minimum then serve every set of the level: each set's zero
-    point adds ``-big``, more negative than any set's carried count and
-    arrivals are positive, so it lies below every earlier sum and the
-    minimum restarts there. The sums are Python ints (object arrays) when
-    they could pass int64.
+    arrival and ``2 * event + 5`` for a pick, ``stride`` the power of two
+    above every ``k``, so the keys are distinct. The window's picks are
+    sorted by key once (``_stable_order`` on their set ids, a radix sort);
+    each level's picks are then one slice, and they keep only their key and
+    grown set: a moved packet's key is the grown set's with the pick's
+    ``k`` less 1. One sort per level merges the picks, zero points and
+    carried counts, each already in key order, with the arrivals. One
+    running sum and one running minimum then serve every set of the level:
+    each set's zero point adds ``-big``, more negative than any set's
+    carried count and arrivals are positive, so it lies below every earlier
+    sum and the minimum restarts there. The sums are Python ints (object
+    arrays) when they could pass int64.
     """
     arr_at, arr_n, pick_at, pick_pairs = draws
-    stride = 2 * int(bounds[-1]) + 6
+    stride = 1 << (2 * int(bounds[-1]) + 5).bit_length()  # above every k
     widest = int(np.diff(index.levels).max())
     arrivals = int(arr_n.max()) * len(arr_n) if len(arr_n) else 0
     big = int(carry_n.sum()) + arrivals + len(pick_pairs) + 1
@@ -545,24 +565,29 @@ def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,
     arrived = np.concatenate(([0], arr_n.cumsum(dtype=dtype))
                              )[np.searchsorted(arr_at, bounds)].tolist()
     source_keys = index.source * stride + 2 * arr_at + 4
-    sid = index.set_ids[pick_pairs]
-    order = sid.argsort(kind="stable")  # by set, each set's picks by event
-    sid = sid[order]
-    grown = index.grown_ids[pick_pairs[order]]
-    pick_keys = pick_at[order]
-    del order, arr_at, pick_at, pick_pairs
-    pick_keys *= 2
-    pick_keys += 5
-    pick_keys += sid * np.int64(stride)
-    # The key of the arrival at the grown set, if the pick moves a packet.
-    moved_keys = (grown - sid) * stride
-    moved_keys += pick_keys
-    moved_keys -= 1
-    pick_cuts = np.searchsorted(sid, index.levels)
+    set_keys = np.arange(index.levels[-1], dtype=np.int64) * stride
+    # Each pick's key and grown set, by set and each set's picks by event.
+    # Each pick array is freed once its sorted copy is made, so with 16-bit
+    # set ids no more than 20 bytes per pick are alive at once.
+    sid, grown = index.set_ids.take(pick_pairs), index.grown_ids.take(pick_pairs)
+    del pick_pairs
+    order = _stable_order(sid, index.levels[-1])
+    pick_grown = grown.take(order)
+    del grown
+    sid = sid.take(order)
+    pick_at = pick_at.take(order)
+    del order
+    pick_keys = sid.astype(np.int64)
+    del sid
+    pick_keys *= stride
+    pick_at *= 2
+    pick_at += 5
+    pick_keys += pick_at
+    del pick_at
+    pick_cuts = np.searchsorted(pick_keys, np.multiply(index.levels, stride))
     most = int(np.diff(pick_cuts).max())
     pick_cuts = pick_cuts.tolist()
     carry_cuts = np.searchsorted(carry_ids, index.levels).tolist()
-    set_keys = np.arange(index.levels[-1], dtype=np.int64) * stride
     carry_keys = set_keys[carry_ids] + 2
     zeros = np.full(widest, -big, dtype=dtype)
     minus, ones = np.full(most, -1, dtype=dtype), np.ones(most, dtype=np.int64)
@@ -576,25 +601,30 @@ def _settle(index: _SetIndex, carry_ids: np.ndarray, carry_n: np.ndarray,
         c0, c1 = carry_cuts[level], carry_cuts[level + 1]
         if c0 == c1 and not len(inc_keys):
             continue
-        p0, p1 = pick_cuts[level], pick_cuts[level + 1]
-        keys = np.concatenate((set_keys[lo:hi], carry_keys[c0:c1], inc_keys,
-                               pick_keys[p0:p1]))
+        # The level's picks come first, so a moved element below ``picked``
+        # is its pick's index within the level.
+        picked = pick_cuts[level + 1] - pick_cuts[level]
+        level_keys = pick_keys[pick_cuts[level]:pick_cuts[level + 1]]
+        keys = np.concatenate((level_keys, set_keys[lo:hi], carry_keys[c0:c1], inc_keys))
         order = keys.argsort(kind="stable")
-        walk = np.concatenate((zeros[:hi - lo], carry_n[c0:c1], inc_n, minus[:p1 - p0])
-                              )[order].cumsum()
-        queue = walk - np.minimum.accumulate(walk)
+        walk = np.concatenate((minus[:picked], zeros[:hi - lo], carry_n[c0:c1], inc_n)
+                              ).take(order).cumsum()
+        walk -= np.minimum.accumulate(walk)  # now the queue after each element
         # A pick moves a packet iff the element before it left a packet.
-        first = hi - lo + c1 - c0 + len(inc_keys)  # the first pick's element
-        moved = order[1:][queue[:-1] > 0]
-        moved = moved[moved >= first] - (first - p0)
+        moved = order[1:].compress(walk[:-1] > 0)
+        moved = moved.compress(moved < picked)
         held = np.zeros(hi - lo, dtype=bool)
         held[carry_ids[c0:c1] - lo] = True
         held[inc_ids - lo] = True
         held = np.flatnonzero(held) + lo
-        at = np.searchsorted(keys[order], (set_keys[held, None] + queries).ravel())
+        at = np.searchsorted(keys.take(order), (set_keys[held, None] + queries).ravel())
         ids.append(held)
-        counts.append(queue[at - 1].reshape(len(held), len(bounds)))
-        inc_ids, inc_keys, inc_n = grown[moved], moved_keys[moved], ones[:len(moved)]
+        counts.append(walk.take(at - 1).reshape(len(held), len(bounds)))
+        # A moved packet arrives at the grown set at its pick's event.
+        grown = pick_grown[pick_cuts[level]:pick_cuts[level + 1]]
+        inc_ids = grown.take(moved).astype(np.int64)
+        inc_keys = (level_keys.take(moved) & (stride - 1)) + set_keys[inc_ids] - 1
+        inc_n = ones[:len(moved)]
     return np.concatenate(ids), np.concatenate(counts), arrived
 
 
@@ -604,17 +634,19 @@ def _settle_run(table: RandomizedTable, g: Digraph, state: VirtualQueueState,
     """The randomized policy's run after its first sample: each window
     (``_windows``, at most ``_WINDOW_EVENTS`` events) draws its events in
     blocks of at most ``policies._BLOCK_DRAWS``, each block's arrival
-    counts, active edges, then picks (``randomized_picks``); ``_settle``
-    then gives the queue counts at each of its sample slots and at its end,
-    and each sample is recorded from the state set to those counts."""
+    counts, active edges, then picks (``randomized_picks``), each block's
+    picks as int32 and each list of blocks freed once it is concatenated;
+    ``_settle`` then gives the queue counts at each of its sample slots and
+    at its end, and each sample is recorded from the state set to those
+    counts."""
     index = _set_index(table, g)
     m, full = g.m, index.full
 
     def draw(size: int) -> Iterator[np.ndarray]:
         """The window's arrival positions and counts (the non-zero ones),
-        then its pick positions and pairs."""
+        then its pick positions and pairs, int32."""
         block = policies._BLOCK_DRAWS
-        arr_at, arr_n, pick_at, pick_pairs = [], [], [], []
+        arr_at, arr_n, pick_at, pick_pairs = parts = [], [], [], []
         for start in range(0, size, block):
             count = min(block, size - start)
             arrived = arr_rng.poisson(rate, size=count)
@@ -623,9 +655,12 @@ def _settle_run(table: RandomizedTable, g: Digraph, state: VirtualQueueState,
             arr_n.append(arrived[nonzero])
             at, pairs = randomized_picks(table, act_rng.integers(0, m, size=count),
                                          pol_rng)
-            pick_at.append(at + start)
-            pick_pairs.append(pairs)
-        return map(np.concatenate, (arr_at, arr_n, pick_at, pick_pairs))
+            at += start
+            pick_at.append(at.astype(np.int32))
+            pick_pairs.append(pairs.astype(np.int32, copy=False))
+        for part in parts:  # each list freed once its array is made
+            yield np.concatenate(part)
+            part.clear()
 
     carry_ids = carry_n = np.empty(0, dtype=np.int64)
     admitted = delivered = 0

@@ -145,7 +145,16 @@ FAULTS = (
         "dtype = object if big * (widest + 2) >= 1 << 63 else np.int64",
         "dtype = np.int64"),), RANDOMIZED_TESTS),
     Fault("settle: a pick on an empty queue still moves a packet", SIM, ((
-        "moved = order[1:][queue[:-1] > 0]", "moved = order[1:]"),), RANDOMIZED_TESTS),
+        "moved = order[1:].compress(walk[:-1] > 0)", "moved = order[1:]"),),
+        RANDOMIZED_TESTS),
+    Fault("settle: a moved pick's key built from its own set, not its grown set", SIM, ((
+        "inc_keys = (level_keys.take(moved) & (stride - 1)) + set_keys[inc_ids] - 1",
+        "inc_keys = level_keys.take(moved) - 1"),), RANDOMIZED_TESTS),
+    Fault("settle: the pick sort reads only the low 16 bits of a set id", SIM, ((
+        "range(16, (bound - 1).bit_length(), 16)", "range(16, 16, 16)"),),
+        RANDOMIZED_TESTS),
+    Fault("window draw: a block's pick positions not offset by its start", SIM,
+          (_drop("            at += start\n"),), RANDOMIZED_TESTS),
     Fault("Digraph without its duplicate-edge check", GRAPH, (_drop(
         "            if (a, b) in seen:\n"
         '                raise ValueError(f"duplicate edge ({a},{b})")\n'),),
@@ -179,9 +188,16 @@ FAULTS = (
         "x & _WORD_MASK < (_TWO32 - k)", "x & _WORD_MASK <= (_TWO32 - k)"),),
         SAMPLER_TESTS),
     Fault("sampler: the popcount select's byte off by one", POLICIES, ((
-        "byte = (below <= j[:, None]).sum(axis=1)",
-        "byte = (below < j[:, None]).sum(axis=1)"),),
+        "((rank * _BYTE_ONES | _BYTE_TOPS) - ends) & _BYTE_TOPS",
+        "((rank * _BYTE_ONES | _BYTE_TOPS) - ends - _BYTE_ONES) & _BYTE_TOPS"),),
         SAMPLER_TESTS),
+    Fault("sampler: the select's word index off by one", POLICIES, ((
+        "word = (below[1:] <= j).sum(axis=0)", "word = (below[1:] < j).sum(axis=0)"),),
+        SAMPLER_TESTS),
+    Fault("sampler: the in-word rank not reduced by the lower words' count", POLICIES, ((
+        "rank = j - below[word, rows]", "rank = j.copy()"),), SAMPLER_TESTS),
+    Fault("sampler: the in-byte rank not reduced by the lower bytes' count", POLICIES,
+          (_drop("        rank -= (ends << 8 >> shift) & 0xFF\n"),), SAMPLER_TESTS),
     Fault("table: tree rows summed after the extra rows", POLICIES, (
         ("np.concatenate((tree_sets, sets))", "np.concatenate((sets, tree_sets))"),
         ("np.concatenate((tree_eids, eids))", "np.concatenate((eids, tree_eids))"),

@@ -9,6 +9,8 @@ from bcastsim import (Arborescence, ConstructionError, Digraph,
                       SchedulingError, broadcast_capacity, tree_packing)
 from bcastsim.cli import resolve_graph
 from bcastsim.fixtures import path_graph
+from bcastsim.graph import out_edges
+from bcastsim.sim import random_digraph
 from bcastsim import policies, sim
 from bcastsim.policies import (MultiClassState, _bounded_indices, build_randomized_table,
                                default_eps, edge_weight, in_order_rules,
@@ -914,6 +916,51 @@ class TestSampledSequences:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_rescanning_oracle_fixed(self, spec, count, seed):
         self._assert_matches_oracle(resolve_graph(spec), count, seed)
+
+    @staticmethod
+    def _straddling_graph(m: int, lone: bool) -> Digraph:
+        """A graph of ``m`` edges whose source out-edges take the ids around
+        64, so the first boundary straddles the first two words (for m > 64;
+        at m <= 64 they take word 0's top bits). With ``lone``, one more
+        node hangs off the last by a single edge: the capacity is 1, and a
+        row whose last step crosses that edge hands the rows off."""
+        n = 12 if m < 100 else 17
+        g = random_digraph(n, m - lone, m)
+        edges = [*g.edges, *[(n - 1, n)] * lone]
+        out = [e for e in edges if e[0] == 0]
+        rest = [e for e in edges if e[0] != 0]
+        at = min(64 - len(out) // 2, m - len(out))
+        return Digraph(n + lone, rest[:at] + out + rest[at:], 0)
+
+    def _assert_matches_oracle_in_lockstep(self, monkeypatch, g, count, seed) -> int:
+        """``_assert_matches_oracle``, returning how many rows the lockstep
+        left exact."""
+        exact = []
+        lockstep = policies._lockstep
+        monkeypatch.setattr(policies, "_lockstep",
+                            lambda *args: exact.append(lockstep(*args)) or exact[-1])
+        self._assert_matches_oracle(g, count, seed)
+        return exact[0]
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_rescanning_oracle_across_word_boundaries(self, monkeypatch, m, seed):
+        """One, two and three boundary words, the top word empty at m = 64
+        and m = 128; every row stays in lockstep."""
+        g = self._straddling_graph(m, False)
+        ids = out_edges(g, g.source_mask)
+        assert g.m == m and (max(ids) < 64 if m <= 64 else min(ids) < 64 <= max(ids))
+        assert self._assert_matches_oracle_in_lockstep(monkeypatch, g, 3 * m, seed) == 3 * m
+
+    @pytest.mark.parametrize("m, seed", [(65, 0), (65, 6), (128, 0), (128, 2)])
+    def test_hand_off_after_word_major_steps(self, monkeypatch, m, seed):
+        """On a capacity-1 graph of two and three words, the seeds let some
+        rows finish in lockstep before a row's last step crosses the lone
+        node's one edge and hands that row and the rest off."""
+        g = self._straddling_graph(m, True)
+        assert g.m == m and broadcast_capacity(g) == 1
+        exact = self._assert_matches_oracle_in_lockstep(monkeypatch, g, 3 * m, seed)
+        assert 0 < exact < 3 * m
 
     def test_single_edge_boundaries_draw_no_word(self):
         rng = np.random.default_rng(4)

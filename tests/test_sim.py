@@ -643,7 +643,7 @@ class TestSettle:
         assert (index.source, index.full) == (id_of[g.source_mask], id_of[g.full_mask])
         # The settle's stable argsort of the set ids is a radix sort only
         # for ids of 16 bits or less.
-        assert index.set_ids.dtype == np.min_scalar_type(len(masks))
+        assert index.set_ids.dtype == index.grown_ids.dtype == np.min_scalar_type(len(masks))
         assert index.set_ids.dtype == (np.uint16 if built else np.uint8)
 
     def test_an_arrival_is_picked_at_its_own_event(self):
@@ -661,9 +661,10 @@ class TestSettle:
                         0b101: [0, 1, 0, 0], 0b111: [0, 0, 1, 1]}, [1, 1, 1, 1])
 
     def test_window_memory_is_bounded_by_the_cap(self):
-        """One sample interval of 600,000 events settles in windows of
-        ``_WINDOW_EVENTS`` events, whose arrays stay below 64 bytes per
-        window event (about 4 MB), set-up included."""
+        """One sample interval of 600,000 events settles in windows of at
+        most ``_WINDOW_EVENTS`` events, and the run's arrays, set-up
+        included, stay below a fixed 4 MiB (64 bytes per event of a 2**16
+        window), whatever the cap."""
         g = resolve_graph("random(25,200,1)")
         cfg = SimConfig(lam=3.0, horizon=3000, seed=1, policy="randomized",
                         sample_every=3000)
@@ -674,7 +675,30 @@ class TestSettle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * sim._WINDOW_EVENTS
+        assert peak < 4 << 20
+
+    def test_one_window_past_two_to_the_sixteen_matches_the_replay(self):
+        """At the module's own cap, seven sample intervals of 10,000 events
+        settle as one window of 70,000, more than 2**16."""
+        g = resolve_graph("random(6,10,1)")
+        cfg = SimConfig(lam=0.85, horizon=7000, seed=4, policy="randomized")
+        slots = [*range(cfg.sample_every, cfg.horizon, cfg.sample_every), cfg.horizon]
+        windows = list(sim._windows(slots, g.m, sim._WINDOW_EVENTS))
+        assert [size for size, _ in windows] == [70_000]
+        assert _replayed(cfg, g)
+
+    @pytest.mark.parametrize("dtype, bound", [
+        (np.uint16, 1 << 16), (np.uint32, 1 << 16), (np.uint32, 3 << 16),
+        (np.int64, 1 << 33), (np.int64, 1)])
+    def test_stable_order_equals_numpys_stable_argsort(self, dtype, bound):
+        """Ids of any width, with many repeats, sort as numpy's stable
+        argsort does; wider ids take one 16-bit digit per pass."""
+        rng = np.random.default_rng(bound)
+        ids = rng.integers(0, bound, size=5000).astype(dtype)
+        ids[::7] = ids[0]
+        ids[1] = bound - 1
+        got = sim._stable_order(ids, bound)
+        assert got.tolist() == np.argsort(ids, kind="stable").tolist()
 
 
 class TestSweep:
