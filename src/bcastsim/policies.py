@@ -15,7 +15,6 @@ events at a time.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -413,48 +412,6 @@ def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
                                for _ in repeat(None))
 
 
-@contextmanager
-def _bounded_indices(rng: np.random.Generator) -> Iterator[Callable[[int], int]]:
-    """Yield ``index(k)``, which returns what ``int(rng.integers(k))`` would,
-    taking its 32-bit words from ``_blocks(rng.integers, 0, 2**32,
-    dtype=np.uint32)``.
-
-    numpy's bounded rule for ``k <= 2**32`` (Lemire 2019): ``k == 1`` takes no
-    word; otherwise ``x = w * k`` for the next word ``w``, and while the low 32
-    bits of ``x`` are below ``(2**32 - k) % k`` (tested only once they are
-    below ``k``) the next word replaces ``w``; the index is ``x >> 32``. On
-    exit, also by an exception, the generator is reset to its state on entry
-    and advanced by exactly the words used, drawn as one block, which leaves
-    it where the scalar calls would, PCG64's buffered half-word included.
-    ``sample_reachable_sequences``' lockstep states the same rule in numpy
-    for the steps that take one word; this is the rule of its per-sequence
-    loop.
-    """
-    saved = rng.bit_generator.state
-    next_word = _blocks(rng.integers, 0, 1 << 32, dtype=np.uint32).__next__
-    used = 0
-
-    def index(k: int) -> int:
-        nonlocal used
-        if k == 1:
-            return 0
-        x = next_word() * k
-        used += 1
-        if x & _WORD_MASK < k:
-            threshold = ((1 << 32) - k) % k
-            while x & _WORD_MASK < threshold:
-                x = next_word() * k
-                used += 1
-        return x >> 32
-
-    try:
-        yield index
-    finally:
-        rng.bit_generator.state = saved
-        if used:
-            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
-
-
 # ``_SELECT8[v, r]`` is the position of byte ``v``'s ``r``-th lowest set bit.
 _SELECT8 = np.array([[i for i in range(8) if v >> i & 1] + [0] * (8 - v.bit_count())
                      for v in range(256)], dtype=np.int64)
@@ -490,16 +447,16 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     which pick the byte, and a per-byte select table gives the bit. A set
     holding the source has at least c out-edges, c the broadcast capacity,
     so when c >= 2 every step takes exactly one word unless numpy's bounded
-    rule (``_bounded_indices``) redraws it, which happens with probability
-    below k / 2**32. So row s reads its words from ``s * (n - 1)``, and the
+    rule (Lemire 2019) redraws it, which happens with probability below
+    k / 2**32. So row s reads its words from ``s * (n - 1)``, and the
     lockstep draws all ``count * (n - 1)`` as one block. The first row r
     with a step that would take no word (a one-edge or empty boundary) or
     more than one (a redraw) leaves the lockstep at once, with every later
     row, whose offset is now wrong; rows 0..r-1 used exactly their words.
-    The per-sequence loop then samples rows r.. from word ``r * (n - 1)``,
-    after the generator is reset and advanced to there: it keeps the
-    boundary as a Python int and finds its j-th set bit by clearing the j
-    lowest set bits or the k - 1 - j highest, whichever is fewer.
+    The generator is then reset and advanced to word ``r * (n - 1)``, and
+    the per-sequence loop samples rows r.. by the scalar ``integers(k)``
+    calls themselves: it keeps the boundary as a Python int and finds its
+    j-th set bit by clearing the j lowest set bits.
     """
     n = g.n
     if n > 63:
@@ -522,31 +479,23 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     rng.bit_generator.state = saved
     rng.integers(0, 1 << 32, size=live * (n - 1), dtype=np.uint32)
     row_sets, row_eids = [], []
-    with _bounded_indices(rng) as index:
-        for _ in range(live, count):
-            fset = g.source_mask
-            entered = inmask[g.source]
-            bnd = start
-            for _ in range(n - 1):
-                if not bnd:
-                    raise ValueError("a node is unreachable from the source")
-                k = bnd.bit_count()
-                j = index(k)
-                x = bnd
-                if 2 * j < k:
-                    for _ in range(j):
-                        x &= x - 1
-                    eid = (x & -x).bit_length() - 1
-                else:
-                    for _ in range(k - 1 - j):
-                        x ^= 1 << (x.bit_length() - 1)
-                    eid = x.bit_length() - 1
-                row_sets.append(fset)
-                row_eids.append(eid)
-                b = heads[eid]
-                fset |= 1 << b
-                entered |= inmask[b]
-                bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)
+    for _ in range(live, count):
+        fset = g.source_mask
+        entered = inmask[g.source]
+        bnd = start
+        for _ in range(n - 1):
+            if not bnd:
+                raise ValueError("a node is unreachable from the source")
+            x = bnd
+            for _ in range(int(rng.integers(bnd.bit_count()))):
+                x &= x - 1
+            eid = (x & -x).bit_length() - 1
+            row_sets.append(fset)
+            row_eids.append(eid)
+            b = heads[eid]
+            fset |= 1 << b
+            entered |= inmask[b]
+            bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)
     sets[live:] = np.reshape(row_sets, (count - live, n - 1))
     eids[live:] = np.reshape(row_eids, (count - live, n - 1))
     return sets, eids

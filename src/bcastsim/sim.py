@@ -33,16 +33,11 @@ sample intervals, at most ``_WINDOW_EVENTS`` events, an interval longer
 than that cut into several windows), in blocks of at most ``_BLOCK_DRAWS``
 events: a block's arrival counts and active edges as one block each, then
 one uniform per event over a non-empty table entry, in event order, as one
-block (``policies.randomized_picks``). Set-up's sequence sampling takes its
-32-bit words from the policy stream as one block of ``count * (n - 1)``
-words, and row s of its lockstep reads from word ``s * (n - 1)``, since
-every step takes exactly one word unless its boundary has one edge or
-numpy's bounded rule redraws. The first row with such a step hands itself
-and every later row to the per-sequence loop: the stream is reset, advanced
-to that row's word and drawn on in blocks, then reset again and advanced by
-exactly the words used. So the uniforms start where scalar ``integers(k)``
-calls would have left the stream. numpy's block forms consume a generator as the scalar
-calls do, so neither the block size nor the window size is observable.
+block (``policies.randomized_picks``). Set-up's sequence sampling leaves the
+policy stream where its scalar ``integers(k)`` calls would
+(``policies.sample_reachable_sequences``). numpy's block forms consume a
+generator as the scalar calls do, so neither the block size nor the window
+size is observable.
 """
 
 from __future__ import annotations

@@ -187,6 +187,11 @@ FAULTS = (
     Fault("sampler: '<=' for '<' in the lockstep redraw test", POLICIES, ((
         "x & _WORD_MASK < (_TWO32 - k)", "x & _WORD_MASK <= (_TWO32 - k)"),),
         SAMPLER_TESTS),
+    Fault("sampler: the hand-off draws on without the reset", POLICIES,
+          (_drop("    rng.bit_generator.state = saved\n"),), SAMPLER_TESTS),
+    Fault("sampler: the hand-off starts at row 0's word, not the first handed-off row's",
+          POLICIES, (_drop("    rng.integers(0, 1 << 32, size=live * (n - 1), "
+                           "dtype=np.uint32)\n"),), SAMPLER_TESTS),
     Fault("sampler: the popcount select's byte off by one", POLICIES, ((
         "((rank * _BYTE_ONES | _BYTE_TOPS) - ends) & _BYTE_TOPS",
         "((rank * _BYTE_ONES | _BYTE_TOPS) - ends - _BYTE_ONES) & _BYTE_TOPS"),),

@@ -12,7 +12,7 @@ from bcastsim.fixtures import path_graph
 from bcastsim.graph import out_edges
 from bcastsim.sim import random_digraph
 from bcastsim import policies, sim
-from bcastsim.policies import (MultiClassState, _bounded_indices, build_randomized_table,
+from bcastsim.policies import (MultiClassState, build_randomized_table,
                                default_eps, edge_weight, in_order_rules,
                                max_weight_decide, multiclass_apply,
                                multiclass_decide, randomized_decide,
@@ -1035,10 +1035,9 @@ class TestLockstepHandOff:
     ROWS = 8
 
     def _words(self, forced):
-        # One block past the lockstep's words, the most the hand-off reads.
+        # A few words past the lockstep's, for the redraws of a hand-off.
         words = np.random.default_rng(3).integers(
-            1, 1 << 32, size=self.ROWS * 5 + policies._BLOCK_DRAWS,
-            dtype=np.uint32).tolist()
+            1, 1 << 32, size=self.ROWS * 5 + 8, dtype=np.uint32).tolist()
         for position, word in forced.items():
             words[position] = word
         return words
@@ -1067,7 +1066,8 @@ class TestLockstepHandOff:
     def test_a_redraw_hands_the_row_off(self, row):
         ours = self._assert_matches_per_sequence_rule(self._words({row * 5: 0}))
         assert ours.position == self.ROWS * 5 + 1
-        assert ours.served > ours.position
+        # The lockstep's block, the advance to the row, the scalar calls'.
+        assert ours.served == 2 * self.ROWS * 5 + 1
 
     @pytest.mark.parametrize("row", [0, 3, ROWS - 1])
     def test_a_redraw_in_a_later_step(self, row):
@@ -1075,7 +1075,7 @@ class TestLockstepHandOff:
         the row took two steps in lockstep."""
         ours = self._assert_matches_per_sequence_rule(self._words({row * 5 + 2: 0}))
         assert ours.position == self.ROWS * 5 + 1
-        assert ours.served > ours.position
+        assert ours.served == 2 * self.ROWS * 5 + 1
 
     def test_a_zero_word_over_a_power_of_two_boundary_is_kept(self):
         """Step 1 crosses out of a 2-node set, a boundary of 8 edges, whose
@@ -1090,25 +1090,6 @@ class TestLockstepHandOff:
         assert word * k % (1 << 32) == threshold
         ours = self._assert_matches_per_sequence_rule(self._words({3 * 5: word}))
         assert ours.served == ours.position == self.ROWS * 5
-
-
-class TestBoundedIndices:
-    """``_bounded_indices`` replays numpy's bounded rule for ``integers(k)``.
-    Near k = 2**31 a large share of words is rejected and redrawn, which
-    sampled boundaries (k <= 200) almost never see. The even k make a
-    threshold one too high (or ``<=`` for ``<``) reject whole residue
-    classes; k = 1 must take no word."""
-
-    @pytest.mark.parametrize("k", [1, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 31,
-                                   3 * 2 ** 30, 200])
-    def test_equals_scalar_integers(self, k):
-        ours, ref = np.random.default_rng(k % 1009), np.random.default_rng(k % 1009)
-        for rng in (ours, ref):
-            rng.integers(5)
-        with _bounded_indices(ours) as index:
-            drawn = [index(k) for _ in range(2000)]
-        assert drawn == [int(ref.integers(k)) for _ in range(2000)]
-        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_one_class_per_packet_matches_max_weight(d4):
