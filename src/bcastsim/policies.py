@@ -3,12 +3,14 @@
 Every policy's packets sit in ``VirtualQueueState`` replication-set queues;
 ``MultiClassState`` adds each class's in-order indices. All decide functions
 are pure given their state and return what to send over the active edge (or
-None to idle); the caller applies the move. ``in_order_rules`` binds the
-in-order family's one decide (multiclass or static-tree), its one checked
-write path, ``apply``, and its slotted edge weight to a state once;
-``multiclass_decide``, ``static_tree_decide`` and ``multiclass_apply`` are
-each one call of those rules. ``edge_weight`` is max-weight's slotted edge
-weight, the differential of ``max_weight_decide``'s move.
+None to idle). Max-weight's caller applies the move. ``in_order_rules``
+binds the in-order family's rules to a state once: its ``step``, one scan
+(multiclass, or static-tree's owner test) that also moves the winner's
+packet, whose no-move form is ``decide``; its checked write path for a
+replayed move, ``apply``; and its slotted edge weight. ``multiclass_decide``,
+``static_tree_decide`` and ``multiclass_apply`` are each one call of those
+rules. ``edge_weight`` is max-weight's slotted edge weight, the differential
+of ``max_weight_decide``'s move.
 ``randomized_picks`` resolves the randomized policy's picks for a chunk of
 events at a time.
 """
@@ -69,8 +71,8 @@ class MultiClassState(VirtualQueueState):
     class by exact replication set, move by move, which makes the weight
     lookups O(1) instead of O(k*n); ``histogram`` and ``received_count``
     read the indices alone so a run can check the two agree. Only ``admit``,
-    which takes each packet's class from ``labels``, and the ``apply`` of
-    ``in_order_rules`` write the state; its ``transmit`` refuses.
+    which takes each packet's class from ``labels``, and the ``step`` and
+    ``apply`` of ``in_order_rules`` write the state; its ``transmit`` refuses.
     """
 
     __slots__ = ("highest", "inflight", "labels")
@@ -87,6 +89,8 @@ class MultiClassState(VirtualQueueState):
         """Admit ``count`` packets at the source, one per next label;
         ValueError if ``count`` < 0, before any label is taken, or if the
         labels run out, after admitting one packet per label there was."""
+        if count < 0:
+            raise ValueError("negative arrival count")
         src = self.graph.source
         labelled = 0
         for c in islice(self.labels, count):
@@ -99,7 +103,8 @@ class MultiClassState(VirtualQueueState):
                              f"{labelled} of {count} packets")
 
     def transmit(self, fset: int, eid: int):
-        raise SchedulingError("an in-order state moves packets only by in_order_rules' apply")
+        raise SchedulingError("an in-order state moves packets only by in_order_rules' "
+                              "apply or step")
 
     def received_count(self, node: int) -> int:
         return sum(row[node] for row in self.highest)
@@ -125,33 +130,39 @@ class MultiClassState(VirtualQueueState):
 
 def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
                    ) -> tuple[Callable[[int], int | None], Callable[[int, int], None],
-                              Callable[[int], int]]:
-    """The in-order policy's three rules bound to ``state``: ``(decide,
-    apply, weight)``, closures over its index rows, in-flight sets and queue
-    counts and over per-edge tail, head and head-bit tables. A run binds
-    them once; they see every write to a class's row and in-flight list and
-    to the counts, but not a class added or an attribute replaced after
-    binding. Only these closures look up a head-of-line set in the
-    in-flight lists: ``decide`` inline on the hot path, ``apply`` again as
-    part of its checks, and ``weight`` for the class ``decide`` picked.
+                              Callable[[int], int], Callable[..., int | None]]:
+    """The in-order policy's four rules bound to ``state``: ``(decide,
+    apply, weight, step)``, closures over its index rows, in-flight sets and
+    queue counts and over per-edge tail, head and head-bit tables. A run
+    binds them once; they see every write to a class's row and in-flight
+    list and to the counts, but not a class added or an attribute replaced
+    after binding. Only these closures look up a head-of-line set in the
+    in-flight lists: ``step`` inline on the hot path, ``apply`` again as part
+    of its checks, and ``weight`` for the class ``decide`` picked.
 
-    ``decide(eid)`` is the class whose head-of-line packet goes over the
-    active edge, or None to idle. Multiclass (``owner`` None): of the
-    eligible classes, the one with the largest strictly positive
-    differential, ties to the lowest class. A class is eligible when its
-    next in-order packet for the edge's head exists, is already present at
-    the edge's tail and has an in-flight set. A differential is at most the
-    head-of-line count, so a smaller count is skipped; ``counts`` never
-    holds the full set, so completing a packet reads 0 there. Static-tree
-    (``owner`` from ``tree_owners``): the class owning the edge, if its next
-    in-order packet for the head is present at the tail; None also on an
-    edge no tree holds.
+    ``step(eid)`` decides the class whose head-of-line packet goes over the
+    active edge, moves that packet unless it idles, and returns the class,
+    or None to idle; ``step(eid, move=False)`` is ``decide(eid)``, which
+    moves nothing. Multiclass (``owner`` None): of the eligible classes, the
+    one with the largest strictly positive differential, ties to the lowest
+    class. A class is eligible when its next in-order packet for the edge's
+    head exists, is already present at the edge's tail and has an in-flight
+    set. A differential is at most the head-of-line count, so a smaller
+    count is skipped; ``counts`` never holds the full set, so completing a
+    packet reads 0 there. Static-tree (``owner`` from ``tree_owners``): the
+    class owning the edge, if its next in-order packet for the head is
+    present at the tail; None also on an edge no tree holds.
 
     ``apply(c, eid)`` delivers class ``c``'s next in-order packet to the
-    edge's head: the in-order state's one move. It raises SchedulingError,
-    before any write, when the packet does not exist yet, is absent at the
-    tail or has no in-flight set, when the edge does not leave its set, or
-    when that set's queue is empty.
+    edge's head: the checked write path of a replayed move. It raises
+    SchedulingError, before any write, when the packet does not exist yet,
+    is absent at the tail or has no in-flight set, when the edge does not
+    leave its set, or when that set's queue is empty. A ``step`` makes the
+    same move from the row, position, set and count its scan read, under
+    the same refusals: each either runs in the step or is a comparison the
+    scan made on those values. The multiclass step checks the edge again;
+    the static-tree step, whose owner test is the first two, checks the
+    last three.
 
     ``weight(eid)`` is the edge's slotted weight: the differential of the
     head-of-line set of the class ``decide`` picks, or 0 when it idles.
@@ -163,10 +174,27 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
     heads = [b for _, b in g.edges]
     head_bits = [1 << b for b in heads]
 
+    def send(row: list[int], sets: list[int], pos: int, fset: int, have: int,
+             j: int, jbit: int):
+        """The move, unchecked: the packet at position ``pos`` of ``sets``,
+        held by exactly ``fset`` (``have`` packets), reaches node ``j``."""
+        if have == 1:
+            del counts[fset]
+        else:
+            counts[fset] = have - 1
+        row[j] += 1
+        nxt = fset | jbit
+        if nxt == full:
+            state.delivered += 1
+            del sets[pos]  # in-order delivery: the completed packet is the oldest
+        else:
+            counts[nxt] = counts.get(nxt, 0) + 1
+            sets[pos] = nxt
+
     if owner is None:
         classes = list(zip(range(len(highest)), highest, inflight))
 
-        def decide(eid: int) -> int | None:
+        def step(eid: int, move: bool = True) -> int | None:
             i = tails[eid]
             j = heads[eid]
             jbit = head_bits[eid]
@@ -187,17 +215,42 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
                 if w > best_w:
                     best_w = w
                     best = c
+                    hit = row, sets, pos, fset, q
+            if best is None or not move:
+                return best
+            row, sets, pos, fset, q = hit
+            if not (fset >> i) & 1 or fset & jbit:
+                raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")
+            send(row, sets, pos, fset, q, j, jbit)
             return best
     else:
-        def decide(eid: int) -> int | None:
+        def step(eid: int, move: bool = True) -> int | None:
             c = owner[eid]
             if c < 0:
                 return None
             row = highest[c]
-            p = row[heads[eid]] + 1
-            if p <= row[src] and row[tails[eid]] >= p:
+            j = heads[eid]
+            p = row[j] + 1
+            if p > row[src] or row[tails[eid]] < p:
+                return None
+            if not move:
                 return c
-            return None
+            sets = inflight[c]
+            pos = p - 1 - row[src]
+            if pos < -len(sets):
+                raise SchedulingError(f"class {c} packet {p} has no in-flight set")
+            fset = sets[pos]
+            jbit = head_bits[eid]
+            if not (fset >> tails[eid]) & 1 or fset & jbit:
+                raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")
+            have = counts.get(fset, 0)
+            if have < 1:
+                raise SchedulingError(f"transmit from empty queue {fset:#x}")
+            send(row, sets, pos, fset, have, j, jbit)
+            return c
+
+    def decide(eid: int) -> int | None:
+        return step(eid, False)
 
     def apply(c: int, eid: int):
         i = tails[eid]
@@ -218,18 +271,7 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
         have = counts.get(fset, 0)
         if have < 1:
             raise SchedulingError(f"transmit from empty queue {fset:#x}")
-        if have == 1:
-            del counts[fset]
-        else:
-            counts[fset] = have - 1
-        row[j] = p
-        nxt = fset | head_bits[eid]
-        if nxt == full:
-            state.delivered += 1
-            del sets[pos]  # in-order delivery: the completed packet is the oldest
-        else:
-            counts[nxt] = counts.get(nxt, 0) + 1
-            sets[pos] = nxt
+        send(row, sets, pos, fset, have, j, head_bits[eid])
 
     def weight(eid: int) -> int:
         c = decide(eid)
@@ -239,7 +281,7 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
         fset = inflight[c][row[heads[eid]] - row[src]]
         return counts[fset] - counts.get(fset | head_bits[eid], 0)
 
-    return decide, apply, weight
+    return decide, apply, weight, step
 
 
 def multiclass_decide(state: MultiClassState, eid: int) -> int | None:

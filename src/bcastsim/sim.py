@@ -6,10 +6,11 @@ policy's state, whose ``admit(count)`` takes the arrivals, and a
 ``step(eid)`` function that decides the move over the active edge and
 applies it. The loop makes one pass per sample interval, over that
 interval's events; an event admits its arrivals, then steps. Max-weight and
-the in-order policies are each one ``(decide, apply, weight)`` rule set,
-bound there once per run (the in-order one by ``policies.in_order_rules``);
-one ``step`` composes ``apply`` after ``decide`` for both, the slotted
-weights are ``weight`` and the memo replays go through ``apply``. The time
+the in-order policies each have a ``(decide, apply, weight)`` rule set,
+bound there once per run: max-weight's ``step`` composes ``apply`` after
+``decide``, while the in-order one (``policies.in_order_rules``) moves the
+winner of its own scan, without a second lookup. The slotted weights are
+``weight`` and the memo replays go through ``apply``. The time
 model sets only how many events a slot has and what one event does. A
 slotted slot's moves are a function of the part of the state its decides
 read, so a slot whose key was seen before replays the moves stored then
@@ -238,14 +239,15 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     the write path a memo hit replays a move through; and the randomized
     table, or None.
 
-    Max-weight and the in-order policies are each one ``(decide, apply,
-    weight)`` rule set: max-weight's is ``max_weight_decide``,
-    ``state.transmit`` and ``edge_weight`` bound to the state (both
-    functions as this module names them at set-up), the in-order one is
-    what ``in_order_rules`` binds. Their ``step`` is the one ``apply``
-    after ``decide`` below, and ``replay`` is that ``apply``, so every move
-    passes one write path. The randomized policy has only its state and
-    table: ``_settle_run`` moves its packets."""
+    Max-weight's rules are ``max_weight_decide``, ``state.transmit`` and
+    ``edge_weight`` bound to the state (both functions as this module names
+    them at set-up, so a tracer can swap the decide), and its ``step``
+    composes ``apply`` after ``decide`` below. The in-order policies' rules
+    are what ``in_order_rules`` binds: their ``step`` moves the winner of
+    its own scan, under the same refusals as their ``apply``. For both,
+    ``replay`` is the ``apply``, so every replayed move passes the checked
+    write path. The randomized policy has only its state and table:
+    ``_settle_run`` moves its packets."""
     policy = config.policy
     if policy in ("static-tree", "randomized"):
         trees = tree_packing(g)
@@ -269,16 +271,15 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     if policy == "max-weight":
         decide, apply, weight = (partial(max_weight_decide, state), state.transmit,
                                  partial(edge_weight, state))
+
+        def step(eid: int):
+            move = decide(eid)
+            if move is not None:
+                apply(move, eid)
+            return move
     else:
         owner = tree_owners(g, trees) if policy == "static-tree" else None
-        decide, apply, weight = in_order_rules(state, owner)
-
-    def step(eid: int):
-        move = decide(eid)
-        if move is not None:
-            apply(move, eid)
-        return move
-
+        _, apply, weight, step = in_order_rules(state, owner)
     return _Policy(state, step, weight, apply, None)
 
 
@@ -308,9 +309,9 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     backlog, is decided afresh and not stored). Under in-order delivery node
     v lacks exactly the last ``row[src] - row[v]`` in-flight packets of its
     class, so the sets fix every class's indices up to a shift, and the
-    counts, their tally; the in-order ``decide``, ``weight`` and
-    ``apply`` (``in_order_rules``) read only those differences, the sets and
-    the counts, and break ties by class index, not dict order. A hit replays
+    counts, their tally; the in-order ``step``, ``weight`` and ``apply``
+    (``in_order_rules``) read only those differences, the sets and the
+    counts, and break ties by class index, not dict order. A hit replays
     the moves through the family's write path (``state.transmit`` or the
     bound in-order ``apply``, whose checks still run), skipping the ``m``
     edge weights, the search and every per-edge decide. The memo is cleared

@@ -54,6 +54,10 @@ DECIDE_TESTS = ("tests/test_policies.py::TestMultiClassDecide",
                 "tests/test_policies.py::test_bound_decide_matches_the_oracles",
                 "tests/test_policies.py::test_histogram_matches_counts_and_ledger",
                 "tests/test_golden.py")
+# The tests that pin the in-order step's move and its refusals.
+STEP_TESTS = ("tests/test_policies.py::test_bound_step_is_decide_then_apply",
+              "tests/test_policies.py::test_a_bound_step_refuses_or_skips_a_bad_move",
+              "tests/test_golden.py")
 REPLAY_TESTS = ("tests/test_wireless.py::TestActivationMemo", "tests/test_sim.py",
                 "tests/test_golden.py")
 RANDOMIZED_TESTS = ("tests/test_policies.py::TestRandomizedTable",
@@ -98,6 +102,10 @@ FAULTS = (
         '        if have < 1:\n'
         '            raise SchedulingError(f"transmit from empty queue {fset:#x}")\n'),),
         APPLY_TESTS),
+    Fault("in-order admit without its negative-count check", POLICIES, (_drop(
+        "        if count < 0:\n"
+        '            raise ValueError("negative arrival count")\n'),),
+        ("tests/test_policies.py::TestMultiClassWritePath",)),
     Fault("decide: '<' for '<=' in the tail skip test", POLICIES, ((
         "                if row[i] <= hj:\n", "                if row[i] < hj:\n"),),
         DECIDE_TESTS),
@@ -127,9 +135,29 @@ FAULTS = (
         "    replay = apply if policy != \"max-weight\" else lambda fset, eid: None\n"
         "    return _Policy(state, step, weight, replay, None)\n"),),
         REPLAY_TESTS),
-    Fault("shared step returns the move without applying it", SIM, (_drop(
-        "        if move is not None:\n"
-        "            apply(move, eid)\n"),), REPLAY_TESTS),
+    Fault("max-weight step returns the move without applying it", SIM, (_drop(
+        "            if move is not None:\n"
+        "                apply(move, eid)\n"),), REPLAY_TESTS),
+    Fault("multiclass step without its edge re-check", POLICIES, (_drop(
+        "            if not (fset >> i) & 1 or fset & jbit:\n"
+        '                raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")\n'),),
+        STEP_TESTS),
+    Fault("static-tree step without its 'no in-flight set' check", POLICIES, (_drop(
+        "            if pos < -len(sets):\n"
+        '                raise SchedulingError(f"class {c} packet {p} has no in-flight set")\n'),),
+        STEP_TESTS),
+    Fault("static-tree step without its 'empty queue' check", POLICIES, (_drop(
+        "            if have < 1:\n"
+        '                raise SchedulingError(f"transmit from empty queue {fset:#x}")\n'),),
+        STEP_TESTS),
+    Fault("no-move form moves the packet", POLICIES, ((
+        "        return step(eid, False)\n", "        return step(eid)\n"),), DECIDE_TESTS),
+    Fault("the move's delivery keeps the completed in-flight set", POLICIES, (_drop(
+        "            del sets[pos]  # in-order delivery: the completed packet is the oldest\n"),),
+        STEP_TESTS),
+    Fault("multiclass step moves the last eligible class, not the winner", POLICIES, ((
+        "                    hit = row, sets, pos, fset, q\n",
+        "                hit = row, sets, pos, fset, q\n"),), STEP_TESTS),
     Fault("in-order weight reads the head-of-line set one position late", POLICIES, ((
         "fset = inflight[c][row[heads[eid]] - row[src]]",
         "fset = inflight[c][row[heads[eid]] - row[src] + 1]"),), DECIDE_TESTS),

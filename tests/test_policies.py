@@ -223,8 +223,9 @@ class TestMultiClassApply:
 
 
 class TestMultiClassWritePath:
-    """``admit`` and ``multiclass_apply`` are the only writers of an in-order
-    state, and neither lets the queue counts leave the indices behind."""
+    """``admit`` and the moves of ``in_order_rules`` (its ``step`` and
+    ``apply``) are the only writers of an in-order state, and none lets the
+    queue counts leave the indices behind."""
 
     def test_admit_takes_the_next_labels(self, d4):
         state = MultiClassState(d4, 2, iter([0, 1, 1]))
@@ -259,7 +260,7 @@ class TestMultiClassWritePath:
 
     def test_negative_admit_takes_no_label(self, d4):
         state = MultiClassState(d4, 2, iter([1, 0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative arrival count$"):
             state.admit(-1)
         assert state.admitted == 0 and state.counts == {}
         state.admit(1)
@@ -327,7 +328,7 @@ def test_bound_decide_matches_the_oracles(policy, g, classes, moves):
     trees = tree_packing(g)
     static = policy == "static-tree"
     state = MultiClassState(g, len(trees) if static else classes, iter(()))
-    decide, apply, weight = in_order_rules(state, tree_owners(g, trees) if static else None)
+    decide, apply, weight, _ = in_order_rules(state, tree_owners(g, trees) if static else None)
 
     def expected(eid):
         if static:
@@ -352,6 +353,43 @@ def test_bound_decide_matches_the_oracles(policy, g, classes, moves):
             assert ([weight(e) for e in range(g.m)]
                     == [expected_weight(e) for e in range(g.m)])
         assert state.histogram() == (state.counts, state.delivered)
+
+
+@pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
+@settings(max_examples=200, deadline=2000)
+@given(g=small_graphs(), classes=st.integers(1, 4), moves=MOVES)
+def test_bound_step_is_decide_then_apply(policy, g, classes, moves):
+    """The bound ``step`` is the bound ``decide`` then ``apply``: on twin
+    states that see the same admits, a step on one returns the class that
+    ``decide`` picks on the other, and after it and ``apply`` of that class
+    the two states are equal. The no-move form, ``step(eid, move=False)``,
+    writes nothing."""
+    trees = tree_packing(g)
+    owner = tree_owners(g, trees) if policy == "static-tree" else None
+    k = len(trees) if owner is not None else classes
+    stepped, applied = MultiClassState(g, k, iter(())), MultiClassState(g, k, iter(()))
+    step = in_order_rules(stepped, owner)[3]
+    decide, apply, _, _ = in_order_rules(applied, owner)
+
+    def snapshot(state):
+        return (dict(state.counts), [list(row) for row in state.highest],
+                [list(sets) for sets in state.inflight], state.delivered, state.admitted)
+
+    for kind, pick in moves:
+        if kind == 0:
+            c = pick % k
+            admit_class(stepped, c)
+            admit_class(applied, c)
+        else:
+            eid = pick % g.m
+            before = snapshot(stepped)
+            assert [step(e, move=False) for e in range(g.m)] == [decide(e) for e in range(g.m)]
+            assert snapshot(stepped) == before
+            c = decide(eid)
+            if c is not None:
+                apply(c, eid)
+            assert step(eid) == c
+        assert snapshot(stepped) == snapshot(applied)
 
 
 def _no_packet(state, c, eid):
@@ -383,6 +421,11 @@ def _edge_inside_set(state, c, eid):
     return True
 
 
+def _tail_outside_set(state, c, eid):
+    state.inflight[c][_head_of_line_pos(state, c, eid)] &= ~(1 << state.graph.edges[eid][0])
+    return True
+
+
 def _empty_queue(state, c, eid):
     del state.counts[state.inflight[c][_head_of_line_pos(state, c, eid)]]
     return True
@@ -395,6 +438,7 @@ BAD_MOVES = pytest.mark.parametrize("corrupt, message", [
     (_absent_at_tail, r"class \d+ packet \d+ is absent at node \d+"),
     (_no_in_flight_set, r"class \d+ packet \d+ has no in-flight set"),
     (_edge_inside_set, r"edge \d+ does not leave node set 0x[0-9a-f]+"),
+    (_tail_outside_set, r"edge \d+ does not leave node set 0x[0-9a-f]+"),
     (_empty_queue, r"transmit from empty queue 0x[0-9a-f]+"),
 ])
 
@@ -402,7 +446,8 @@ BAD_MOVES = pytest.mark.parametrize("corrupt, message", [
 @BAD_MOVES
 def test_bound_apply_refuses_a_bad_move(d4, corrupt, message):
     """The bound ``apply`` raises each of its five refusals on a move made
-    bad, and writes nothing first."""
+    bad (the edge's, for a set that holds its head or lacks its tail), and
+    writes nothing first."""
     state = mc_state(d4, [[2, 1, 0, 0]])  # class 0 can send packet 1 over ab
     apply = in_order_rules(state)[1]
     assert corrupt(state, 0, AB)
@@ -437,6 +482,36 @@ def test_a_replayed_bad_move_is_refused(d4, monkeypatch, corrupt, message):
     with pytest.raises(SchedulingError, match=message):
         sim.run(cfg, d4, wireline_family(d4.m))
     assert corrupted
+
+
+# The refusals each in-order step makes itself. The multiclass scan skips a
+# class whose next packet is missing or absent at the tail, or has no
+# in-flight set or an empty queue, and one whose set holds the edge's head
+# differs by 0; the static-tree owner test is the first two checks.
+STEP_REFUSES = {"multiclass": {_tail_outside_set},
+                "static-tree": {_no_in_flight_set, _edge_inside_set, _tail_outside_set,
+                                _empty_queue}}
+
+
+@pytest.mark.parametrize("policy", ["multiclass", "static-tree"])
+@BAD_MOVES
+def test_a_bound_step_refuses_or_skips_a_bad_move(d4, policy, corrupt, message):
+    """On a move made bad, the bound ``step`` raises the ``apply``'s refusal
+    for each check it makes itself and idles on the others, and writes
+    nothing either way."""
+    state = mc_state(d4, [[2, 1, 0, 0]])  # class 0 can send packet 1 over ab
+    step = in_order_rules(state, tree_owners(d4, [BLUE]) if policy == "static-tree"
+                          else None)[3]
+    assert step(AB, move=False) == 0
+    assert corrupt(state, 0, AB)
+    before = (dict(state.counts), [list(r) for r in state.highest],
+              [list(s) for s in state.inflight], state.delivered)
+    if corrupt in STEP_REFUSES[policy]:
+        with pytest.raises(SchedulingError, match=message):
+            step(AB)
+    else:
+        assert step(AB) is None
+    assert (state.counts, state.highest, state.inflight, state.delivered) == before
 
 
 class TestStaticTree:

@@ -417,37 +417,45 @@ class TestActivationMemo:
 
     def test_an_in_order_hit_replays_the_moves(self, monkeypatch):
         """An in-flight-keyed hit replays the moves its miss made: each
-        search weighs the m edges (one decide each) and decides each
-        activated edge once, a hit decides nothing, every move still passes
-        through the bound ``apply``, and the outputs equal the replay that
-        searches each slot afresh. The counts wrap the rules that set-up
-        binds (``in_order_rules``)."""
+        search weighs the m edges (one decide each) and steps each activated
+        edge once (one decide each), a hit decides nothing, a miss moves
+        only through the bound ``step`` and a hit only through the bound
+        ``apply``, and the outputs equal the replay that searches each slot
+        afresh. The counts wrap the rules that set-up binds
+        (``in_order_rules``)."""
         g = resolve_graph("random(6,10,1)")
         fam = primary_interference_family(g)
         cfg = SimConfig(lam=0.3, horizon=1500, seed=5, time_model="slotted-wireless",
                         policy="multiclass", classes=2, sample_every=100)
-        activated, decides, moves = [], [], []
+        activated, decides, stepped, replayed = [], [], [], []
 
         def counted_activation(weights, fam):
             activated.append(choose_activation(weights, fam))
             return activated[-1]
 
         def counted_rules(state, owner=None):
-            decide, apply, weight = in_order_rules(state, owner)
+            decide, apply, weight, step = in_order_rules(state, owner)
 
             def counted_decide(eid):
                 decides.append(eid)
                 return decide(eid)
 
             def counted_apply(c, eid):
-                moves.append(eid)
+                replayed.append(eid)
                 apply(c, eid)
 
             def counted_weight(eid):  # the bound weight decides once
                 decides.append(eid)
                 return weight(eid)
 
-            return counted_decide, counted_apply, counted_weight
+            def counted_step(eid):  # decides once, moves unless it idles
+                decides.append(eid)
+                c = step(eid)
+                if c is not None:
+                    stepped.append(eid)
+                return c
+
+            return counted_decide, counted_apply, counted_weight, counted_step
 
         monkeypatch.setattr(sim, "choose_activation", counted_activation)
         monkeypatch.setattr(sim, "in_order_rules", counted_rules)
@@ -455,9 +463,12 @@ class TestActivationMemo:
         assert len(activated) < cfg.horizon / 2  # most slots hit
         assert len(decides) == sum(g.m + smask.bit_count() for smask in activated)
         last = res.samples[-1]
+        moves = stepped + replayed
         # More moves than the miss slots' steps: the hits made the rest.
         assert (len(moves) == sum(last.received) - last.admitted
                 > sum(smask.bit_count() for smask in activated))
+        assert len(stepped) <= sum(smask.bit_count() for smask in activated)
+        assert replayed
         assert (run_csv(res), received_csv(res), res.rate) == replay_in_order(cfg, g, fam)
 
     @staticmethod
