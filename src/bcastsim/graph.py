@@ -7,6 +7,7 @@ deterministic tie-break in the package uses ascending edge id.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -22,7 +23,9 @@ class Digraph:
     """Simple digraph with unit-capacity edges and a designated source node.
 
     ``edges`` is an ordered tuple of (tail, head) pairs; node indices run in
-    ``[0, n)``. Self-loops and repeated directed edges are rejected.
+    ``[0, n)``. Self-loops and repeated directed edges are rejected, and so
+    is a node count, source or endpoint that is not an integer (numpy
+    integers are; a float or string is not).
     ``full_mask`` and ``source_mask`` are the node-set bitmasks of every node
     and of the source alone. Instances are never mutated after construction
     and are safe to share.
@@ -31,6 +34,8 @@ class Digraph:
     __slots__ = ("n", "edges", "source", "full_mask", "source_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], source: int):
+        n = _integer(n, "node count")
+        source = _integer(source, "source")
         if n < 1:
             raise ValueError("node count must be positive")
         if n > MAX_NODES:
@@ -40,7 +45,7 @@ class Digraph:
         # Checked as read, so a generator stops at the first bad edge.
         seen: dict[tuple[int, int], None] = {}
         for a, b in edges:
-            a, b = int(a), int(b)
+            a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
@@ -60,6 +65,15 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m}, source={self.source})"
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int, by ``operator.index``; ValueError naming
+    it when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:

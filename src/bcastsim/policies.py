@@ -4,10 +4,10 @@ Every policy's packets sit in ``VirtualQueueState`` replication-set queues;
 ``MultiClassState`` adds each class's in-order indices. All decide functions
 are pure given their state and return what to send over the active edge (or
 None to idle). Max-weight's caller applies the move. ``in_order_rules``
-binds the in-order family's rules to a state once: its ``step``, one scan
-(multiclass, or static-tree's owner test) that also moves the winner's
-packet, whose no-move form is ``decide``; its checked write path for a
-replayed move, ``apply``; and its slotted edge weight. ``multiclass_decide``,
+binds the in-order family's rules to a state once: its checked write path,
+``apply``; its ``step``, whose no-move form is ``decide`` (the multiclass
+scan moves its winner itself, and static-tree's owner test moves through
+``apply``); and its slotted edge weight. ``multiclass_decide``,
 ``static_tree_decide`` and ``multiclass_apply`` are each one call of those
 rules. ``edge_weight`` is max-weight's slotted edge weight, the differential
 of ``max_weight_decide``'s move.
@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, SchedulingError
-from .graph import Arborescence, Digraph, out_edges
+from .graph import Arborescence, Digraph
+# Unused here: the benchmark tracer swaps it by name (ROADMAP item 1).
+from .graph import out_edges  # noqa: F401
 from .queues import VirtualQueueState
 
 
@@ -137,8 +139,9 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
     binds them once; they see every write to a class's row and in-flight
     list and to the counts, but not a class added or an attribute replaced
     after binding. Only these closures look up a head-of-line set in the
-    in-flight lists: ``step`` inline on the hot path, ``apply`` again as part
-    of its checks, and ``weight`` for the class ``decide`` picked.
+    in-flight lists: the multiclass ``step`` inline on the hot path,
+    ``apply`` as part of its checks, and ``weight`` for the class ``decide``
+    picked.
 
     ``step(eid)`` decides the class whose head-of-line packet goes over the
     active edge, moves that packet unless it idles, and returns the class,
@@ -156,13 +159,12 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
     ``apply(c, eid)`` delivers class ``c``'s next in-order packet to the
     edge's head: the checked write path of a replayed move. It raises
     SchedulingError, before any write, when the packet does not exist yet,
-    is absent at the tail or has no in-flight set, when the edge does not
-    leave its set, or when that set's queue is empty. A ``step`` makes the
-    same move from the row, position, set and count its scan read, under
-    the same refusals: each either runs in the step or is a comparison the
-    scan made on those values. The multiclass step checks the edge again;
-    the static-tree step, whose owner test is the first two, checks the
-    last three.
+    is absent at the tail or lacks an in-flight set, when the edge does not
+    leave its set, or when that set's queue is empty. The static-tree
+    ``step`` is its owner test, the first two refusals, then ``apply``. The
+    multiclass ``step`` makes the same move from the row, position, set and
+    count its scan read, under the same refusals: it checks the edge again,
+    and the others are comparisons the scan made on those values.
 
     ``weight(eid)`` is the edge's slotted weight: the differential of the
     head-of-line set of the class ``decide`` picks, or 0 when it idles.
@@ -190,6 +192,27 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
         else:
             counts[nxt] = counts.get(nxt, 0) + 1
             sets[pos] = nxt
+
+    def apply(c: int, eid: int):
+        i = tails[eid]
+        j = heads[eid]
+        row = highest[c]
+        p = row[j] + 1
+        if p > row[src]:
+            raise SchedulingError(f"class {c} has no packet {p} yet")
+        if row[i] < p:
+            raise SchedulingError(f"class {c} packet {p} is absent at node {i}")
+        sets = inflight[c]
+        pos = p - 1 - row[src]
+        if pos < -len(sets):
+            raise SchedulingError(f"class {c} packet {p} has no in-flight set")
+        fset = sets[pos]
+        if not (fset >> i) & 1 or (fset >> j) & 1:
+            raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")
+        have = counts.get(fset, 0)
+        if have < 1:
+            raise SchedulingError(f"transmit from empty queue {fset:#x}")
+        send(row, sets, pos, fset, have, j, head_bits[eid])
 
     if owner is None:
         classes = list(zip(range(len(highest)), highest, inflight))
@@ -229,49 +252,15 @@ def in_order_rules(state: MultiClassState, owner: Sequence[int] | None = None
             if c < 0:
                 return None
             row = highest[c]
-            j = heads[eid]
-            p = row[j] + 1
+            p = row[heads[eid]] + 1
             if p > row[src] or row[tails[eid]] < p:
                 return None
-            if not move:
-                return c
-            sets = inflight[c]
-            pos = p - 1 - row[src]
-            if pos < -len(sets):
-                raise SchedulingError(f"class {c} packet {p} has no in-flight set")
-            fset = sets[pos]
-            jbit = head_bits[eid]
-            if not (fset >> tails[eid]) & 1 or fset & jbit:
-                raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")
-            have = counts.get(fset, 0)
-            if have < 1:
-                raise SchedulingError(f"transmit from empty queue {fset:#x}")
-            send(row, sets, pos, fset, have, j, jbit)
+            if move:
+                apply(c, eid)
             return c
 
     def decide(eid: int) -> int | None:
         return step(eid, False)
-
-    def apply(c: int, eid: int):
-        i = tails[eid]
-        j = heads[eid]
-        row = highest[c]
-        p = row[j] + 1
-        if p > row[src]:
-            raise SchedulingError(f"class {c} has no packet {p} yet")
-        if row[i] < p:
-            raise SchedulingError(f"class {c} packet {p} is absent at node {i}")
-        sets = inflight[c]
-        pos = p - 1 - row[src]
-        if pos < -len(sets):
-            raise SchedulingError(f"class {c} packet {p} has no in-flight set")
-        fset = sets[pos]
-        if not (fset >> i) & 1 or (fset >> j) & 1:
-            raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")
-        have = counts.get(fset, 0)
-        if have < 1:
-            raise SchedulingError(f"transmit from empty queue {fset:#x}")
-        send(row, sets, pos, fset, have, j, head_bits[eid])
 
     def weight(eid: int) -> int:
         c = decide(eid)
@@ -431,11 +420,6 @@ def default_eps(capacity: int, lam: float, n: int) -> float:
     return 1 / (4 * n)
 
 
-# Values per block drawn by ``_blocks``, and the most events in one block of
-# the randomized policy's draws (``sim._settle_run``). numpy's block forms of
-# ``poisson``, ``integers`` and ``random`` consume a generator as repeated
-# scalar calls would, so the size is not observable.
-_BLOCK_DRAWS = 4096
 _WORD_MASK = 0xFFFF_FFFF
 # A draw of ``Generator.random`` times this is an integer; the table search
 # keys of consecutive edges are this plus one apart.
@@ -444,14 +428,6 @@ _KEY_STRIDE = (1 << 53) + 1
 # A draw's guide bucket is ``int(u * 2**53) >> _GUIDE_SHIFT``: 128 per edge.
 _GUIDE_SHIFT = 46
 _GUIDE_BUCKETS = 1 << (53 - _GUIDE_SHIFT)
-
-
-def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
-    """The values of repeated scalar ``draw(*args, **kwargs)`` calls, one at
-    a time, taken from blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``,
-    each drawn only when the previous one is used up."""
-    return chain.from_iterable(draw(*args, size=_BLOCK_DRAWS, **kwargs).tolist()
-                               for _ in repeat(None))
 
 
 # ``_SELECT8[v, r]`` is the position of byte ``v``'s ``r``-th lowest set bit.
@@ -476,8 +452,9 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     on the unreachable-node error too, equal those scalar calls'. The
     boundary is an edge bitmask. ``inmask[v]`` and ``outmask[v]`` hold the
     edges into and out of node v, and ``entered`` is the OR of ``inmask``
-    over the set, i.e. the edges whose head is already in it. When node b
-    joins, ``bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)``.
+    over the set, i.e. the edges whose head is already in it. The first
+    boundary is ``outmask[source]``, since a ``Digraph`` has no self-loops.
+    When node b joins, ``bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)``.
 
     Two samplers apply that rule. The lockstep (``_lockstep``) takes one
     step of every row at a time in numpy. Each row's boundary is a column of
@@ -491,14 +468,15 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     so when c >= 2 every step takes exactly one word unless numpy's bounded
     rule (Lemire 2019) redraws it, which happens with probability below
     k / 2**32. So row s reads its words from ``s * (n - 1)``, and the
-    lockstep draws all ``count * (n - 1)`` as one block. The first row r
-    with a step that would take no word (a one-edge or empty boundary) or
-    more than one (a redraw) leaves the lockstep at once, with every later
-    row, whose offset is now wrong; rows 0..r-1 used exactly their words.
-    The generator is then reset and advanced to word ``r * (n - 1)``, and
-    the per-sequence loop samples rows r.. by the scalar ``integers(k)``
-    calls themselves: it keeps the boundary as a Python int and finds its
-    j-th set bit by clearing the j lowest set bits.
+    lockstep draws all ``count * (n - 1)`` as one block, whatever its size:
+    ``sim._BLOCK_DRAWS`` does not bound the sampler. The first row r with a
+    step that would take no word (a one-edge or empty boundary) or more
+    than one (a redraw) leaves the lockstep at once, with every later row,
+    whose offset is now wrong; rows 0..r-1 used exactly their words. The
+    generator is then reset and advanced to word ``r * (n - 1)`` by one
+    draw of that many words, and the per-sequence loop samples rows r.. by
+    the scalar ``integers(k)`` calls themselves: it keeps the boundary as a
+    Python int and finds its j-th set bit by clearing the j lowest set bits.
     """
     n = g.n
     if n > 63:
@@ -510,12 +488,11 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     for eid, (a, b) in enumerate(g.edges):
         outmask[a] |= 1 << eid
         inmask[b] |= 1 << eid
-    start = sum(1 << eid for eid in out_edges(g, g.source_mask))
     sets = np.empty((count, n - 1), dtype=np.int64)
     eids = np.empty((count, n - 1), dtype=np.int64)
     saved = rng.bit_generator.state
     words = rng.integers(0, 1 << 32, size=(count, n - 1), dtype=np.uint32)
-    live = _lockstep(g, heads, inmask, outmask, start, words, sets, eids)
+    live = _lockstep(g, heads, inmask, outmask, words, sets, eids)
     if live == count:
         return sets, eids
     rng.bit_generator.state = saved
@@ -524,7 +501,7 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     for _ in range(live, count):
         fset = g.source_mask
         entered = inmask[g.source]
-        bnd = start
+        bnd = outmask[g.source]
         for _ in range(n - 1):
             if not bnd:
                 raise ValueError("a node is unreachable from the source")
@@ -544,7 +521,7 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
 
 
 def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int],
-              start: int, words: np.ndarray, sets: np.ndarray, eids: np.ndarray) -> int:
+              words: np.ndarray, sets: np.ndarray, eids: np.ndarray) -> int:
     """Sample the rows of ``sets`` and ``eids`` one step of each at a time,
     step t of row s from ``words[s, t]``, and return how many leading rows
     are exact: the rows before the first whose step would take other than
@@ -563,7 +540,7 @@ def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int
     fset = np.full(live, g.source_mask, dtype=np.int64)
     # Per row: the edges whose head is not in the set yet, and the boundary.
     open_ = np.repeat(not_in[:, g.source:g.source + 1], live, axis=1)
-    bnd = np.repeat(as_words([start]), live, axis=1)
+    bnd = np.repeat(out_words[:, g.source:g.source + 1], live, axis=1)
     # ``below[w]`` counts a row's boundary edges in the words below word w.
     below = np.zeros((n_words + 1, live), dtype=np.uint64)
     for t in range(sets.shape[1]):

@@ -8,9 +8,10 @@ applies it. The loop makes one pass per sample interval, over that
 interval's events; an event admits its arrivals, then steps. Max-weight and
 the in-order policies each have a ``(decide, apply, weight)`` rule set,
 bound there once per run: max-weight's ``step`` composes ``apply`` after
-``decide``, while the in-order one (``policies.in_order_rules``) moves the
-winner of its own scan, without a second lookup. The slotted weights are
-``weight`` and the memo replays go through ``apply``. The time
+``decide``; of the in-order ones (``policies.in_order_rules``), the
+multiclass ``step`` moves the winner of its own scan, without a second
+lookup, and the static-tree one moves through ``apply``. The slotted
+weights are ``weight`` and the memo replays go through ``apply``. The time
 model sets only how many events a slot has and what one event does. A
 slotted slot's moves are a function of the part of the state its decides
 read, so a slot whose key was seen before replays the moves stored then
@@ -24,18 +25,20 @@ labels, policy sampling) spawned from one seed, so runs with equal seeds see
 identical arrival sample paths regardless of the policy under test.
 
 One draw rule covers every stream: values come from numpy's block forms,
-in the order scalar calls would make them, and no block holds more than
-``policies._BLOCK_DRAWS`` values. Each event takes one Poisson arrival count
-and, in mini-slot mode, one uniform active edge; each admitted packet of an
-in-order policy takes one class label. The queue-driven policies use these
-one at a time from blocks of that size (``policies._blocks``). The
-randomized policy draws a window of events at a time (``_windows``: whole
-sample intervals, at most ``_WINDOW_EVENTS`` events, an interval longer
-than that cut into several windows), in blocks of at most ``_BLOCK_DRAWS``
-events: a block's arrival counts and active edges as one block each, then
-one uniform per event over a non-empty table entry, in event order, as one
-block (``policies.randomized_picks``). Set-up's sequence sampling leaves the
-policy stream where its scalar ``integers(k)`` calls would
+in the order scalar calls would make them. Each event takes one Poisson
+arrival count and, in mini-slot mode, one uniform active edge; each
+admitted packet of an in-order policy takes one class label. The
+queue-driven policies use these one at a time from blocks of
+``_BLOCK_DRAWS`` values (``_blocks``). The randomized policy draws a window
+of events at a time (``_windows``: whole sample intervals, at most
+``_WINDOW_EVENTS`` events, an interval longer than that cut into several
+windows), in blocks of at most ``_BLOCK_DRAWS`` events: a block's arrival
+counts and active edges as one block each, then one uniform per event over
+a non-empty table entry, in event order, as one block
+(``policies.randomized_picks``). So no block of the run's events holds more
+than ``_BLOCK_DRAWS`` values. Set-up's sequence sampling is the exception:
+it draws its ``count * (n - 1)`` words as one block, and leaves the policy
+stream where its scalar ``integers(k)`` calls would
 (``policies.sample_reachable_sequences``). numpy's block forms consume a
 generator as the scalar calls do, so neither the block size nor the window
 size is observable.
@@ -53,11 +56,9 @@ import numpy as np
 
 from .errors import CapabilityError, SchedulingError
 from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
-from . import policies
-from .policies import (MultiClassState, RandomizedTable, _blocks,
-                       build_randomized_table, default_eps, edge_weight,
-                       in_order_rules, max_weight_decide, randomized_picks,
-                       sample_reachable_sequences, tree_owners)
+from .policies import (MultiClassState, RandomizedTable, build_randomized_table,
+                       default_eps, edge_weight, in_order_rules, max_weight_decide,
+                       randomized_picks, sample_reachable_sequences, tree_owners)
 # Unused here: the benchmark tracer swaps them by name (ROADMAP item 1).
 from .policies import (multiclass_apply, multiclass_decide,  # noqa: F401
                        randomized_decide, static_tree_decide)
@@ -89,6 +90,12 @@ MAX_EXTRA_SEQUENCES = 10_000
 # bytes in a count-keyed memo and 30-50 in an in-flight-keyed one, moves
 # included, so a full memo stays near 10 MB.
 MEMO_KEY_LIMIT = 1 << 16
+
+# Values per block drawn by ``_blocks``, and the most events in one block of
+# the randomized policy's draws (``_settle_run``). numpy's block forms of
+# ``poisson``, ``integers`` and ``random`` consume a generator as repeated
+# scalar calls would, so the size is not observable.
+_BLOCK_DRAWS = 4096
 
 # The most events the randomized policy settles at once (``_windows``), so
 # ten sample intervals of 20,000 events settle as one window. On
@@ -243,11 +250,11 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
     ``edge_weight`` bound to the state (both functions as this module names
     them at set-up, so a tracer can swap the decide), and its ``step``
     composes ``apply`` after ``decide`` below. The in-order policies' rules
-    are what ``in_order_rules`` binds: their ``step`` moves the winner of
-    its own scan, under the same refusals as their ``apply``. For both,
-    ``replay`` is the ``apply``, so every replayed move passes the checked
-    write path. The randomized policy has only its state and table:
-    ``_settle_run`` moves its packets."""
+    are what ``in_order_rules`` binds: their ``step`` moves under the same
+    refusals as their ``apply``. For both, ``replay`` is the ``apply``, so
+    every replayed move passes the checked write path. The randomized
+    policy has only its state and table: ``_settle_run`` moves its
+    packets."""
     policy = config.policy
     if policy in ("static-tree", "randomized"):
         trees = tree_packing(g)
@@ -281,6 +288,14 @@ def _set_up_policy(config: SimConfig, g: Digraph, cls_rng, pol_rng) -> _Policy:
         owner = tree_owners(g, trees) if policy == "static-tree" else None
         _, apply, weight, step = in_order_rules(state, owner)
     return _Policy(state, step, weight, apply, None)
+
+
+def _blocks(draw: Callable, *args, **kwargs) -> Iterator:
+    """The values of repeated scalar ``draw(*args, **kwargs)`` calls, one at
+    a time, taken from blocks of ``draw(*args, size=_BLOCK_DRAWS, **kwargs)``,
+    each drawn only when the previous one is used up."""
+    return chain.from_iterable(draw(*args, size=_BLOCK_DRAWS, **kwargs).tolist()
+                               for _ in repeat(None))
 
 
 def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> RunResult:
@@ -318,8 +333,8 @@ def run(config: SimConfig, g: Digraph, fam: ActivationFamily | None = None) -> R
     before the next entry would take its summed size (key items plus moves)
     past ``MEMO_KEY_LIMIT``.
 
-    Every random value is drawn in the order scalar calls would make it, in
-    blocks of at most ``policies._BLOCK_DRAWS`` values (the module
+    Every random value is drawn in the order scalar calls would make it, the
+    run's events in blocks of at most ``_BLOCK_DRAWS`` values (the module
     docstring's draw rule).
     The state is sampled at slot 0, every ``sample_every`` slots and at the
     horizon. Fully deterministic given the seed.
@@ -629,9 +644,9 @@ def _settle_run(table: RandomizedTable, g: Digraph, state: VirtualQueueState,
                 arr_rng, act_rng, pol_rng):
     """The randomized policy's run after its first sample: each window
     (``_windows``, at most ``_WINDOW_EVENTS`` events) draws its events in
-    blocks of at most ``policies._BLOCK_DRAWS``, each block's arrival
-    counts, active edges, then picks (``randomized_picks``), each block's
-    picks as int32 and each list of blocks freed once it is concatenated;
+    blocks of at most ``_BLOCK_DRAWS``, each block's arrival counts, active
+    edges, then picks (``randomized_picks``), each block's picks as int32
+    and each list of blocks freed once it is concatenated;
     ``_settle`` then gives the queue counts at each of its sample slots and
     at its end, and each sample is recorded from the state set to those
     counts."""
@@ -641,7 +656,7 @@ def _settle_run(table: RandomizedTable, g: Digraph, state: VirtualQueueState,
     def draw(size: int) -> Iterator[np.ndarray]:
         """The window's arrival positions and counts (the non-zero ones),
         then its pick positions and pairs, int32."""
-        block = policies._BLOCK_DRAWS
+        block = _BLOCK_DRAWS
         arr_at, arr_n, pick_at, pick_pairs = parts = [], [], [], []
         for start in range(0, size, block):
             count = min(block, size - start)

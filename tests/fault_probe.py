@@ -142,14 +142,13 @@ FAULTS = (
         "            if not (fset >> i) & 1 or fset & jbit:\n"
         '                raise SchedulingError(f"edge {eid} does not leave node set {fset:#x}")\n'),),
         STEP_TESTS),
-    Fault("static-tree step without its 'no in-flight set' check", POLICIES, (_drop(
-        "            if pos < -len(sets):\n"
-        '                raise SchedulingError(f"class {c} packet {p} has no in-flight set")\n'),),
-        STEP_TESTS),
-    Fault("static-tree step without its 'empty queue' check", POLICIES, (_drop(
-        "            if have < 1:\n"
-        '                raise SchedulingError(f"transmit from empty queue {fset:#x}")\n'),),
-        STEP_TESTS),
+    Fault("static-tree step moves on move=False", POLICIES, ((
+        "            if move:\n"
+        "                apply(c, eid)\n",
+        "            apply(c, eid)\n"),), STEP_TESTS),
+    Fault("static-tree owner test without its tail half", POLICIES, ((
+        "            if p > row[src] or row[tails[eid]] < p:\n",
+        "            if p > row[src]:\n"),), STEP_TESTS),
     Fault("no-move form moves the packet", POLICIES, ((
         "        return step(eid, False)\n", "        return step(eid)\n"),), DECIDE_TESTS),
     Fault("the move's delivery keeps the completed in-flight set", POLICIES, (_drop(
@@ -183,6 +182,16 @@ FAULTS = (
         RANDOMIZED_TESTS),
     Fault("window draw: a block's pick positions not offset by its start", SIM,
           (_drop("            at += start\n"),), RANDOMIZED_TESTS),
+    Fault("_blocks overdraws its block", SIM, ((
+        "draw(*args, size=_BLOCK_DRAWS, **kwargs).tolist()",
+        "draw(*args, size=_BLOCK_DRAWS + 1, **kwargs).tolist()"),),
+        ("tests/test_sim.py::TestBlockDraws",)),
+    Fault("Digraph reads ids by int(), not operator.index", GRAPH, (
+        _drop('        n = _integer(n, "node count")\n'),
+        _drop('        source = _integer(source, "source")\n'),
+        ('a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")',
+         "a, b = int(a), int(b)")),
+        GRAPH_INPUT_TESTS),
     Fault("Digraph without its duplicate-edge check", GRAPH, (_drop(
         "            if (a, b) in seen:\n"
         '                raise ValueError(f"duplicate edge ({a},{b})")\n'),),
@@ -209,6 +218,9 @@ FAULTS = (
         "range(broadcast_capacity(g) - 1, -1, -1)",
         "range(broadcast_capacity(g) - 2, -1, -1)"),),
         ("tests/test_graph.py::TestTreePacking",)),
+    Fault("sampler: the lockstep starts from the next node's out-edges", POLICIES, ((
+        "out_words[:, g.source:g.source + 1]", "out_words[:, g.source + 1:g.source + 2]"),),
+        SAMPLER_TESTS),
     Fault("sampler: the hand-off keeps the first deviating row", POLICIES, ((
         "live = int(deviates.argmax())", "live = int(deviates.argmax()) + 1"),),
         SAMPLER_TESTS),

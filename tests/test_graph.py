@@ -1,6 +1,7 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -439,7 +440,10 @@ class TestDigraphValidation:
         (0, 0, "node count must be positive"),
         (1001, 0, "node count must be at most 1000, got 1001"),
         (2, 3, "source 3 out of range for n=2"),
-    ], ids=["no-nodes", "too-many-nodes", "source"])
+        (3.0, 0, "node count must be an integer, got 3.0"),
+        ("3", 0, "node count must be an integer, got '3'"),
+        (2, 0.0, "source must be an integer, got 0.0"),
+    ], ids=["no-nodes", "too-many-nodes", "source", "float-n", "str-n", "float-source"])
     def test_node_count_and_source_are_checked_before_any_edge(self, n, source, message):
         edges = iter([(0, 1)])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -450,9 +454,17 @@ class TestDigraphValidation:
         ((0, 5), "edge (0,5) out of range for n=3"),
         ((1, 1), "self-loop at node 1"),
         ((0, 1), "duplicate edge (0,1)"),
-    ], ids=["range", "self-loop", "duplicate"])
+        ((0, 1.9), "edge endpoint must be an integer, got 1.9"),
+        (("1", 2), "edge endpoint must be an integer, got '1'"),
+    ], ids=["range", "self-loop", "duplicate", "float-endpoint", "str-endpoint"])
     def test_stops_reading_at_the_first_bad_edge(self, bad, message):
         edges = iter([(0, 1), (1, 2), bad, (2, 2), (0, 1)])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Digraph(3, edges, 0)
         assert list(edges) == [(2, 2), (0, 1)]
+
+    def test_reads_numpy_integers_as_python_ints(self):
+        g = Digraph(np.int64(3), [(np.int32(0), np.int64(1)), (np.uint8(1), 2)],
+                    np.int16(0))
+        assert (g.n, g.edges, g.source) == (3, ((0, 1), (1, 2)), 0)
+        assert {type(x) for x in (g.n, g.source, *sum(g.edges, ()))} == {int}

@@ -405,12 +405,13 @@ def test_any_small_run_matches_its_replay(case):
 
 
 class TestBlockDraws:
-    """``run`` draws every random stream in blocks of ``policies._BLOCK_DRAWS``
-    values and uses them one at a time: arrival counts, active edges, class
-    labels, policy uniforms and the sampler's words. That gives the scalar
-    calls' values only while numpy's block and scalar forms consume a
-    generator alike, which these tests check draw by draw and by the
-    generator state after three blocks."""
+    """``run`` draws its events' random values in blocks of at most
+    ``sim._BLOCK_DRAWS`` values and uses them one at a time: arrival counts,
+    active edges, class labels and policy uniforms. Set-up's sampler draws
+    its words as one block of ``count * (n - 1)``, whatever its size. That
+    gives the scalar calls' values only while numpy's block and scalar forms
+    consume a generator alike, which these tests check draw by draw and by
+    the generator state after three blocks."""
 
     @staticmethod
     def _pair(seed):
@@ -486,7 +487,7 @@ class TestBlockDraws:
             return out
 
         default = outputs()
-        monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
+        monkeypatch.setattr(sim, "_BLOCK_DRAWS", block)
         assert outputs() == default
 
     @pytest.mark.parametrize("block", [7, 13])
@@ -501,7 +502,7 @@ class TestBlockDraws:
         that is not a multiple of the cadence, a cadence above the horizon,
         and no arrivals at all. The outputs equal the event-by-event replay."""
         g = resolve_graph(spec)
-        monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
+        monkeypatch.setattr(sim, "_BLOCK_DRAWS", block)
         cfg = SimConfig(lam=lam, horizon=horizon, seed=3, policy="randomized",
                         sample_every=sample_every)
         res = run(cfg, g)
@@ -510,12 +511,15 @@ class TestBlockDraws:
                 == replay_randomized(cfg, g))
 
     def test_no_draw_exceeds_the_block_size(self, d4, monkeypatch):
-        """No draw of a run asks for more than ``_BLOCK_DRAWS`` values, also
-        when one sample interval spans the whole horizon, so the randomized
-        policy's draws do not grow with its windows."""
+        """No draw of a run's events asks for more than ``_BLOCK_DRAWS``
+        values, also when one sample interval spans the whole horizon, so
+        the randomized policy's draws do not grow with its windows. The
+        sampler's uint32 words are the one exception: one block of
+        ``extra_sequences * (n - 1)``, here above the block size with the
+        default count."""
         block = 64
-        monkeypatch.setattr(policies, "_BLOCK_DRAWS", block)
-        sizes = []
+        monkeypatch.setattr(sim, "_BLOCK_DRAWS", block)
+        sizes, words = [], []
         default_rng = np.random.default_rng
 
         class Counting:
@@ -528,17 +532,25 @@ class TestBlockDraws:
                     return draw
 
                 def counted(*args, size=None, **kwargs):
-                    sizes.append(1 if size is None else int(np.prod(size)))
+                    drawn = 1 if size is None else int(np.prod(size))
+                    (words if kwargs.get("dtype") == np.uint32 else sizes).append(drawn)
                     return draw(*args, size=size, **kwargs)
                 return counted
 
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed=None: Counting(default_rng(seed)))
-        # Five extra sequences take 15 words of set-up, in one block.
-        for policy in sim.POLICIES:
+        # d4's boundaries hold at least two edges, so no sampler row hands
+        # off: five extra sequences take 15 words, the default 4 m take 72.
+        cases = [(policy, None) for policy in sim.POLICIES] + [("randomized", 5)]
+        for policy, extra in cases:
             for sample_every in (300, 10 ** 6):
+                words.clear()
                 run(SimConfig(lam=1.6, horizon=300, seed=5, policy=policy, classes=3,
-                              extra_sequences=5, sample_every=sample_every), d4)
+                              extra_sequences=extra, sample_every=sample_every), d4)
+                if policy == "randomized":
+                    assert words == [(extra or 4 * d4.m) * (d4.n - 1)]
+                else:
+                    assert words == []
         assert max(sizes) == block
 
 
