@@ -8,6 +8,7 @@ reproducible from an archived config plus seeds. Exit codes: 0 success,
 from __future__ import annotations
 
 import configparser
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -160,6 +161,11 @@ def _guard(body):
         for msg in exc.messages:
             click.echo(f"config error: {msg}", err=True)
         sys.exit(EXIT_USAGE)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): point it at devnull, so the
+        # flush at exit cannot fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_RUNTIME)
     except (ParseError, ConstructionError, CapabilityError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)

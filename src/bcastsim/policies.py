@@ -447,86 +447,44 @@ def sample_reachable_sequences(g: Digraph, count: int, rng: np.random.Generator
     out of them, in step order. Requires every node reachable from the
     source, and n <= 63, since the node sets are int64 bitmasks.
 
-    A boundary of k edges picks its j-th lowest edge id for ``j =
-    int(rng.integers(k))``; the sequences and the generator state afterwards,
-    on the unreachable-node error too, equal those scalar calls'. The
-    boundary is an edge bitmask. ``inmask[v]`` and ``outmask[v]`` hold the
-    edges into and out of node v, and ``entered`` is the OR of ``inmask``
-    over the set, i.e. the edges whose head is already in it. The first
-    boundary is ``outmask[source]``, since a ``Digraph`` has no self-loops.
-    When node b joins, ``bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)``.
+    A boundary of k edges picks its j-th lowest edge id by Lemire's (2019)
+    bounded rule, numpy's for ``integers(k)``: a 32-bit word w gives ``j =
+    w * k >> 32``, unless the product's low half is below ``(2**32 - k) %
+    k`` and the step redraws. Step t of row s reads word ``s * (n - 1) + t``
+    of one block of ``count * (n - 1)`` words, whatever its size
+    (``sim._BLOCK_DRAWS`` does not bound the sampler); a one-edge boundary
+    reads its word too and takes j = 0. A step's redraws take fresh words,
+    drawn after the block and every earlier redraw: one word per redrawing
+    row, rows in ascending order, round after round until none is left. A
+    set holding the source has at least c out-edges, c the broadcast
+    capacity, so when c >= 2 a step redraws with probability below k /
+    2**32. An empty boundary raises ValueError (a node is unreachable),
+    with the block and the earlier steps' redraws drawn.
 
-    Two samplers apply that rule. The lockstep (``_lockstep``) takes one
-    step of every row at a time in numpy. Each row's boundary is a column of
-    m // 64 + 1 uint64 words, word-major, so each step sums every row's word
-    popcounts down one axis. Its j-th set bit is found word first, then
-    byte: the running count of the row's words picks the word holding the
-    bit and the bit's rank in it; one multiply turns the word's byte
-    popcounts into their running counts (at most 64, so no byte carries),
-    which pick the byte, and a per-byte select table gives the bit. A set
-    holding the source has at least c out-edges, c the broadcast capacity,
-    so when c >= 2 every step takes exactly one word unless numpy's bounded
-    rule (Lemire 2019) redraws it, which happens with probability below
-    k / 2**32. So row s reads its words from ``s * (n - 1)``, and the
-    lockstep draws all ``count * (n - 1)`` as one block, whatever its size:
-    ``sim._BLOCK_DRAWS`` does not bound the sampler. The first row r with a
-    step that would take no word (a one-edge or empty boundary) or more
-    than one (a redraw) leaves the lockstep at once, with every later row,
-    whose offset is now wrong; rows 0..r-1 used exactly their words. The
-    generator is then reset and advanced to word ``r * (n - 1)`` by one
-    draw of that many words, and the per-sequence loop samples rows r.. by
-    the scalar ``integers(k)`` calls themselves: it keeps the boundary as a
-    Python int and finds its j-th set bit by clearing the j lowest set bits.
+    Every row takes step t at once, in numpy. The boundary is an edge
+    bitmask. ``inmask[v]`` and ``outmask[v]`` hold the edges into and out
+    of node v, and ``entered`` is the OR of ``inmask`` over the set, i.e.
+    the edges whose head is already in it. The first boundary is
+    ``outmask[source]``, since a ``Digraph`` has no self-loops. When node b
+    joins, ``bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)``. Each
+    row's boundary is a column of m // 64 + 1 uint64 words, word-major, so
+    each step sums every row's word popcounts down one axis. Its j-th set
+    bit is found word first, then byte: the running count of the row's
+    words picks the word holding the bit and the bit's rank in it; one
+    multiply turns the word's byte popcounts into their running counts (at
+    most 64, so no byte carries), which pick the byte, and a per-byte
+    select table gives the bit.
     """
     n = g.n
     if n > 63:
         raise ValueError(f"sampled node sets are int64 bitmasks, so n must be "
                          f"at most 63, got {n}")
-    heads = [b for _, b in g.edges]
+    n_words = g.m // 64 + 1
     inmask = [0] * n
     outmask = [0] * n
     for eid, (a, b) in enumerate(g.edges):
         outmask[a] |= 1 << eid
         inmask[b] |= 1 << eid
-    sets = np.empty((count, n - 1), dtype=np.int64)
-    eids = np.empty((count, n - 1), dtype=np.int64)
-    saved = rng.bit_generator.state
-    words = rng.integers(0, 1 << 32, size=(count, n - 1), dtype=np.uint32)
-    live = _lockstep(g, heads, inmask, outmask, words, sets, eids)
-    if live == count:
-        return sets, eids
-    rng.bit_generator.state = saved
-    rng.integers(0, 1 << 32, size=live * (n - 1), dtype=np.uint32)
-    row_sets, row_eids = [], []
-    for _ in range(live, count):
-        fset = g.source_mask
-        entered = inmask[g.source]
-        bnd = outmask[g.source]
-        for _ in range(n - 1):
-            if not bnd:
-                raise ValueError("a node is unreachable from the source")
-            x = bnd
-            for _ in range(int(rng.integers(bnd.bit_count()))):
-                x &= x - 1
-            eid = (x & -x).bit_length() - 1
-            row_sets.append(fset)
-            row_eids.append(eid)
-            b = heads[eid]
-            fset |= 1 << b
-            entered |= inmask[b]
-            bnd = (bnd & ~inmask[b]) | (outmask[b] & ~entered)
-    sets[live:] = np.reshape(row_sets, (count - live, n - 1))
-    eids[live:] = np.reshape(row_eids, (count - live, n - 1))
-    return sets, eids
-
-
-def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int],
-              words: np.ndarray, sets: np.ndarray, eids: np.ndarray) -> int:
-    """Sample the rows of ``sets`` and ``eids`` one step of each at a time,
-    step t of row s from ``words[s, t]``, and return how many leading rows
-    are exact: the rows before the first whose step would take other than
-    one word (``sample_reachable_sequences``)."""
-    n_words = g.m // 64 + 1
 
     def as_words(masks: list[int]) -> np.ndarray:  # column i holds masks[i]
         return np.frombuffer(b"".join(mask.to_bytes(8 * n_words, "little")
@@ -534,30 +492,30 @@ def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int
                              dtype="<u8").reshape(len(masks), n_words).T.copy()
 
     not_in, out_words = ~as_words(inmask), as_words(outmask)
-    head_of = np.array(heads, dtype=np.int64)
-    words = words.T.copy()
-    live = len(sets)
-    fset = np.full(live, g.source_mask, dtype=np.int64)
+    head_of = np.array([b for _, b in g.edges], dtype=np.int64)
+    words = rng.integers(0, 1 << 32, size=(count, n - 1), dtype=np.uint32).T.copy()
+    sets = np.empty((count, n - 1), dtype=np.int64)
+    eids = np.empty((count, n - 1), dtype=np.int64)
+    fset = np.full(count, g.source_mask, dtype=np.int64)
     # Per row: the edges whose head is not in the set yet, and the boundary.
-    open_ = np.repeat(not_in[:, g.source:g.source + 1], live, axis=1)
-    bnd = np.repeat(out_words[:, g.source:g.source + 1], live, axis=1)
+    open_ = np.repeat(not_in[:, g.source:g.source + 1], count, axis=1)
+    bnd = np.repeat(out_words[:, g.source:g.source + 1], count, axis=1)
     # ``below[w]`` counts a row's boundary edges in the words below word w.
-    below = np.zeros((n_words + 1, live), dtype=np.uint64)
-    for t in range(sets.shape[1]):
+    below = np.zeros((n_words + 1, count), dtype=np.uint64)
+    rows = np.arange(count)
+    for t in range(n - 1):
         np.cumsum(np.bitwise_count(bnd), axis=0, out=below[1:])
         k = below[-1]
-        x = words[t, :live] * k
-        # numpy's bounded rule takes no word for k == 1, and redraws while
-        # the product's low half is below (2**32 - k) % k.
-        deviates = (k < 2) | (x & _WORD_MASK < (_TWO32 - k) % np.maximum(k, 1))
-        if deviates.any():
-            live = int(deviates.argmax())
-            if not live:
-                break
-            fset, x = fset[:live], x[:live]
-            open_, bnd, below = open_[:, :live], bnd[:, :live], below[:, :live]
+        if not k.all():
+            raise ValueError("a node is unreachable from the source")
+        x = words[t] * k
+        threshold = (_TWO32 - k) % k
+        redraw = np.flatnonzero(x & _WORD_MASK < threshold)
+        while len(redraw):
+            fresh = rng.integers(0, 1 << 32, size=len(redraw), dtype=np.uint32)
+            x[redraw] = fresh * k[redraw]
+            redraw = redraw[x[redraw] & _WORD_MASK < threshold[redraw]]
         j = x >> 32
-        rows = np.arange(live)
         word = (below[1:] <= j).sum(axis=0)  # the word holding set bit j
         rank = j - below[word, rows]
         chosen = bnd[word, rows]
@@ -569,15 +527,15 @@ def _lockstep(g: Digraph, heads: list[int], inmask: list[int], outmask: list[int
         shift = np.bitwise_count(((rank * _BYTE_ONES | _BYTE_TOPS) - ends) & _BYTE_TOPS) * 8
         rank -= (ends << 8 >> shift) & 0xFF
         eid = 64 * word + shift + _SELECT8[(chosen >> shift) & 0xFF, rank]
-        sets[:live, t] = fset
-        eids[:live, t] = eid
+        sets[:, t] = fset
+        eids[:, t] = eid
         b = head_of[eid]
         fset |= np.left_shift(1, b)
         not_in_b = not_in.take(b, axis=1)
         open_ &= not_in_b
         bnd &= not_in_b
         bnd |= out_words.take(b, axis=1) & open_
-    return live
+    return sets, eids
 
 
 def build_randomized_table(g: Digraph, trees: Sequence[Arborescence],

@@ -37,11 +37,10 @@ counts and active edges as one block each, then one uniform per event over
 a non-empty table entry, in event order, as one block
 (``policies.randomized_picks``). So no block of the run's events holds more
 than ``_BLOCK_DRAWS`` values. Set-up's sequence sampling is the exception:
-it draws its ``count * (n - 1)`` words as one block, and leaves the policy
-stream where its scalar ``integers(k)`` calls would
-(``policies.sample_reachable_sequences``). numpy's block forms consume a
-generator as the scalar calls do, so neither the block size nor the window
-size is observable.
+it draws its ``count * (n - 1)`` words as one block, then one fresh word
+per redraw (``policies.sample_reachable_sequences``). numpy's block forms
+consume a generator as the scalar calls do, so neither the block size nor
+the window size is observable.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapabilityError, SchedulingError
-from .graph import MAX_NODES, Digraph, broadcast_capacity, reaches_all, tree_packing
+from .graph import (MAX_NODES, Digraph, _integer, broadcast_capacity, reaches_all,
+                    tree_packing)
 from .policies import (MultiClassState, RandomizedTable, build_randomized_table,
                        default_eps, edge_weight, in_order_rules, max_weight_decide,
                        randomized_picks, sample_reachable_sequences, tree_owners)
@@ -82,6 +82,10 @@ MAX_IN_ORDER_RATE = 1e4
 # Each class holds a row of n indices; each extra sequence is sampled in set-up.
 MAX_CLASSES = 1000
 MAX_EXTRA_SEQUENCES = 10_000
+
+# The SimConfig fields that must be integers (``None`` stands for a default).
+_INTEGER_FIELDS = ("horizon", "seed", "classes", "extra_sequences", "sample_every",
+                   "burn_in")
 
 # The most items the slotted memo holds, summed over its entries: each entry
 # counts its key's items (queue-count pairs, or in-flight sets plus one per
@@ -129,6 +133,18 @@ class SimConfig:
     def validation_errors(self, g: Digraph | None = None,
                           fam: ActivationFamily | None = None) -> list[str]:
         errs = []
+        # The integer fields that are integers or None; the range checks
+        # read only these.
+        ints = {}
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            try:
+                ints[name] = None if value is None else _integer(value, name)
+            except ValueError as exc:
+                errs.append(str(exc))
+        horizon, classes = ints.get("horizon"), ints.get("classes")
+        sample_every, seed = ints.get("sample_every"), ints.get("seed")
+        extra, burn_in = ints.get("extra_sequences"), ints.get("burn_in")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             errs.append(f"arrival rate must be finite and non-negative, got {self.lam}")
         elif self.lam > MAX_ARRIVAL_RATE:
@@ -136,25 +152,27 @@ class SimConfig:
         elif self.policy in ("multiclass", "static-tree") and self.lam > MAX_IN_ORDER_RATE:
             errs.append(f"arrival rate must be at most {MAX_IN_ORDER_RATE:g} for policy "
                         f"'{self.policy}', got {self.lam}")
-        if self.horizon < 1:
-            errs.append(f"horizon must be at least 1 slot, got {self.horizon}")
-        if self.sample_every < 1:
-            errs.append(f"sample_every must be positive, got {self.sample_every}")
+        if horizon is not None and horizon < 1:
+            errs.append(f"horizon must be at least 1 slot, got {horizon}")
+        if sample_every is not None and sample_every < 1:
+            errs.append(f"sample_every must be positive, got {sample_every}")
+        if seed is not None and seed < 0:
+            errs.append(f"seed must be non-negative, got {seed}")
         if self.policy not in POLICIES:
             errs.append(f"unknown policy '{self.policy}' (choose from {', '.join(POLICIES)})")
         if self.time_model not in TIME_MODELS:
             errs.append(f"unknown time model '{self.time_model}'")
-        if self.policy == "multiclass" and not 1 <= self.classes <= MAX_CLASSES:
+        if (self.policy == "multiclass" and classes is not None
+                and not 1 <= classes <= MAX_CLASSES):
             errs.append(f"multiclass policy needs 1 <= classes <= {MAX_CLASSES}, "
-                        f"got {self.classes}")
+                        f"got {classes}")
         if self.eps is not None and not self.eps > 0:
             errs.append(f"eps must be positive, got {self.eps}")
-        if self.extra_sequences is not None and not (
-                1 <= self.extra_sequences <= MAX_EXTRA_SEQUENCES):
+        if extra is not None and not 1 <= extra <= MAX_EXTRA_SEQUENCES:
             errs.append(f"extra_sequences must lie in [1, {MAX_EXTRA_SEQUENCES}], "
-                        f"got {self.extra_sequences}")
-        if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
-            errs.append(f"burn_in must lie in [0, horizon), got {self.burn_in}")
+                        f"got {extra}")
+        if burn_in is not None and horizon is not None and not 0 <= burn_in < horizon:
+            errs.append(f"burn_in must lie in [0, horizon), got {burn_in}")
         if self.time_model == "slotted-wireless":
             if fam is None and g is not None:
                 errs.append("slotted-wireless mode requires an activation family")
@@ -702,6 +720,9 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
     One direction per pair keeps the unit-capacity broadcast capacity within
     n/2, matching the bound used by the tree-count checks.
     """
+    n, m, seed = _integer(n, "n"), _integer(m, "m"), _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 2 <= n <= MAX_NODES:
         raise ValueError(f"need 2 <= n <= {MAX_NODES} nodes, got n={n}")
     max_m = n * (n - 1) // 2

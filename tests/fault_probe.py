@@ -69,7 +69,7 @@ GRAPH_INPUT_TESTS = ("tests/test_graph.py::TestParse",
                      "tests/test_graph.py::TestDigraphValidation")
 # The tests that pin the sampled growth sequences and the words they take.
 SAMPLER_TESTS = ("tests/test_policies.py::TestSampledSequences",
-                 "tests/test_policies.py::TestLockstepHandOff")
+                 "tests/test_policies.py::TestLockstepRedraw")
 # The tests that pin max-flow values, the edges carrying a flow and packed trees.
 FLOW_TESTS = ("tests/test_graph.py::TestMaxFlow", "tests/test_graph.py::TestCapacity",
               "tests/test_graph.py::TestTreePacking")
@@ -221,17 +221,19 @@ FAULTS = (
     Fault("sampler: the lockstep starts from the next node's out-edges", POLICIES, ((
         "out_words[:, g.source:g.source + 1]", "out_words[:, g.source + 1:g.source + 2]"),),
         SAMPLER_TESTS),
-    Fault("sampler: the hand-off keeps the first deviating row", POLICIES, ((
-        "live = int(deviates.argmax())", "live = int(deviates.argmax()) + 1"),),
+    Fault("sampler: '<=' for '<' in the redraw test", POLICIES, ((
+        "redraw = np.flatnonzero(x & _WORD_MASK < threshold)",
+        "redraw = np.flatnonzero(x & _WORD_MASK <= threshold)"),), SAMPLER_TESTS),
+    Fault("sampler: a redraw rereads the block's words, not fresh ones", POLICIES, ((
+        "rng.integers(0, 1 << 32, size=len(redraw), dtype=np.uint32)",
+        "words[t - 1, redraw]"),), SAMPLER_TESTS),
+    Fault("sampler: a redraw multiplies by the row before's boundary size", POLICIES, ((
+        "x[redraw] = fresh * k[redraw]", "x[redraw] = fresh * k[redraw - 1]"),),
         SAMPLER_TESTS),
-    Fault("sampler: '<=' for '<' in the lockstep redraw test", POLICIES, ((
-        "x & _WORD_MASK < (_TWO32 - k)", "x & _WORD_MASK <= (_TWO32 - k)"),),
+    Fault("sampler: no empty-boundary check", POLICIES, (_drop(
+        "        if not k.all():\n"
+        '            raise ValueError("a node is unreachable from the source")\n'),),
         SAMPLER_TESTS),
-    Fault("sampler: the hand-off draws on without the reset", POLICIES,
-          (_drop("    rng.bit_generator.state = saved\n"),), SAMPLER_TESTS),
-    Fault("sampler: the hand-off starts at row 0's word, not the first handed-off row's",
-          POLICIES, (_drop("    rng.integers(0, 1 << 32, size=live * (n - 1), "
-                           "dtype=np.uint32)\n"),), SAMPLER_TESTS),
     Fault("sampler: the popcount select's byte off by one", POLICIES, ((
         "((rank * _BYTE_ONES | _BYTE_TOPS) - ends) & _BYTE_TOPS",
         "((rank * _BYTE_ONES | _BYTE_TOPS) - ends - _BYTE_ONES) & _BYTE_TOPS"),),

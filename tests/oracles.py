@@ -393,21 +393,36 @@ def rescanning_tree_packing(g):
 
 def rescanning_sample_sequences(g, count, rng):
     """Growth-sequence sampler that recomputes the out-boundary from every
-    edge on each step, one sequence at a time: a list of ``(node set, edge
-    id)`` tuples per sequence."""
-    seqs = []
-    for _ in range(count):
-        fset = g.source_mask
-        seq = []
-        while fset != g.full_mask:
-            boundary = out_edges(g, fset)
-            if not boundary:
-                raise ValueError("a node is unreachable from the source")
-            eid = boundary[int(rng.integers(len(boundary)))]
-            seq.append((fset, eid))
-            fset |= 1 << g.edges[eid][1]
-        seqs.append(tuple(seq))
-    return seqs
+    edge on each step: a list of ``(node set, edge id)`` tuples per
+    sequence. Its draw rule, in Python ints: step t of sequence s reads word
+    ``s * (n - 1) + t`` of one block of 32-bit words, and a boundary of k
+    edges takes its ``w * k >> 32``-th edge, unless ``w * k % 2**32`` is
+    below ``(2**32 - k) % k``, when the step redraws: the redrawing
+    sequences take one fresh word each, in sequence order, round after
+    round, before the next step. An empty boundary raises before the step's
+    redraws."""
+    steps = g.n - 1
+    block = rng.integers(0, 1 << 32, size=count * steps, dtype=np.uint32).tolist()
+    fsets = [g.source_mask] * count
+    seqs = [[] for _ in range(count)]
+    for t in range(steps):
+        boundaries = [out_edges(g, fset) for fset in fsets]
+        if not all(boundaries):
+            raise ValueError("a node is unreachable from the source")
+        ks = [len(boundary) for boundary in boundaries]
+        cuts = [((1 << 32) - k) % k for k in ks]
+        products = [block[s * steps + t] * k for s, k in enumerate(ks)]
+        redraw = [s for s in range(count) if products[s] % (1 << 32) < cuts[s]]
+        while redraw:
+            fresh = rng.integers(0, 1 << 32, size=len(redraw), dtype=np.uint32)
+            for s, word in zip(redraw, fresh.tolist()):
+                products[s] = word * ks[s]
+            redraw = [s for s in redraw if products[s] % (1 << 32) < cuts[s]]
+        for s, boundary in enumerate(boundaries):
+            eid = boundary[products[s] >> 32]
+            seqs[s].append((fsets[s], eid))
+            fsets[s] |= 1 << g.edges[eid][1]
+    return [tuple(seq) for seq in seqs]
 
 
 def sequence_rows(sample):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +97,23 @@ class TestTrees:
         result = runner.invoke(main, ["trees", "--graph", "path4"])
         assert result.exit_code == 1
         assert result.output == f"error: {message}\n"
+
+    def test_a_closed_stdout_exits_1_quietly(self):
+        """A stdout whose reader is gone (``| head``) raises BrokenPipeError
+        on the first write: exit 1, and nothing on stderr, neither an
+        "error:" line nor an "Exception ignored" one from the exit flush."""
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bcastsim.cli", "trees", "--graph", "diamond4"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestSimulate:

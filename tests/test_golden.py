@@ -1,7 +1,8 @@
 """Golden outputs: every preset, run once at its first seed, writes files
 whose sha256 hashes are pinned here, and so do runs on a random graph: the
-in-order policies, which no preset covers, and max-weight, which the presets
-run only on small fixed graphs where ties are rare.
+in-order policies, which no preset covers, max-weight, which the presets
+run only on small fixed graphs where ties are rare, and the randomized
+policy on a capacity-1 graph, where the preset's diamond has capacity 2.
 
 A change meant to keep behaviour must pass unchanged. A change meant to alter
 output re-pins the hashes and says so.
@@ -91,6 +92,10 @@ RANDOM_GRAPH_GOLDEN = {
     ("multiclass", 3, "slotted-wireless", 0.25): (
         "f02e4d7c06f5a3f9354e8b964c17b83c5347814aed34c197e76c25cf6e9eb845",
         "3213c322601e595e1e3db70842f1445d93da71722209ba92527bc9864dfa070e"),
+    # Capacity 1, so the sampler meets one-edge boundaries.
+    ("randomized", 1, "mini-slot", 0.7): (
+        "d2b929c78f4f807d346b1d19610f0584210aeaebe3f8ada44bfde1ca358a545a",
+        "4e62c4ff6578072dbaa09554d54114c46ef632d4ce97bcd71779fe28ce1a1d3c"),
 }
 
 

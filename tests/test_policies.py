@@ -11,7 +11,7 @@ from bcastsim.cli import resolve_graph
 from bcastsim.fixtures import path_graph
 from bcastsim.graph import out_edges
 from bcastsim.sim import random_digraph
-from bcastsim import policies, sim
+from bcastsim import sim
 from bcastsim.policies import (MultiClassState, build_randomized_table,
                                default_eps, edge_weight, in_order_rules,
                                max_weight_decide, multiclass_apply,
@@ -938,16 +938,16 @@ class TestSampledSequences:
 
     def test_refuses_more_nodes_than_int64_sets_hold(self):
         rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
         assert sample_reachable_sequences(path_graph(63), 1, rng)[0].shape == (1, 62)
+        before = rng.bit_generator.state
         with pytest.raises(ValueError, match="at most 63, got 64"):
             sample_reachable_sequences(path_graph(64), 1, rng)
         assert rng.bit_generator.state == before
 
     @staticmethod
     def _assert_matches_oracle(g, count, seed):
-        """Same sequences as the scalar oracle, or the same unreachable-node
-        error, and the same generator state afterwards. One scalar
+        """Same sequences as the rescanning oracle, or the same
+        unreachable-node error, and the same generator state afterwards. One scalar
         ``integers(5)`` first leaves PCG64 holding a buffered half-word,
         which the block draws must carry in and out; ``random()`` would read
         a fresh 64-bit output and miss it."""
@@ -984,7 +984,7 @@ class TestSampledSequences:
         ("random(25,200,1)", 800),  # ~19,000 words: many blocks
         ("diamond4", 40),
         ("random(12,30,3)", 0),
-        # Capacity 1: a one-edge boundary hands the rows off mid-batch.
+        # Capacity 1: a one-edge boundary reads its word and takes edge 0.
         ("random(12,30,3)", 120),
         ("random(25,40,2)", 160),
     ])
@@ -997,8 +997,7 @@ class TestSampledSequences:
         """A graph of ``m`` edges whose source out-edges take the ids around
         64, so the first boundary straddles the first two words (for m > 64;
         at m <= 64 they take word 0's top bits). With ``lone``, one more
-        node hangs off the last by a single edge: the capacity is 1, and a
-        row whose last step crosses that edge hands the rows off."""
+        node hangs off the last by a single edge, so the capacity is 1."""
         n = 12 if m < 100 else 17
         g = random_digraph(n, m - lone, m)
         edges = [*g.edges, *[(n - 1, n)] * lone]
@@ -1007,43 +1006,32 @@ class TestSampledSequences:
         at = min(64 - len(out) // 2, m - len(out))
         return Digraph(n + lone, rest[:at] + out + rest[at:], 0)
 
-    def _assert_matches_oracle_in_lockstep(self, monkeypatch, g, count, seed) -> int:
-        """``_assert_matches_oracle``, returning how many rows the lockstep
-        left exact."""
-        exact = []
-        lockstep = policies._lockstep
-        monkeypatch.setattr(policies, "_lockstep",
-                            lambda *args: exact.append(lockstep(*args)) or exact[-1])
-        self._assert_matches_oracle(g, count, seed)
-        return exact[0]
-
     @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_matches_rescanning_oracle_across_word_boundaries(self, monkeypatch, m, seed):
+    def test_matches_rescanning_oracle_across_word_boundaries(self, m, seed):
         """One, two and three boundary words, the top word empty at m = 64
-        and m = 128; every row stays in lockstep."""
+        and m = 128."""
         g = self._straddling_graph(m, False)
         ids = out_edges(g, g.source_mask)
         assert g.m == m and (max(ids) < 64 if m <= 64 else min(ids) < 64 <= max(ids))
-        assert self._assert_matches_oracle_in_lockstep(monkeypatch, g, 3 * m, seed) == 3 * m
+        self._assert_matches_oracle(g, 3 * m, seed)
 
     @pytest.mark.parametrize("m, seed", [(65, 0), (65, 6), (128, 0), (128, 2)])
-    def test_hand_off_after_word_major_steps(self, monkeypatch, m, seed):
-        """On a capacity-1 graph of two and three words, the seeds let some
-        rows finish in lockstep before a row's last step crosses the lone
-        node's one edge and hands that row and the rest off."""
+    def test_matches_rescanning_oracle_with_a_lone_edge(self, m, seed):
+        """A capacity-1 graph of two and three words: every row's last step
+        crosses the lone node's one edge."""
         g = self._straddling_graph(m, True)
         assert g.m == m and broadcast_capacity(g) == 1
-        exact = self._assert_matches_oracle_in_lockstep(monkeypatch, g, 3 * m, seed)
-        assert 0 < exact < 3 * m
+        self._assert_matches_oracle(g, 3 * m, seed)
 
-    def test_single_edge_boundaries_draw_no_word(self):
-        rng = np.random.default_rng(4)
+    def test_single_edge_boundaries_read_their_words(self):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         rng.integers(5)
-        before = rng.bit_generator.state
+        ref.integers(5)
         seqs = sample_reachable_sequences(path_graph(5), 30, rng)
         assert sequence_rows(seqs) == [tuple((2 ** (i + 1) - 1, i) for i in range(4))] * 30
-        assert rng.bit_generator.state == before
+        ref.integers(0, 1 << 32, size=120, dtype=np.uint32)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_unreachable_node_leaves_scalar_state(self):
         g = Digraph(4, [(0, 1), (0, 2), (1, 2), (3, 1)], 0)
@@ -1057,114 +1045,96 @@ class TestSampledSequences:
 
 class _Words:
     """Stand-in generator serving preset 32-bit words in turn:
-    ``integers(0, 2**32, size=shape, dtype=np.uint32)`` the next block, and
-    a scalar ``integers(k)`` by numpy's bounded rule for ``k <= 2**32``
-    (restated from its C source). ``bit_generator.state`` is the position
-    of the next word, and setting it moves there; ``served`` counts every
-    word handed out, the ones a reset takes back included."""
+    ``integers(0, 2**32, size=size, dtype=np.uint32)`` the next ``size``.
+    ``position`` counts the words served; it has no ``bit_generator``, so
+    a sampler that reset its generator would fail on it."""
 
     def __init__(self, words):
         self.words = [int(w) for w in words]
         self.position = 0
-        self.served = 0
-        self.bit_generator = self
 
-    @property
-    def state(self):
-        return self.position
-
-    @state.setter
-    def state(self, position):
-        self.position = position
-
-    def _next(self, count):
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+        count = int(np.prod(size))
         block = self.words[self.position:self.position + count]
         assert len(block) == count, "the stand-in ran out of words"
         self.position += count
-        self.served += count
-        return block
-
-    def integers(self, low, high=None, size=None, dtype=None):
-        if size is not None:
-            assert (low, high, dtype) == (0, 1 << 32, np.uint32)
-            return np.array(self._next(int(np.prod(size))),
-                            dtype=np.uint32).reshape(size)
-        k = low
-        if k == 1:
-            return 0
-        x = self._next(1)[0] * k
-        threshold = ((1 << 32) - k) % k
-        while x & 0xFFFF_FFFF < threshold:
-            x = self._next(1)[0] * k
-        return x >> 32
+        return np.array(block, dtype=np.uint32).reshape(size)
 
 
-class TestLockstepHandOff:
-    """The lockstep against the per-sequence rule fed the same words. On the
+class TestLockstepRedraw:
+    """The sampler against the rescanning oracle fed the same words. On the
     complete bidirectional 6-node graph every boundary has at least 5 edges,
-    so no row deviates unless a word is forced: a word of 0 is redrawn for
+    so no step redraws unless a word is forced: a word of 0 is redrawn for
     the 5 edges out of the source, and a word whose product's low half
     equals the threshold is kept."""
 
     G = Digraph(6, [(a, b) for a in range(6) for b in range(6) if a != b], 0)
     ROWS = 8
 
-    def _words(self, forced):
-        # A few words past the lockstep's, for the redraws of a hand-off.
+    def _words(self, forced, steps=5):
+        # A few words past the block, for the redraws.
         words = np.random.default_rng(3).integers(
-            1, 1 << 32, size=self.ROWS * 5 + 8, dtype=np.uint32).tolist()
+            1, 1 << 32, size=self.ROWS * steps + 8, dtype=np.uint32).tolist()
         for position, word in forced.items():
             words[position] = word
         return words
 
-    def _assert_matches_per_sequence_rule(self, words):
+    def _assert_matches_oracle(self, words, g=G):
         ours, ref = _Words(words), _Words(words)
-        got = sequence_rows(sample_reachable_sequences(self.G, self.ROWS, ours))
-        assert got == rescanning_sample_sequences(self.G, self.ROWS, ref)
+        got = sequence_rows(sample_reachable_sequences(g, self.ROWS, ours))
+        assert got == rescanning_sample_sequences(g, self.ROWS, ref)
         assert ours.position == ref.position
-        return ours
+        return got, ours.position
 
-    def test_stand_in_follows_numpy(self):
-        rng = np.random.default_rng(11)
-        words = np.random.default_rng(11).integers(0, 1 << 32, size=4000,
-                                                   dtype=np.uint32)
-        stand_in = _Words(words)
-        for k in (1, 5, 200, 2 ** 31 + 1, 3 * 2 ** 30):
-            assert [stand_in.integers(k) for _ in range(300)] == \
-                [int(rng.integers(k)) for _ in range(300)]
-
-    def test_without_a_deviation_one_block_is_served(self):
-        ours = self._assert_matches_per_sequence_rule(self._words({}))
-        assert ours.served == ours.position == self.ROWS * 5
+    def test_without_a_redraw_one_block_is_served(self):
+        assert self._assert_matches_oracle(self._words({}))[1] == self.ROWS * 5
 
     @pytest.mark.parametrize("row", [0, 3, ROWS - 1])
-    def test_a_redraw_hands_the_row_off(self, row):
-        ours = self._assert_matches_per_sequence_rule(self._words({row * 5: 0}))
-        assert ours.position == self.ROWS * 5 + 1
-        # The lockstep's block, the advance to the row, the scalar calls'.
-        assert ours.served == 2 * self.ROWS * 5 + 1
+    def test_a_redraw_takes_a_fresh_word(self, row):
+        words = self._words({row * 5: 0})
+        got, position = self._assert_matches_oracle(words)
+        assert position == self.ROWS * 5 + 1
+        # The first word after the block, over the source's 5 out-edges.
+        assert got[row][0][1] == out_edges(self.G, 1)[words[self.ROWS * 5] * 5 >> 32]
 
     @pytest.mark.parametrize("row", [0, 3, ROWS - 1])
     def test_a_redraw_in_a_later_step(self, row):
-        """Step 2 crosses out of a 3-node set, a boundary of 9 edges, after
-        the row took two steps in lockstep."""
-        ours = self._assert_matches_per_sequence_rule(self._words({row * 5 + 2: 0}))
-        assert ours.position == self.ROWS * 5 + 1
-        assert ours.served == 2 * self.ROWS * 5 + 1
+        """Step 2 crosses out of a 3-node set, a boundary of 9 edges."""
+        _, position = self._assert_matches_oracle(self._words({row * 5 + 2: 0}))
+        assert position == self.ROWS * 5 + 1
+
+    def test_redraws_go_round_by_round_in_row_order(self):
+        """Rows 1 and 6 redraw; row 1's fresh word is 0 again, so row 6
+        takes the second fresh word and row 1 the third."""
+        words = self._words({1 * 5: 0, 6 * 5: 0, self.ROWS * 5: 0})
+        got, position = self._assert_matches_oracle(words)
+        assert position == self.ROWS * 5 + 3
+        first = out_edges(self.G, 1)
+        assert got[6][0][1] == first[words[self.ROWS * 5 + 1] * 5 >> 32]
+        assert got[1][0][1] == first[words[self.ROWS * 5 + 2] * 5 >> 32]
+
+    def test_each_row_redraws_over_its_own_boundary(self):
+        """Every row's step 1 word is 0. The node the source reaches first
+        sets the next boundary's size, 3 or 5 here, neither a power of two,
+        so every row redraws over a boundary that differs between rows."""
+        g = Digraph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)], 0)
+        words = self._words({row * 4 + 1: 0 for row in range(self.ROWS)}, steps=4)
+        got, position = self._assert_matches_oracle(words, g)
+        assert position == self.ROWS * 4 + self.ROWS
+        assert len({len(out_edges(g, row[1][0])) for row in got}) == 2
 
     def test_a_zero_word_over_a_power_of_two_boundary_is_kept(self):
         """Step 1 crosses out of a 2-node set, a boundary of 8 edges, whose
         threshold (2**32 - 8) % 8 is 0: no word is redrawn there."""
-        ours = self._assert_matches_per_sequence_rule(self._words({3 * 5 + 1: 0}))
-        assert ours.served == ours.position == self.ROWS * 5
+        assert self._assert_matches_oracle(self._words({3 * 5 + 1: 0}))[1] == self.ROWS * 5
 
     def test_low_half_at_the_threshold_is_kept(self):
         k = 5
         threshold = ((1 << 32) - k) % k
         word = threshold * pow(k, -1, 1 << 32) % (1 << 32)
         assert word * k % (1 << 32) == threshold
-        ours = self._assert_matches_per_sequence_rule(self._words({3 * 5: word}))
-        assert ours.served == ours.position == self.ROWS * 5
+        assert self._assert_matches_oracle(self._words({3 * 5: word}))[1] == self.ROWS * 5
 
 
 def test_one_class_per_packet_matches_max_weight(d4):

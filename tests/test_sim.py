@@ -39,6 +39,23 @@ class TestConfigValidation:
         cfg = SimConfig(lam=1, horizon=10, policy="randomized", eps=eps)
         assert f"eps must be positive, got {eps}" in cfg.validation_errors()
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 100.5), ("sample_every", 10.0), ("classes", 2.5),
+        ("extra_sequences", 3.5), ("burn_in", 5.5), ("seed", 1.5), ("horizon", "100")])
+    def test_integer_fields_must_be_integers(self, d4, field, value):
+        cfg = replace(SimConfig(lam=1.0, horizon=100, policy="multiclass"), **{field: value})
+        message = f"{field} must be an integer, got {value!r}"
+        assert cfg.validation_errors(d4) == [message]
+        with pytest.raises(ValueError) as info:
+            run(cfg, d4)
+        assert str(info.value) == message
+
+    def test_seed_must_be_non_negative(self, d4):
+        cfg = SimConfig(lam=1.0, horizon=100, seed=-1)
+        assert cfg.validation_errors(d4) == ["seed must be non-negative, got -1"]
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run(cfg, d4)
+
     def test_multiclass_needs_classes(self):
         cfg = SimConfig(lam=1, horizon=10, policy="multiclass", classes=0)
         assert any("classes" in e for e in cfg.validation_errors())
@@ -241,6 +258,17 @@ class TestRandomDigraph:
         heads = np.array([b for _, b in edges], dtype=np.int64)
         if reaches_all(n, 0, edges):
             assert _entered_all(n, heads)
+
+    @pytest.mark.parametrize("args, message", [
+        ((3.0, 2, 1), "n must be an integer, got 3.0"),
+        ((3, 2.0, 1), "m must be an integer, got 2.0"),
+        ((3, 2, 1.5), "seed must be an integer, got 1.5"),
+        ((3, 2, -1), "seed must be non-negative, got -1"),
+    ], ids=["n", "m", "seed", "negative-seed"])
+    def test_bad_arguments_named(self, args, message):
+        with pytest.raises(ValueError) as info:
+            random_digraph(*args)
+        assert str(info.value) == message
 
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValueError):
